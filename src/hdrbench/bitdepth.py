@@ -4,6 +4,11 @@ The forward map rescales the integer range [0, 1023] onto [0, 255] with
 round-half-up; the inverse appends two zero bits (multiply by 4). The two
 are deliberately asymmetric: expand(tonemap(x)) == x does not hold, only
 |x - expand(tonemap(x))| <= 5.
+
+The forward map is a gather from a 1024-entry ``uint8`` table, computed
+once at import by the integer formula (x * 510 + 1023) // 2046, so it is
+exact by construction. A sample outside [0, 1023] has no table entry and
+raises BitDepthError instead of wrapping.
 """
 
 from __future__ import annotations
@@ -20,20 +25,41 @@ class BitDepthError(ValidationError):
     """Sequence bit depth does not match the requested conversion."""
 
 
-def tonemap_plane(plane: np.ndarray) -> np.ndarray:
-    """Map 10-bit samples to 8-bit: round-half-up of x * 255 / 1023.
+# Integer arithmetic keeps the table bit-exact across platforms. Exact
+# halves cannot occur, so the rounding mode never actually breaks ties, but
+# it is pinned anyway.
+_TONEMAP_LUT = ((np.arange(1024, dtype=np.uint32) * 510 + 1023) // 2046).astype(np.uint8)
+_TONEMAP_LUT.setflags(write=False)
+# Samples per gather: numpy copies each chunk's indices to intp, and a small
+# chunk keeps that copy in cache instead of allocating 8 bytes per sample.
+_GATHER_CHUNK = 1 << 16
 
-    Integer arithmetic keeps the result bit-exact across platforms:
-    (x * 510 + 1023) // 2046. Exact halves cannot occur, so the rounding
-    mode never actually breaks ties, but it is pinned anyway.
-    """
-    x = plane.astype(np.uint32)
-    return ((x * 510 + 1023) // 2046).astype(np.uint8)
+
+def tonemap_plane(plane: np.ndarray) -> np.ndarray:
+    """Map 10-bit samples to 8-bit: round-half-up of x * 255 / 1023."""
+    # A negative index would count back from the end of the table.
+    if plane.dtype.kind == "i" and plane.size and int(plane.min()) < 0:
+        raise BitDepthError(f"sample value {int(plane.min())} is below the 10-bit minimum 0")
+    out = np.empty(plane.shape, dtype=np.uint8)
+    src, dst = plane.reshape(-1), out.reshape(-1)
+    try:
+        for start in range(0, src.size, _GATHER_CHUNK):
+            stop = start + _GATHER_CHUNK
+            np.take(_TONEMAP_LUT, src[start:stop], out=dst[start:stop])
+    except IndexError:
+        raise BitDepthError(
+            f"sample value {int(plane.max())} exceeds the 10-bit maximum 1023"
+        ) from None
+    return out
 
 
 def expand_plane(plane: np.ndarray) -> np.ndarray:
     """Map 8-bit samples to 10-bit by appending two zero bits (x * 4)."""
-    return plane.astype(np.uint16) << 2
+    if plane.dtype != np.uint8:
+        if plane.size and not 0 <= int(plane.min()) <= int(plane.max()) <= 255:
+            raise BitDepthError(f"samples span [{plane.min()}, {plane.max()}], outside the 8-bit range")
+        plane = plane.astype(np.uint8)
+    return np.left_shift(plane, 2, dtype=np.uint16)
 
 
 def _convert(seq: Sequence, want_depth: int, out_depth: int, op) -> Sequence:

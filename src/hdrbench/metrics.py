@@ -1,7 +1,10 @@
 """Full-reference quality between a 10-bit source and a 10-bit output.
 
 PSNR is computed per color component and combined with luma-weighted
-averaging: (6 * Y + U + V) / 8. Identical planes yield an infinite PSNR,
+averaging: (6 * Y + U + V) / 8. Each plane's squared error is summed
+exactly in integers (an ``int32`` difference squared in place, accumulated
+in 64 bits), so the MSE is the correctly rounded SSE / n and no plane is
+copied to float64. Identical planes yield an infinite PSNR,
 represented by the float('inf') sentinel; it propagates through averaging
 and the weighted combination, and curve fitting rejects it downstream.
 
@@ -53,14 +56,26 @@ class QualityRecord:
             )
 
 
+def _sse(ref: np.ndarray, test: np.ndarray) -> int:
+    """Exact sum of squared differences of two sample planes of at most 16 bits."""
+    # Squaring the difference's bits as uint32 works modulo 2**32, which is
+    # exact: |d| <= 65535, so d * d < 2**32.
+    square = np.subtract(ref, test, dtype=np.int32).view(np.uint32)
+    np.multiply(square, square, out=square)
+    return int(square.sum(dtype=np.uint64))
+
+
 def mse_plane(ref: np.ndarray, test: np.ndarray) -> float:
     """Mean squared sample difference between two equally shaped planes."""
     if ref.shape != test.shape:
         raise PlaneMismatchError(f"plane shapes differ: {ref.shape} vs {test.shape}")
     if ref.dtype != test.dtype:
         raise PlaneMismatchError(f"plane dtypes differ: {ref.dtype} vs {test.dtype}")
-    diff = ref.astype(np.float64) - test.astype(np.float64)
-    return float(np.mean(diff * diff))
+    if ref.dtype.kind not in "ui" or ref.dtype.itemsize > 2:
+        raise PlaneMismatchError(f"planes must hold integer samples of at most 16 bits, got {ref.dtype}")
+    if not ref.size:
+        raise PlaneMismatchError("cannot score an empty plane")
+    return _sse(ref, test) / ref.size
 
 
 def psnr_plane(ref: np.ndarray, test: np.ndarray, bit_depth: int) -> float:

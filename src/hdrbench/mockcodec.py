@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bitdepth import expand_plane
 from .errors import ValidationError
 from .yuv import PlaneFormat, frame_count
 
@@ -105,7 +106,7 @@ def decode(input_path, output_path, output_depth: int | None = None) -> PlaneFor
     if output_depth is not None and output_depth != depth:
         if (depth, output_depth) != (8, 10):
             raise MockCodecError(f"cannot convert decode output {depth} -> {output_depth} bit")
-        samples = (samples.astype(np.uint16) << 2).astype(np.dtype("<u2"))
+        samples = expand_plane(samples)
         fmt = fmt.with_bit_depth(10)
     samples.astype(fmt.dtype).tofile(output_path)
     return fmt

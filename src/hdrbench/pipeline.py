@@ -475,30 +475,31 @@ class Runner:
     def _score(
         self, spec: SequenceSpec, recon: Path, recon_fmt: PlaneFormat, cell_dir: Path
     ) -> QualityRecord:
-        """Stream source and reconstruction in lockstep; score at 10-bit."""
+        """Stream source and reconstruction in lockstep; score at 10-bit.
+
+        An 8-bit reconstruction is expanded to 10-bit frame by frame inside
+        the scoring loop. Only an external metric, which reads files, gets
+        it written out as ``recon_10bit.yuv``.
+        """
+        recon10 = recon
+        test_frames = yuv.iter_frames(recon, recon_fmt)
         if recon_fmt.bit_depth == 8:
-            recon10 = cell_dir / "recon_10bit.yuv"
-            fmt10 = recon_fmt.with_bit_depth(10)
-            yuv.write_frames(
-                recon10,
-                (
-                    Frame(
-                        bitdepth.expand_plane(frame.y),
-                        bitdepth.expand_plane(frame.u),
-                        bitdepth.expand_plane(frame.v),
-                        fmt10,
-                    )
-                    for frame in yuv.iter_frames(recon, recon_fmt)
-                ),
+            test_frames = (
+                Frame(
+                    bitdepth.expand_plane(frame.y),
+                    bitdepth.expand_plane(frame.u),
+                    bitdepth.expand_plane(frame.v),
+                    spec.fmt,
+                )
+                for frame in test_frames
             )
-        else:
-            recon10 = recon
+            if self.config.metric_command:
+                recon10 = cell_dir / "recon_10bit.yuv"
+                yuv.write_frames(recon10, test_frames)
+                test_frames = yuv.iter_frames(recon10, spec.fmt)
 
         y_psnrs, u_psnrs, v_psnrs = [], [], []
-        for ref_frame, test_frame in zip(
-            yuv.iter_frames(spec.path, spec.fmt),
-            yuv.iter_frames(recon10, spec.fmt),
-        ):
+        for ref_frame, test_frame in zip(yuv.iter_frames(spec.path, spec.fmt), test_frames):
             y_psnrs.append(psnr_plane(ref_frame.y, test_frame.y, 10))
             u_psnrs.append(psnr_plane(ref_frame.u, test_frame.u, 10))
             v_psnrs.append(psnr_plane(ref_frame.v, test_frame.v, 10))

@@ -94,6 +94,11 @@ def _frozen(plane: np.ndarray) -> np.ndarray:
     return out
 
 
+def _may_exceed(dtype: np.dtype, fmt: "PlaneFormat") -> bool:
+    """False when no value of ``dtype`` can exceed the depth (u1 at 8 or 10 bits)."""
+    return not (dtype.kind == "u" and dtype.itemsize * 8 <= fmt.bit_depth)
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """One planar 4:2:0 frame; planes are read-only 2-D arrays."""
@@ -116,7 +121,7 @@ class Frame:
                     f"{name} plane shape {plane.shape} != {(fmt.chroma_height, fmt.chroma_width)}"
                 )
         for plane in (self.y, self.u, self.v):
-            if plane.size and int(plane.max()) > fmt.max_value:
+            if _may_exceed(plane.dtype, fmt) and plane.size and int(plane.max()) > fmt.max_value:
                 raise SampleRangeError(
                     f"sample value {int(plane.max())} exceeds {fmt.bit_depth}-bit maximum {fmt.max_value}"
                 )
@@ -166,11 +171,19 @@ class Sequence:
 
 
 def _split_frame(raw: np.ndarray, fmt: PlaneFormat) -> Frame:
+    """Frame over views of one range-checked raw frame, built without
+    re-validating: the views are contiguous and shaped here by construction."""
     ny, nc = fmt.luma_samples, fmt.chroma_samples
-    y = raw[:ny].reshape(fmt.height, fmt.width)
-    u = raw[ny : ny + nc].reshape(fmt.chroma_height, fmt.chroma_width)
-    v = raw[ny + nc :].reshape(fmt.chroma_height, fmt.chroma_width)
-    return Frame(y, u, v, fmt)
+    frame = object.__new__(Frame)
+    for name, plane in (
+        ("y", raw[:ny].reshape(fmt.height, fmt.width)),
+        ("u", raw[ny : ny + nc].reshape(fmt.chroma_height, fmt.chroma_width)),
+        ("v", raw[ny + nc :].reshape(fmt.chroma_height, fmt.chroma_width)),
+    ):
+        plane.setflags(write=False)
+        object.__setattr__(frame, name, plane)
+    object.__setattr__(frame, "format", fmt)
+    return frame
 
 
 def frame_count(path: str | os.PathLike, fmt: PlaneFormat) -> int:
@@ -188,15 +201,19 @@ def frame_count(path: str | os.PathLike, fmt: PlaneFormat) -> int:
 
 
 def iter_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[Frame]:
-    """Yield frames one at a time; memory stays O(one frame)."""
+    """Yield frames one at a time; memory stays O(one frame).
+
+    Each frame's samples are range-checked once, by a single ``max`` scan;
+    8-bit files need none, because a byte cannot exceed 255.
+    """
     n_frames = frame_count(path, fmt)
     samples = fmt.frame_samples
+    check = _may_exceed(fmt.dtype, fmt)
     with open(path, "rb") as fh:
         for index in range(n_frames):
             raw = np.fromfile(fh, dtype=fmt.dtype, count=samples)
-            bad = np.nonzero(raw > fmt.max_value)[0]
-            if bad.size:
-                offender = int(bad[0])
+            if check and int(raw.max()) > fmt.max_value:
+                offender = int(np.flatnonzero(raw > fmt.max_value)[0])
                 raise SampleRangeError(
                     f"{path}: sample index {index * samples + offender} has value "
                     f"{int(raw[offender])} > {fmt.max_value} for declared {fmt.bit_depth}-bit depth"
@@ -210,11 +227,15 @@ def read_sequence(path: str | os.PathLike, fmt: PlaneFormat, frame_rate: float) 
 
 
 def write_frames(path: str | os.PathLike, frames: Iterable[Frame]) -> None:
-    """Write frames in file order; byte-exact inverse of iter_frames."""
+    """Write frames in file order; byte-exact inverse of iter_frames.
+
+    Planes already contiguous in the file's dtype are written from their
+    own buffers, without an intermediate bytes copy.
+    """
     with open(path, "wb") as fh:
         for frame in frames:
             for plane in frame.planes():
-                fh.write(np.ascontiguousarray(plane, dtype=frame.format.dtype).tobytes())
+                fh.write(np.ascontiguousarray(plane, dtype=frame.format.dtype))
 
 
 def write_sequence(seq: Sequence, path: str | os.PathLike) -> None:

@@ -62,6 +62,23 @@ class TestTonemap:
         for got, x in zip(mapped.ravel(), plane.ravel()):
             assert int(got) == reference_tonemap(int(x))
 
+    def test_plane_larger_than_one_gather_chunk(self):
+        plane = np.resize(ALL_CODES, (1080, 1920))
+        expected = ((plane.astype(np.int64) * 510 + 1023) // 2046).astype(np.uint8)
+        assert np.array_equal(tonemap_plane(plane), expected)
+
+    def test_out_of_range_sample_raises_instead_of_wrapping(self):
+        with pytest.raises(BitDepthError, match=r"2000 exceeds the 10-bit maximum 1023"):
+            tonemap_plane(np.array([2000], dtype=np.uint16))
+        plane = np.zeros((1080, 1920), dtype=np.uint16)
+        plane[-1, -1], plane[0, 0] = 1024, 4000
+        with pytest.raises(BitDepthError, match="4000"):
+            tonemap_plane(plane)
+
+    def test_negative_sample_raises(self):
+        with pytest.raises(BitDepthError, match="-1"):
+            tonemap_plane(np.array([5, -1], dtype=np.int32))
+
 
 class TestExpand:
     def test_exact_times_four(self):
@@ -78,6 +95,12 @@ class TestExpand:
     def test_expanded_values_stay_in_10bit_range(self):
         top = expand_plane(np.array([255], dtype=np.uint8))
         assert int(top[0]) == 1020 <= 1023
+
+    def test_wider_dtypes_are_checked_not_wrapped(self):
+        assert expand_plane(np.array([0, 255], dtype=np.int64)).tolist() == [0, 1020]
+        for bad in (np.array([16384], dtype=np.uint16), np.array([-1], dtype=np.int16)):
+            with pytest.raises(BitDepthError):
+                expand_plane(bad)
 
     def test_top_code_does_not_map_back_to_top(self):
         # 255 expands to 1020, which tone-maps to 254: the asymmetry is real.

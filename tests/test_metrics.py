@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hdrbench import yuv
 from hdrbench.metrics import (
@@ -48,6 +49,30 @@ class TestMse:
         ref = np.array([[0]], dtype=np.uint16)
         test = np.array([[1023]], dtype=np.uint16)
         assert mse_plane(ref, test) == 1023.0**2
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.uint8, np.uint16]))
+    def test_sse_is_exact(self, data, dtype):
+        # mse * n is not exact in floats (1 / 49 * 49 != 1), so compare the
+        # MSE with the correctly rounded quotient of the exact Python-int SSE.
+        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=40))
+        ref = data.draw(hnp.arrays(dtype, shape))
+        test = data.draw(hnp.arrays(dtype, shape))
+        sse = sum((int(a) - int(b)) ** 2 for a, b in zip(ref.ravel(), test.ravel()))
+        assert mse_plane(ref, test) == sse / ref.size
+
+    def test_worst_case_full_hd_plane_needs_a_64_bit_sum(self):
+        # SSE = 1023**2 * 1920 * 1080 ~ 2.17e12 overflows any int32 accumulator.
+        ref = np.zeros((1080, 1920), dtype=np.uint16)
+        test = np.full((1080, 1920), 1023, dtype=np.uint16)
+        assert mse_plane(ref, test) == 1023**2
+        assert psnr_plane(ref, test, 10) == 0.0
+
+    def test_rejects_samples_wider_than_16_bits(self):
+        with pytest.raises(PlaneMismatchError):
+            mse_plane(np.zeros((2, 2), np.uint32), np.zeros((2, 2), np.uint32))
+        with pytest.raises(PlaneMismatchError):
+            mse_plane(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestPsnr:

@@ -2,10 +2,13 @@
 
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from hdrbench import yuv
+from hdrbench.bitdepth import expand_plane
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.metrics import QualityRecord
 from hdrbench.pipeline import (
@@ -307,6 +310,45 @@ class TestExecution:
         resumed.run()
         assert resumed.reused_cells == 1
         assert resumed.executed_cells == 3
+
+
+class TestEightBitScoring:
+    """An 8-bit reconstruction is expanded inside the scoring loop; it goes to
+    disk as recon_10bit.yuv only for an external metric, which reads files."""
+
+    def run_cell(self, tmp_path, metric_command=None):
+        tmp_path.mkdir()
+        config = make_run_config(
+            tmp_path, variants=("8-8",), qp_ladder=(22,), metric_command=metric_command
+        )
+        (record,) = Runner(config).run().records.values()
+        return record, config.work_dir / "clip" / "8-8" / "qp22"
+
+    def test_recon_10bit_written_only_for_an_external_metric(self, tmp_path):
+        plain, plain_dir = self.run_cell(tmp_path / "plain")
+        assert (plain_dir / "recon_8bit.yuv").is_file()
+        assert not (plain_dir / "recon_10bit.yuv").exists()
+
+        args_log = tmp_path / "metric_args.txt"
+        script = tmp_path / "metric.py"
+        script.write_text(
+            "import pathlib, sys\n"
+            f"pathlib.Path({str(args_log)!r}).write_text('\\n'.join(sys.argv[1:]))\n"
+            "print('5.0')\n"
+        )
+        scored, scored_dir = self.run_cell(
+            tmp_path / "scored", metric_command=f"{sys.executable} {script} {{REF}} {{TEST}}"
+        )
+        recon10 = scored_dir / "recon_10bit.yuv"
+        recon8 = np.fromfile(scored_dir / "recon_8bit.yuv", dtype=np.uint8)
+        assert recon10.read_bytes() == expand_plane(recon8).astype("<u2").tobytes()
+        assert args_log.read_text().splitlines()[1] == str(recon10)
+        assert scored.quality.external_score == 5.0
+
+        fields = ("psnr_y", "psnr_u", "psnr_v", "psnr_yuv")
+        assert [getattr(scored.quality, f) for f in fields] == [
+            getattr(plain.quality, f) for f in fields
+        ]
 
 
 class TestReportedRate:

@@ -120,6 +120,17 @@ class TestFileRoundTrip:
             list(yuv.iter_frames(path, fmt))
         assert str(fmt.frame_samples + 3) in str(err.value)
 
+    @pytest.mark.parametrize("depth", [8, 10])
+    def test_streamed_planes_are_read_only(self, tmp_path, depth):
+        fmt = PlaneFormat(16, 16, depth)
+        path = tmp_path / "clip.yuv"
+        yuv.write_sequence(make_sequence(2, fmt, frames=2), path)
+        for frame in yuv.iter_frames(path, fmt):
+            for plane in frame.planes():
+                assert plane.dtype == fmt.dtype
+                with pytest.raises(ValueError):
+                    plane[0, 0] = 0
+
     def test_iter_frames_matches_bulk_read(self, tmp_path, fmt10):
         seq = make_sequence(9, fmt10, frames=5)
         path = tmp_path / "clip.yuv"
