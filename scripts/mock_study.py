@@ -32,7 +32,7 @@ MOCK_DECODE = (
 )
 
 
-def synth_sequence(seed: int, fmt: yuv.PlaneFormat, frames: int) -> yuv.Sequence:
+def write_synth_clip(path: Path, seed: int, fmt: yuv.PlaneFormat, frames: int) -> None:
     """Smooth block content plus mild noise; enough texture to spread rates."""
     rng = np.random.default_rng(seed)
 
@@ -42,8 +42,9 @@ def synth_sequence(seed: int, fmt: yuv.PlaneFormat, frames: int) -> yuv.Sequence
         noisy = big + rng.normal(0.0, fmt.max_value / 120.0, size=(height, width))
         return np.clip(noisy, 0, fmt.max_value).astype(fmt.dtype)
 
-    return yuv.Sequence(
-        tuple(
+    yuv.write_frames(
+        path,
+        (
             yuv.Frame(
                 plane(fmt.height, fmt.width),
                 plane(fmt.chroma_height, fmt.chroma_width),
@@ -52,8 +53,6 @@ def synth_sequence(seed: int, fmt: yuv.PlaneFormat, frames: int) -> yuv.Sequence
             )
             for _ in range(frames)
         ),
-        fmt,
-        50.0,
     )
 
 
@@ -76,7 +75,7 @@ def main(argv=None) -> int:
         name = f"clip{index + 1}"
         path = args.out / f"{name}.yuv"
         if not path.exists():
-            yuv.write_sequence(synth_sequence(1000 + index, fmt, args.frames), path)
+            write_synth_clip(path, 1000 + index, fmt, args.frames)
         specs.append(SequenceSpec(name, path, fmt, 50.0))
 
     variants = tuple(

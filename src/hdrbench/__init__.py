@@ -5,11 +5,11 @@ that trade internal bit depth for speed, and compares them with
 Bjøntegaard-style curve deltas.
 """
 
-from .bitdepth import expand_8_to_10, quantization_noise_report, tonemap_10_to_8
+from .bitdepth import convert_file, quantization_noise_report
 from .curves import Curve, OperatingPoint, bd_delta, compare, find_intersections
 from .errors import ExecutionError, ValidationError
-from .metrics import psnr_plane, psnr_yuv, sequence_quality
-from .yuv import Frame, PlaneFormat, Sequence, read_sequence, write_sequence
+from .metrics import psnr_plane, psnr_yuv, score_files
+from .yuv import Frame, PlaneFormat, iter_frames, write_frames
 
 __version__ = "0.1.0"
 
@@ -19,18 +19,16 @@ __all__ = [
     "Frame",
     "OperatingPoint",
     "PlaneFormat",
-    "Sequence",
     "ValidationError",
     "bd_delta",
     "compare",
-    "expand_8_to_10",
+    "convert_file",
     "find_intersections",
+    "iter_frames",
     "psnr_plane",
     "psnr_yuv",
     "quantization_noise_report",
-    "read_sequence",
-    "sequence_quality",
-    "tonemap_10_to_8",
-    "write_sequence",
+    "score_files",
+    "write_frames",
     "__version__",
 ]

@@ -13,16 +13,17 @@ raises BitDepthError instead of wrapping.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .yuv import Frame, Sequence
+from .yuv import Frame, PlaneFormat, frame_count, iter_frames, write_frames
 
 
 class BitDepthError(ValidationError):
-    """Sequence bit depth does not match the requested conversion."""
+    """A sample lies outside the range of its declared bit depth."""
 
 
 # Integer arithmetic keeps the table bit-exact across platforms. Exact
@@ -62,26 +63,25 @@ def expand_plane(plane: np.ndarray) -> np.ndarray:
     return np.left_shift(plane, 2, dtype=np.uint16)
 
 
-def _convert(seq: Sequence, want_depth: int, out_depth: int, op) -> Sequence:
-    if seq.format.bit_depth != want_depth:
-        raise BitDepthError(
-            f"expected a {want_depth}-bit sequence, got {seq.format.bit_depth}-bit"
-        )
-    out_fmt = seq.format.with_bit_depth(out_depth)
-    frames = tuple(
-        Frame(op(f.y), op(f.u), op(f.v), out_fmt) for f in seq.frames
+def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneFormat) -> int:
+    """Stream ``src`` (at ``fmt``) into ``dst`` at the other depth; return the frame count.
+
+    A 10-bit ``fmt`` is tone-mapped to 8 bits, an 8-bit one is expanded to
+    10 bits, with the same mapping on Y, U and V. The input is checked for
+    whole frames, and refused when ``dst`` is the same file, before ``dst``
+    is opened: opening it would truncate an input not read yet.
+    """
+    frames = frame_count(src, fmt)
+    if os.path.exists(dst) and os.path.samefile(src, dst):
+        raise ValidationError(f"output {dst} is the input {src}; convert into another file")
+    if fmt.bit_depth == 10:
+        op, out_fmt = tonemap_plane, fmt.with_bit_depth(8)
+    else:
+        op, out_fmt = expand_plane, fmt.with_bit_depth(10)
+    write_frames(
+        dst, (Frame(op(f.y), op(f.u), op(f.v), out_fmt) for f in iter_frames(src, fmt))
     )
-    return Sequence(frames, out_fmt, seq.frame_rate)
-
-
-def tonemap_10_to_8(seq: Sequence) -> Sequence:
-    """Tone-map a 10-bit sequence down to 8-bit (same mapping on Y, U, V)."""
-    return _convert(seq, 10, 8, tonemap_plane)
-
-
-def expand_8_to_10(seq: Sequence) -> Sequence:
-    """Expand an 8-bit sequence to 10-bit; inverse of integer division by 4."""
-    return _convert(seq, 8, 10, expand_plane)
+    return frames
 
 
 @dataclass(frozen=True)

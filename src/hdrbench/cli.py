@@ -22,9 +22,10 @@ from .config import load_config
 from .curves import compare, export_comparison_csv, read_curve_csv
 from .errors import ExecutionError, ValidationError
 from .measure import measure_process
-from .metrics import aggregate_frame_psnrs, external_metric, psnr_plane
+# psnr_plane is unused here; perfbench's tracer test reads cli.psnr_plane.
+from .metrics import external_metric, psnr_plane, score_files
 from .pipeline import STORE_SCHEMA, ResultStore, Runner, to_json_float
-from .yuv import Frame, PlaneFormat
+from .yuv import PlaneFormat
 
 
 class _ArgumentError(ValidationError):
@@ -102,39 +103,17 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_convert(args) -> int:
-    if args.direction == "10to8":
-        in_fmt = PlaneFormat(args.width, args.height, 10)
-        op, out_depth = bitdepth.tonemap_plane, 8
-    else:
-        in_fmt = PlaneFormat(args.width, args.height, 8)
-        op, out_depth = bitdepth.expand_plane, 10
-    out_fmt = in_fmt.with_bit_depth(out_depth)
-    yuv.write_frames(
-        args.output,
-        (
-            Frame(op(f.y), op(f.u), op(f.v), out_fmt)
-            for f in yuv.iter_frames(args.input, in_fmt)
-        ),
-    )
-    frames = yuv.frame_count(args.output, out_fmt)
+    in_fmt = PlaneFormat(args.width, args.height, 10 if args.direction == "10to8" else 8)
+    frames = bitdepth.convert_file(args.input, args.output, in_fmt)
     print(f"wrote {frames} frame(s) to {args.output}")
     return 0
 
 
 def _cmd_quality(args) -> int:
     fmt = PlaneFormat(args.width, args.height, 10)
-    if yuv.frame_count(args.ref, fmt) != yuv.frame_count(args.test, fmt):
-        raise ValidationError("reference and test sequences have different frame counts")
-    y_psnrs, u_psnrs, v_psnrs = [], [], []
-    for ref_frame, test_frame in zip(
-        yuv.iter_frames(args.ref, fmt), yuv.iter_frames(args.test, fmt)
-    ):
-        y_psnrs.append(psnr_plane(ref_frame.y, test_frame.y, 10))
-        u_psnrs.append(psnr_plane(ref_frame.u, test_frame.u, 10))
-        v_psnrs.append(psnr_plane(ref_frame.v, test_frame.v, 10))
-    quality = aggregate_frame_psnrs(y_psnrs, u_psnrs, v_psnrs)
+    quality = score_files(args.ref, args.test, fmt)
     payload = {
-        "frames": len(y_psnrs),
+        "frames": yuv.frame_count(args.ref, fmt),
         "psnr_y": to_json_float(quality.psnr_y),
         "psnr_u": to_json_float(quality.psnr_u),
         "psnr_v": to_json_float(quality.psnr_v),

@@ -285,27 +285,6 @@ class SequenceRow:
     bdee_percent: dict[str, float] = field(default_factory=dict)
     bd_rate_percent: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "intersection_quality": self.intersection_quality,
-            "ceil_qp": self.ceil_qp,
-            "bdt_percent": dict(self.bdt_percent),
-            "bdee_percent": dict(self.bdee_percent),
-            "bd_rate_percent": dict(self.bd_rate_percent),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SequenceRow":
-        return cls(
-            sequence=data["sequence"],
-            intersection_quality=data["intersection_quality"],
-            ceil_qp=data["ceil_qp"],
-            bdt_percent=dict(data.get("bdt_percent", {})),
-            bdee_percent=dict(data.get("bdee_percent", {})),
-            bd_rate_percent=dict(data.get("bd_rate_percent", {})),
-        )
-
 
 def report_row(
     sequence: str,

@@ -15,7 +15,7 @@ import os
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence as Seq
 
@@ -177,20 +177,10 @@ def _run_once(
             note = _pin_cpu(proc.pid)
             if note and note not in warnings:
                 warnings.append(note)
-        if hasattr(os, "wait4"):
-            _, status, rusage = os.wait4(proc.pid, 0)
-            returncode = os.waitstatus_to_exitcode(status)
-            proc.returncode = returncode  # already reaped; keep Popen consistent
-            cpu_time = rusage.ru_utime + rusage.ru_stime
-        else:
-            import resource
-
-            usage_before = resource.getrusage(resource.RUSAGE_CHILDREN)
-            returncode = proc.wait()
-            usage_after = resource.getrusage(resource.RUSAGE_CHILDREN)
-            cpu_time = (usage_after.ru_utime - usage_before.ru_utime) + (
-                usage_after.ru_stime - usage_before.ru_stime
-            )
+        _, status, rusage = os.wait4(proc.pid, 0)
+        returncode = os.waitstatus_to_exitcode(status)
+        proc.returncode = returncode  # already reaped; keep Popen consistent
+        cpu_time = rusage.ru_utime + rusage.ru_stime
         wall_time = time.perf_counter() - start
         after = read_counter(rapl_domain) if rapl_domain else None
     finally:
@@ -239,13 +229,4 @@ def measure_process(
         for _ in range(repetitions):
             samples.append(_run_once(command, domain, pin_cpu, out, err, warnings))
     agg = aggregate(samples, trim=trim_outliers)
-    if warnings:
-        agg = AggregatedMeasurement(
-            samples=agg.samples,
-            mean_wall_time=agg.mean_wall_time,
-            mean_cpu_time=agg.mean_cpu_time,
-            mean_energy_joules=agg.mean_energy_joules,
-            retained_count=agg.retained_count,
-            warnings=tuple(warnings),
-        )
-    return agg
+    return replace(agg, warnings=tuple(warnings)) if warnings else agg

@@ -1,4 +1,4 @@
-"""Full-reference quality between a 10-bit source and a 10-bit output.
+"""Full-reference quality of a decoded output against its 10-bit source.
 
 PSNR is computed per color component and combined with luma-weighted
 averaging: (6 * Y + U + V) / 8. Each plane's squared error is summed
@@ -16,14 +16,16 @@ process prints a single decimal score in [0, 10] on stdout.
 from __future__ import annotations
 
 import math
+import os
 import shlex
 import subprocess
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bitdepth import expand_plane
 from .errors import ExecutionError, ValidationError
-from .yuv import Sequence
+from .yuv import PlaneFormat, frame_count, iter_frames
 
 INFINITE_PSNR = float("inf")
 
@@ -32,7 +34,7 @@ SCORE_MAX = 10.0
 
 
 class PlaneMismatchError(ValidationError):
-    """Compared planes or sequences disagree in shape, depth, or length."""
+    """Compared planes or files disagree in shape, depth, or length."""
 
 
 class ExternalMetricError(ExecutionError):
@@ -94,29 +96,30 @@ def psnr_yuv(y: float, u: float, v: float) -> float:
     return (6.0 * y + u + v) / 8.0
 
 
-def sequence_quality(ref: Sequence, test: Sequence) -> QualityRecord:
-    """Per-frame plane PSNRs, arithmetic mean across frames, then combined.
+def score_files(
+    ref: str | os.PathLike, test: str | os.PathLike, fmt: PlaneFormat
+) -> QualityRecord:
+    """Per-frame plane PSNRs of two raw files, arithmetic mean across frames, then combined.
 
-    Both sequences must be 10-bit: 8-bit decoder output is expanded back to
-    10-bit before the comparison so all variants are scored in one domain.
+    ``ref`` is read as 10-bit at ``fmt``'s geometry and ``test`` at
+    ``fmt.bit_depth``. An 8-bit test is expanded to 10 bits frame by frame,
+    so every variant is scored in the 10-bit domain of the source.
     """
-    for name, seq in (("ref", ref), ("test", test)):
-        if seq.format.bit_depth != 10:
-            raise PlaneMismatchError(f"{name} sequence is {seq.format.bit_depth}-bit, expected 10-bit")
-    if ref.format != test.format:
-        raise PlaneMismatchError(f"sequence formats differ: {ref.format} vs {test.format}")
-    if len(ref) != len(test):
-        raise PlaneMismatchError(f"frame counts differ: {len(ref)} vs {len(test)}")
-    if not ref.frames:
+    ref_fmt = fmt.with_bit_depth(10)
+    ref_frames, test_frames = frame_count(ref, ref_fmt), frame_count(test, fmt)
+    if ref_frames != test_frames:
+        raise PlaneMismatchError(
+            f"frame counts differ: {ref} has {ref_frames}, {test} has {test_frames}"
+        )
+    if not ref_frames:
         raise PlaneMismatchError("cannot score an empty sequence")
 
-    depth = ref.format.bit_depth
-    per_plane = {"y": [], "u": [], "v": []}
-    for rf, tf in zip(ref.frames, test.frames):
-        per_plane["y"].append(psnr_plane(rf.y, tf.y, depth))
-        per_plane["u"].append(psnr_plane(rf.u, tf.u, depth))
-        per_plane["v"].append(psnr_plane(rf.v, tf.v, depth))
-    return aggregate_frame_psnrs(per_plane["y"], per_plane["u"], per_plane["v"])
+    per_plane = ([], [], [])
+    for ref_frame, test_frame in zip(iter_frames(ref, ref_fmt), iter_frames(test, fmt)):
+        for values, ref_plane, plane in zip(per_plane, ref_frame.planes(), test_frame.planes()):
+            test_plane = expand_plane(plane) if fmt.bit_depth == 8 else plane
+            values.append(psnr_plane(ref_plane, test_plane, 10))
+    return aggregate_frame_psnrs(*per_plane)
 
 
 def aggregate_frame_psnrs(

@@ -23,8 +23,9 @@ from . import bitdepth, yuv
 from .config import RunConfig, SequenceSpec, VariantConfig, render_template
 from .errors import ExecutionError, ValidationError
 from .measure import DEFAULT_POWERCAP_ROOT, measure_process
-from .metrics import QualityRecord, aggregate_frame_psnrs, external_metric, psnr_plane
-from .yuv import Frame, PlaneFormat
+# psnr_plane is unused here; perfbench's tracer test reads pipeline.psnr_plane.
+from .metrics import QualityRecord, external_metric, psnr_plane, score_files
+from .yuv import PlaneFormat
 
 STORE_SCHEMA = 1
 _HASH_CHUNK = 1 << 20
@@ -51,19 +52,20 @@ def to_json_float(value: float | None):
 
 
 def from_json_float(value) -> float | None:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
+    # float() parses the "inf"/"-inf" strings that to_json_float writes.
+    return None if value is None else float(value)
 
 
-def file_sha256(path: str | os.PathLike) -> str:
-    digest = hashlib.sha256()
+def _hash_file(digest, path: str | os.PathLike) -> str:
+    """Feed a file to ``digest`` in chunks; return the hex digest."""
     with open(path, "rb") as fh:
         while chunk := fh.read(_HASH_CHUNK):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def file_sha256(path: str | os.PathLike) -> str:
+    return _hash_file(hashlib.sha256(), path)
 
 
 @dataclass(frozen=True)
@@ -285,11 +287,7 @@ class Runner:
         cached = self._sequence_digests.get(spec.name)
         if cached is None:
             tag = f"{spec.fmt.width}x{spec.fmt.height}@{spec.fmt.bit_depth}:"
-            digest = hashlib.sha256(tag.encode())
-            with open(spec.path, "rb") as fh:
-                while chunk := fh.read(_HASH_CHUNK):
-                    digest.update(chunk)
-            cached = digest.hexdigest()
+            cached = _hash_file(hashlib.sha256(tag.encode()), spec.path)
             self._sequence_digests[spec.name] = cached
         return cached
 
@@ -329,19 +327,7 @@ class Runner:
         out_dir = self.config.work_dir / "inputs"
         out_dir.mkdir(parents=True, exist_ok=True)
         out_path = out_dir / f"{spec.name}_{depth}bit.yuv"
-        fmt8 = spec.fmt.with_bit_depth(8)
-        yuv.write_frames(
-            out_path,
-            (
-                Frame(
-                    bitdepth.tonemap_plane(frame.y),
-                    bitdepth.tonemap_plane(frame.u),
-                    bitdepth.tonemap_plane(frame.v),
-                    fmt8,
-                )
-                for frame in yuv.iter_frames(spec.path, spec.fmt)
-            ),
-        )
+        bitdepth.convert_file(spec.path, out_path, spec.fmt)
         self._prepared_inputs[(spec.name, depth)] = out_path
         return out_path
 
@@ -475,37 +461,17 @@ class Runner:
     def _score(
         self, spec: SequenceSpec, recon: Path, recon_fmt: PlaneFormat, cell_dir: Path
     ) -> QualityRecord:
-        """Stream source and reconstruction in lockstep; score at 10-bit.
+        """PSNR of the reconstruction file against the source, at 10-bit.
 
-        An 8-bit reconstruction is expanded to 10-bit frame by frame inside
-        the scoring loop. Only an external metric, which reads files, gets
-        it written out as ``recon_10bit.yuv``.
+        Only an external metric, which reads files, gets an 8-bit
+        reconstruction written out expanded, as ``recon_10bit.yuv``.
         """
-        recon10 = recon
-        test_frames = yuv.iter_frames(recon, recon_fmt)
-        if recon_fmt.bit_depth == 8:
-            test_frames = (
-                Frame(
-                    bitdepth.expand_plane(frame.y),
-                    bitdepth.expand_plane(frame.u),
-                    bitdepth.expand_plane(frame.v),
-                    spec.fmt,
-                )
-                for frame in test_frames
-            )
-            if self.config.metric_command:
-                recon10 = cell_dir / "recon_10bit.yuv"
-                yuv.write_frames(recon10, test_frames)
-                test_frames = yuv.iter_frames(recon10, spec.fmt)
-
-        y_psnrs, u_psnrs, v_psnrs = [], [], []
-        for ref_frame, test_frame in zip(yuv.iter_frames(spec.path, spec.fmt), test_frames):
-            y_psnrs.append(psnr_plane(ref_frame.y, test_frame.y, 10))
-            u_psnrs.append(psnr_plane(ref_frame.u, test_frame.u, 10))
-            v_psnrs.append(psnr_plane(ref_frame.v, test_frame.v, 10))
-        quality = aggregate_frame_psnrs(y_psnrs, u_psnrs, v_psnrs)
-
+        quality = score_files(spec.path, recon, recon_fmt)
         if self.config.metric_command:
+            recon10 = recon
+            if recon_fmt.bit_depth == 8:
+                recon10 = cell_dir / "recon_10bit.yuv"
+                bitdepth.convert_file(recon, recon10, recon_fmt)
             score = external_metric(spec.path, recon10, self.config.metric_command)
             quality = replace(quality, external_score=score)
         return quality

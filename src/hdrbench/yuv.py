@@ -2,8 +2,8 @@
 
 Files are headerless: plane order is Y, U, V per frame, 8-bit samples are
 single bytes, 10-bit samples are 16-bit little-endian words with the top
-six bits zero. All format metadata (dimensions, depth, frame rate) comes
-from the caller, never from file content.
+six bits zero. All format metadata (dimensions and depth) comes from the
+caller, never from file content. Files are streamed one frame at a time.
 """
 
 from __future__ import annotations
@@ -140,36 +140,6 @@ class Frame:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Sequence:
-    """Ordered frames sharing one format; immutable after construction."""
-
-    frames: tuple[Frame, ...]
-    format: PlaneFormat
-    frame_rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if self.frame_rate <= 0:
-            raise YuvFormatError(f"frame_rate must be positive, got {self.frame_rate}")
-        for i, frame in enumerate(self.frames):
-            if frame.format != self.format:
-                raise YuvFormatError(f"frame {i} format {frame.format} != sequence format {self.format}")
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return (
-            self.format == other.format
-            and self.frame_rate == other.frame_rate
-            and len(self.frames) == len(other.frames)
-            and all(a == b for a, b in zip(self.frames, other.frames))
-        )
-
-
 def _split_frame(raw: np.ndarray, fmt: PlaneFormat) -> Frame:
     """Frame over views of one range-checked raw frame, built without
     re-validating: the views are contiguous and shaped here by construction."""
@@ -221,11 +191,6 @@ def iter_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[Frame]:
             yield _split_frame(raw, fmt)
 
 
-def read_sequence(path: str | os.PathLike, fmt: PlaneFormat, frame_rate: float) -> Sequence:
-    """Read a whole raw YUV file into a validated Sequence."""
-    return Sequence(tuple(iter_frames(path, fmt)), fmt, frame_rate)
-
-
 def write_frames(path: str | os.PathLike, frames: Iterable[Frame]) -> None:
     """Write frames in file order; byte-exact inverse of iter_frames.
 
@@ -237,6 +202,3 @@ def write_frames(path: str | os.PathLike, frames: Iterable[Frame]) -> None:
             for plane in frame.planes():
                 fh.write(np.ascontiguousarray(plane, dtype=frame.format.dtype))
 
-
-def write_sequence(seq: Sequence, path: str | os.PathLike) -> None:
-    write_frames(path, seq.frames)

@@ -1,11 +1,12 @@
-"""Shared fixtures: synthetic sequences and mock-codec command templates."""
+"""Shared fixtures: synthetic clips and mock-codec command templates."""
 
 import sys
 
 import numpy as np
 import pytest
 
-from hdrbench.yuv import Frame, PlaneFormat, Sequence
+from hdrbench import yuv
+from hdrbench.yuv import Frame, PlaneFormat
 
 MOCK_ENCODE = (
     f"{sys.executable} -m hdrbench.mockcodec encode --input {{INPUT}} "
@@ -35,13 +36,16 @@ def make_frame(rng: np.random.Generator, fmt: PlaneFormat) -> Frame:
     )
 
 
-def make_sequence(
-    seed: int, fmt: PlaneFormat, frames: int = 3, frame_rate: float = 50.0
-) -> Sequence:
+def make_frames(seed: int, fmt: PlaneFormat, frames: int = 3) -> tuple[Frame, ...]:
     rng = np.random.default_rng(seed)
-    return Sequence(
-        tuple(make_frame(rng, fmt) for _ in range(frames)), fmt, frame_rate
-    )
+    return tuple(make_frame(rng, fmt) for _ in range(frames))
+
+
+def write_clip(path, seed: int, fmt: PlaneFormat, frames: int = 3) -> tuple[Frame, ...]:
+    """Write ``make_frames(seed, fmt, frames)`` to ``path``; return the frames."""
+    clip = make_frames(seed, fmt, frames)
+    yuv.write_frames(path, clip)
+    return clip
 
 
 @pytest.fixture
@@ -55,8 +59,11 @@ def fmt8() -> PlaneFormat:
 
 
 @pytest.fixture
-def seq10(fmt10) -> Sequence:
-    return make_sequence(11, fmt10)
+def clip10_path(tmp_path, fmt10):
+    """A three-frame 10-bit clip on disk."""
+    path = tmp_path / "clip10.yuv"
+    write_clip(path, 11, fmt10)
+    return path
 
 
 @pytest.fixture

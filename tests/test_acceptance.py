@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from hdrbench import yuv
 from hdrbench.bitdepth import expand_plane, quantization_noise_report, tonemap_plane
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.curves import (
@@ -27,7 +26,7 @@ from hdrbench.metrics import psnr_yuv
 from hdrbench.pipeline import Runner
 from hdrbench.report import ReportTable, build_table, render_text
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import MOCK_DECODE, MOCK_ENCODE, make_sequence
+from tests.conftest import MOCK_DECODE, MOCK_ENCODE, write_clip
 from tests.test_akima import reference_akima
 from hdrbench.akima import AkimaSpline
 
@@ -196,7 +195,7 @@ def test_criterion_7_end_to_end_mock_study(announce, tmp_path):
     specs = []
     for index, name in enumerate(("alpha", "bravo")):
         path = tmp_path / f"{name}.yuv"
-        yuv.write_sequence(make_sequence(100 + index, fmt, frames=2), path)
+        write_clip(path, 100 + index, fmt, frames=2)
         specs.append(SequenceSpec(name, path, fmt, 50.0))
     variants = (
         VariantConfig("10-10", 10, 10, True, MOCK_ENCODE, MOCK_DECODE),

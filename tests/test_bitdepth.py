@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hdrbench import bitdepth
+from hdrbench import yuv
 from hdrbench.bitdepth import (
     BitDepthError,
     NoiseReport,
-    expand_8_to_10,
+    convert_file,
     expand_plane,
     quantization_noise_report,
-    tonemap_10_to_8,
     tonemap_plane,
 )
+from hdrbench.errors import ValidationError
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import make_sequence
+from tests.conftest import write_clip
 
 ALL_CODES = np.arange(1024, dtype=np.uint16)
 
@@ -108,27 +108,45 @@ class TestExpand:
 
 
 class TestSequenceConversion:
-    def test_tonemap_sequence(self, seq10):
-        seq8 = tonemap_10_to_8(seq10)
-        assert seq8.format.bit_depth == 8
-        assert len(seq8) == len(seq10)
-        assert np.array_equal(seq8.frames[0].y, tonemap_plane(seq10.frames[0].y))
-        assert seq8.frame_rate == seq10.frame_rate
+    def test_tonemap_sequence(self, tmp_path, fmt10):
+        src, dst = tmp_path / "clip10.yuv", tmp_path / "clip8.yuv"
+        frames = write_clip(src, 11, fmt10)
+        assert convert_file(src, dst, fmt10) == 3
+        out = tuple(yuv.iter_frames(dst, fmt10.with_bit_depth(8)))
+        assert len(out) == 3
+        for frame, converted in zip(frames, out):
+            for plane, mapped in zip(frame.planes(), converted.planes()):
+                assert np.array_equal(mapped, tonemap_plane(plane))
 
-    def test_expand_sequence(self):
-        seq8 = make_sequence(2, PlaneFormat(16, 16, 8), frames=2)
-        seq10 = expand_8_to_10(seq8)
-        assert seq10.format.bit_depth == 10
-        assert np.array_equal(seq10.frames[1].v, expand_plane(seq8.frames[1].v))
+    def test_expand_sequence(self, tmp_path):
+        fmt8 = PlaneFormat(16, 16, 8)
+        src, dst = tmp_path / "clip8.yuv", tmp_path / "clip10.yuv"
+        frames = write_clip(src, 2, fmt8, frames=2)
+        assert convert_file(src, dst, fmt8) == 2
+        out = tuple(yuv.iter_frames(dst, fmt8.with_bit_depth(10)))
+        assert np.array_equal(out[1].v, expand_plane(frames[1].v))
+        assert dst.stat().st_size == 2 * fmt8.with_bit_depth(10).frame_bytes
 
-    def test_tonemap_rejects_8bit_input(self):
-        seq8 = make_sequence(2, PlaneFormat(16, 16, 8))
-        with pytest.raises(BitDepthError):
-            tonemap_10_to_8(seq8)
+    def test_tonemap_rejects_8bit_input(self, tmp_path):
+        # Three 8-bit frames are not a whole number of 10-bit frames, and
+        # the output is never created.
+        fmt8 = PlaneFormat(16, 16, 8)
+        src, dst = tmp_path / "clip8.yuv", tmp_path / "out.yuv"
+        write_clip(src, 2, fmt8)
+        with pytest.raises(ValidationError):
+            convert_file(src, dst, fmt8.with_bit_depth(10))
+        assert not dst.exists()
 
-    def test_expand_rejects_10bit_input(self, seq10):
-        with pytest.raises(BitDepthError):
-            expand_8_to_10(seq10)
+    def test_output_onto_input_is_refused(self, tmp_path, fmt10):
+        src = tmp_path / "clip.yuv"
+        write_clip(src, 11, fmt10)
+        before = src.read_bytes()
+        alias = tmp_path / "alias.yuv"
+        alias.symlink_to(src)
+        for dst in (src, alias):
+            with pytest.raises(ValidationError, match="is the input"):
+                convert_file(src, dst, fmt10)
+            assert src.read_bytes() == before
 
 
 class TestNoiseReport:

@@ -10,7 +10,7 @@ from hdrbench import yuv
 from hdrbench.bitdepth import tonemap_plane
 from hdrbench.curves import Curve, OperatingPoint, write_curve_csv
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import make_sequence
+from tests.conftest import write_clip
 from tests.test_report import synth_store
 
 
@@ -20,11 +20,8 @@ def run_cli(*argv):
 
 @pytest.fixture
 def clip10(tmp_path):
-    fmt = PlaneFormat(32, 32, 10)
-    seq = make_sequence(1, fmt, frames=3)
     path = tmp_path / "clip.yuv"
-    yuv.write_sequence(seq, path)
-    return path, seq
+    return path, write_clip(path, 1, PlaneFormat(32, 32, 10), frames=3)
 
 
 class TestParsing:
@@ -50,7 +47,7 @@ class TestParsing:
 
 class TestConvert:
     def test_round_trip(self, tmp_path, clip10, capsys):
-        path, seq = clip10
+        path, frames = clip10
         eight = tmp_path / "clip8.yuv"
         back = tmp_path / "back10.yuv"
         assert run_cli(
@@ -59,16 +56,14 @@ class TestConvert:
         ) == 0
         assert "3 frame(s)" in capsys.readouterr().out
         fmt8 = PlaneFormat(32, 32, 8)
-        converted = yuv.read_sequence(eight, fmt8, 50.0)
-        assert np.array_equal(converted.frames[0].y, tonemap_plane(seq.frames[0].y))
+        converted = tuple(yuv.iter_frames(eight, fmt8))
+        assert np.array_equal(converted[0].y, tonemap_plane(frames[0].y))
         assert run_cli(
             "convert", "--input", str(eight), "--output", str(back),
             "--direction", "8to10", "--width", "32", "--height", "32",
         ) == 0
-        wide = yuv.read_sequence(back, PlaneFormat(32, 32, 10), 50.0)
-        assert np.array_equal(
-            wide.frames[0].y, converted.frames[0].y.astype(np.uint16) << 2
-        )
+        wide = tuple(yuv.iter_frames(back, PlaneFormat(32, 32, 10)))
+        assert np.array_equal(wide[0].y, converted[0].y.astype(np.uint16) << 2)
 
     def test_missing_input_is_validation_error(self, tmp_path, capsys):
         rc = run_cli(
@@ -111,19 +106,16 @@ class TestConvert:
         )
         assert rc == 1
 
-    def test_does_not_load_whole_file(self, tmp_path, clip10, monkeypatch):
-        # The conversion must stream frames, never materialize the sequence.
+    def test_output_onto_input_is_validation_error(self, clip10, capsys):
         path, _ = clip10
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("bulk read_sequence used in streaming path")
-
-        monkeypatch.setattr(cli.yuv, "read_sequence", forbidden)
+        before = path.read_bytes()
         rc = run_cli(
-            "convert", "--input", str(path), "--output", str(tmp_path / "o.yuv"),
+            "convert", "--input", str(path), "--output", str(path),
             "--direction", "10to8", "--width", "32", "--height", "32",
         )
-        assert rc == 0
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+        assert path.read_bytes() == before
 
 
 class TestQuality:
@@ -138,7 +130,7 @@ class TestQuality:
         assert payload["frames"] == 3
 
     def test_degraded_files_report_finite(self, tmp_path, clip10, capsys):
-        path, seq = clip10
+        path, _ = clip10
         jittered = tmp_path / "noisy.yuv"
         raw = np.fromfile(path, dtype="<u2")
         raw = np.clip(raw.astype(np.int32) + 2, 0, 1023).astype("<u2")
@@ -164,13 +156,22 @@ class TestQuality:
         assert payload["external_score"] == 9.5
 
     def test_frame_count_mismatch(self, tmp_path, clip10, capsys):
-        path, seq = clip10
+        path, frames = clip10
         short = tmp_path / "short.yuv"
-        short.write_bytes(path.read_bytes()[: seq.format.frame_bytes])
+        short.write_bytes(path.read_bytes()[: frames[0].format.frame_bytes])
         assert run_cli(
             "quality", "--ref", str(path), "--test", str(short),
             "--width", "32", "--height", "32",
         ) == 1
+
+    def test_empty_files_are_validation_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.yuv"
+        empty.write_bytes(b"")
+        assert run_cli(
+            "quality", "--ref", str(empty), "--test", str(empty),
+            "--width", "32", "--height", "32",
+        ) == 1
+        assert "cannot score an empty sequence" in capsys.readouterr().err
 
 
 class TestBd:

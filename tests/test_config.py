@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from hdrbench import yuv
 from hdrbench.config import (
     DEFAULT_QP_LADDER,
     ConfigError,
@@ -15,12 +14,12 @@ from hdrbench.config import (
     render_template,
 )
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import MOCK_DECODE, MOCK_ENCODE, make_sequence
+from tests import conftest
+from tests.conftest import MOCK_DECODE, MOCK_ENCODE
 
 
 def write_clip(tmp_path, name="clip.yuv", frames=2):
-    fmt = PlaneFormat(32, 32, 10)
-    yuv.write_sequence(make_sequence(1, fmt, frames=frames), tmp_path / name)
+    conftest.write_clip(tmp_path / name, 1, PlaneFormat(32, 32, 10), frames)
     return tmp_path / name
 
 

@@ -292,10 +292,3 @@ class TestReportRow:
         )
         assert row.bd_rate_percent["8-8"] == pytest.approx(20.0, abs=1e-9)
         assert row.bd_rate_percent["8-10"] == pytest.approx(50.0, abs=1e-9)
-
-    def test_round_trips_through_dict(self):
-        ref = scaled_curve(1.0)
-        row = report_row("Clip", (ref, scaled_curve(1.2)), contender="8-8")
-        from hdrbench.curves import SequenceRow
-
-        assert SequenceRow.from_dict(row.to_dict()) == row

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hdrbench import yuv
+from hdrbench.bitdepth import expand_plane
+from hdrbench.errors import ValidationError
 from hdrbench.metrics import (
     INFINITE_PSNR,
     ExternalMetricError,
@@ -21,10 +23,10 @@ from hdrbench.metrics import (
     mse_plane,
     psnr_plane,
     psnr_yuv,
-    sequence_quality,
+    score_files,
 )
-from hdrbench.yuv import Frame, PlaneFormat, Sequence
-from tests.conftest import make_sequence
+from hdrbench.yuv import Frame, PlaneFormat
+from tests.conftest import write_clip
 
 
 class TestMse:
@@ -121,31 +123,56 @@ class TestPsnrYuv:
 
 
 class TestSequenceQuality:
-    def test_multi_frame_mean(self, fmt10):
-        ref = make_sequence(4, fmt10, frames=3)
+    def test_multi_frame_mean(self, tmp_path, fmt10):
+        ref_path, test_path = tmp_path / "ref.yuv", tmp_path / "test.yuv"
+        ref = write_clip(ref_path, 4, fmt10)
         noisy_frames = []
         rng = np.random.default_rng(99)
-        for frame in ref.frames:
+        for frame in ref:
             jitter = rng.integers(0, 3, size=frame.y.shape).astype(np.uint16)
             y = np.clip(frame.y.astype(np.int32) + jitter, 0, 1023).astype(np.uint16)
             noisy_frames.append(Frame(y, frame.u, frame.v, fmt10))
-        test = Sequence(tuple(noisy_frames), fmt10, ref.frame_rate)
-        record = sequence_quality(ref, test)
-        per_frame = [psnr_plane(r.y, t.y, 10) for r, t in zip(ref.frames, test.frames)]
+        yuv.write_frames(test_path, noisy_frames)
+        record = score_files(ref_path, test_path, fmt10)
+        per_frame = [psnr_plane(r.y, t.y, 10) for r, t in zip(ref, noisy_frames)]
         assert record.psnr_y == pytest.approx(sum(per_frame) / 3, rel=1e-12)
         assert record.psnr_u == INFINITE_PSNR
         assert record.psnr_yuv == INFINITE_PSNR
 
-    def test_rejects_eight_bit(self):
-        seq8 = make_sequence(1, PlaneFormat(16, 16, 8))
-        with pytest.raises(PlaneMismatchError):
-            sequence_quality(seq8, seq8)
+    def test_eight_bit_test_is_scored_expanded(self, tmp_path, fmt10):
+        # An 8-bit test scores exactly as its 10-bit expansion on disk does.
+        ref_path, test8, test10 = tmp_path / "ref.yuv", tmp_path / "t8.yuv", tmp_path / "t10.yuv"
+        write_clip(ref_path, 4, fmt10, frames=2)
+        frames8 = write_clip(test8, 5, fmt10.with_bit_depth(8), frames=2)
+        yuv.write_frames(
+            test10,
+            (Frame(*(expand_plane(p) for p in f.planes()), fmt10) for f in frames8),
+        )
+        assert score_files(ref_path, test8, fmt10.with_bit_depth(8)) == score_files(
+            ref_path, test10, fmt10
+        )
 
-    def test_rejects_frame_count_mismatch(self, fmt10):
-        a = make_sequence(1, fmt10, frames=2)
-        b = make_sequence(1, fmt10, frames=3)
-        with pytest.raises(PlaneMismatchError):
-            sequence_quality(a, b)
+    def test_rejects_eight_bit(self, tmp_path):
+        # The reference is always read as 10-bit: three 8-bit frames are not
+        # a whole number of 10-bit ones.
+        fmt8 = PlaneFormat(16, 16, 8)
+        path = tmp_path / "clip8.yuv"
+        write_clip(path, 1, fmt8)
+        with pytest.raises(ValidationError):
+            score_files(path, path, fmt8)
+
+    def test_rejects_frame_count_mismatch(self, tmp_path, fmt10):
+        a, b = tmp_path / "a.yuv", tmp_path / "b.yuv"
+        write_clip(a, 1, fmt10, frames=2)
+        write_clip(b, 1, fmt10, frames=3)
+        with pytest.raises(PlaneMismatchError, match="frame counts differ"):
+            score_files(a, b, fmt10)
+
+    def test_rejects_empty_files(self, tmp_path, fmt10):
+        empty = tmp_path / "empty.yuv"
+        empty.write_bytes(b"")
+        with pytest.raises(PlaneMismatchError, match="cannot score an empty sequence"):
+            score_files(empty, empty, fmt10)
 
     def test_aggregate_requires_equal_lengths(self):
         with pytest.raises(PlaneMismatchError):
@@ -178,35 +205,30 @@ def metric_script(tmp_path):
 
 
 class TestExternalMetric:
-    def test_parses_score(self, tmp_path, metric_script, seq10):
-        path = tmp_path / "clip.yuv"
-        yuv.write_sequence(seq10, path)
+    def test_parses_score(self, metric_script, clip10_path):
+        path = clip10_path
         template = metric_script("print('7.25')\n")
         assert external_metric(path, path, template) == 7.25
 
-    def test_last_line_wins(self, tmp_path, metric_script, seq10):
-        path = tmp_path / "clip.yuv"
-        yuv.write_sequence(seq10, path)
+    def test_last_line_wins(self, metric_script, clip10_path):
+        path = clip10_path
         template = metric_script("print('loading model...')\nprint('8.5')\n")
         assert external_metric(path, path, template) == 8.5
 
-    def test_nonzero_exit(self, tmp_path, metric_script, seq10):
-        path = tmp_path / "clip.yuv"
-        yuv.write_sequence(seq10, path)
+    def test_nonzero_exit(self, metric_script, clip10_path):
+        path = clip10_path
         template = metric_script("sys.exit(3)\n")
         with pytest.raises(ExternalMetricError):
             external_metric(path, path, template)
 
-    def test_unparsable_output(self, tmp_path, metric_script, seq10):
-        path = tmp_path / "clip.yuv"
-        yuv.write_sequence(seq10, path)
+    def test_unparsable_output(self, metric_script, clip10_path):
+        path = clip10_path
         template = metric_script("print('no score here')\n")
         with pytest.raises(ExternalMetricError):
             external_metric(path, path, template)
 
-    def test_out_of_range_score(self, tmp_path, metric_script, seq10):
-        path = tmp_path / "clip.yuv"
-        yuv.write_sequence(seq10, path)
+    def test_out_of_range_score(self, metric_script, clip10_path):
+        path = clip10_path
         template = metric_script("print('11.0')\n")
         with pytest.raises(ExternalMetricError):
             external_metric(path, path, template)

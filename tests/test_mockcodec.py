@@ -7,7 +7,7 @@ from hdrbench import mockcodec, yuv
 from hdrbench.metrics import psnr_plane
 from hdrbench.mockcodec import MockCodecError, bits_for_qp, decode, encode
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import make_sequence
+from tests.conftest import write_clip
 
 QP_LADDER = (12, 17, 22, 27, 32, 37)
 
@@ -32,23 +32,21 @@ class TestBitsForQp:
 
 @pytest.fixture
 def clip(tmp_path, fmt10):
-    seq = make_sequence(21, fmt10, frames=2)
     path = tmp_path / "clip.yuv"
-    yuv.write_sequence(seq, path)
-    return path, seq
+    return path, write_clip(path, 21, fmt10, frames=2)
 
 
 class TestEncodeDecode:
     def test_lossless_at_full_width(self, tmp_path, clip, fmt10):
-        path, seq = clip
+        path, frames = clip
         stream = tmp_path / "s.bin"
         out = tmp_path / "out.yuv"
         encode(path, stream, fmt10, qp=5)
         decode(stream, out)
-        assert yuv.read_sequence(out, fmt10, 50.0) == seq
+        assert tuple(yuv.iter_frames(out, fmt10)) == frames
 
     def test_identity_mode_is_bit_exact(self, tmp_path, clip, fmt10):
-        path, seq = clip
+        path, _ = clip
         stream = tmp_path / "s.bin"
         out = tmp_path / "out.yuv"
         encode(path, stream, fmt10, qp=37, identity=True)
@@ -65,15 +63,15 @@ class TestEncodeDecode:
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
     def test_distortion_increases_with_qp(self, tmp_path, clip, fmt10):
-        path, seq = clip
+        path, frames = clip
         psnrs = []
         for qp in QP_LADDER:
             stream = tmp_path / f"s{qp}.bin"
             out = tmp_path / f"o{qp}.yuv"
             encode(path, stream, fmt10, qp=qp)
             decode(stream, out)
-            back = yuv.read_sequence(out, fmt10, 50.0)
-            psnrs.append(psnr_plane(seq.frames[0].y, back.frames[0].y, 10))
+            back = next(yuv.iter_frames(out, fmt10))
+            psnrs.append(psnr_plane(frames[0].y, back.y, 10))
         assert all(a > b for a, b in zip(psnrs, psnrs[1:]))
 
     def test_deterministic_output(self, tmp_path, clip, fmt10):
@@ -85,9 +83,8 @@ class TestEncodeDecode:
 
     def test_eight_bit_round_trip(self, tmp_path):
         fmt8 = PlaneFormat(32, 32, 8)
-        seq = make_sequence(3, fmt8, frames=2)
         path = tmp_path / "clip8.yuv"
-        yuv.write_sequence(seq, path)
+        write_clip(path, 3, fmt8, frames=2)
         stream = tmp_path / "s.bin"
         out = tmp_path / "out.yuv"
         encode(path, stream, fmt8, qp=22)
@@ -97,9 +94,8 @@ class TestEncodeDecode:
 
     def test_decode_expands_8_to_10(self, tmp_path):
         fmt8 = PlaneFormat(32, 32, 8)
-        seq = make_sequence(3, fmt8, frames=1)
         path = tmp_path / "clip8.yuv"
-        yuv.write_sequence(seq, path)
+        write_clip(path, 3, fmt8, frames=1)
         stream = tmp_path / "s.bin"
         out8 = tmp_path / "out8.yuv"
         out10 = tmp_path / "out10.yuv"
@@ -127,7 +123,7 @@ class TestEncodeDecode:
 
 class TestCommandLine:
     def test_encode_decode_via_main(self, tmp_path, clip, fmt10):
-        path, seq = clip
+        path, frames = clip
         stream = tmp_path / "s.bin"
         out = tmp_path / "o.yuv"
         rc = mockcodec.main(
@@ -139,7 +135,7 @@ class TestCommandLine:
         assert rc == 0
         rc = mockcodec.main(["decode", "--input", str(stream), "--output", str(out)])
         assert rc == 0
-        assert yuv.read_sequence(out, fmt10, 50.0) == seq
+        assert tuple(yuv.iter_frames(out, fmt10)) == frames
 
     def test_no_simd_flag_changes_nothing(self, tmp_path, clip):
         path, _ = clip

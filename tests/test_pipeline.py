@@ -1,5 +1,6 @@
 """Execution pipeline: records, store, cache keys, and full runs."""
 
+import hashlib
 import json
 import math
 import sys
@@ -7,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 
-from hdrbench import yuv
 from hdrbench.bitdepth import expand_plane
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.metrics import QualityRecord
@@ -18,11 +18,12 @@ from hdrbench.pipeline import (
     RunRecord,
     StoreConflictError,
     cell_cache_key,
+    file_sha256,
     from_json_float,
     to_json_float,
 )
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import MOCK_DECODE, MOCK_ENCODE, make_sequence
+from tests.conftest import MOCK_DECODE, MOCK_ENCODE, write_clip
 
 LADDER = (22, 27, 32, 37)
 
@@ -58,7 +59,7 @@ def make_run_config(tmp_path, variants=("10-10", "8-8"), sequences=("clip",), **
     specs = []
     for index, name in enumerate(sequences):
         path = tmp_path / f"{name}.yuv"
-        yuv.write_sequence(make_sequence(index + 1, fmt, frames=2), path)
+        write_clip(path, index + 1, fmt, frames=2)
         specs.append(SequenceSpec(name, path, fmt, 50.0))
     table = {
         "10-10": (10, 10, True),
@@ -186,6 +187,17 @@ class TestCacheKey:
         changed = self.variant(template=MOCK_ENCODE + " --identity")
         assert cell_cache_key("digest", changed, 22, "hostA") != base
 
+    def test_digests_hash_whole_files(self, tmp_path):
+        # Longer than one read chunk; the sequence digest is prefixed with
+        # the geometry and depth, so cache keys follow the declared format.
+        big = tmp_path / "big.bin"
+        big.write_bytes(bytes(range(256)) * 5000)
+        assert file_sha256(big) == hashlib.sha256(big.read_bytes()).hexdigest()
+        config = make_run_config(tmp_path)
+        spec = config.sequences[0]
+        expected = hashlib.sha256(b"32x32@10:" + spec.path.read_bytes()).hexdigest()
+        assert Runner(config).sequence_digest(spec) == expected
+
 
 class TestPlanning:
     def test_plan_orders_qp_descending_within_variant(self, tmp_path):
@@ -205,7 +217,7 @@ class TestPlanning:
     def test_plan_rejects_8bit_source(self, tmp_path):
         fmt8 = PlaneFormat(32, 32, 8)
         path = tmp_path / "clip8.yuv"
-        yuv.write_sequence(make_sequence(1, fmt8, frames=1), path)
+        write_clip(path, 1, fmt8, frames=1)
         config = make_run_config(tmp_path)
         bad = SequenceSpec("clip8", path, fmt8, 50.0)
         config = RunConfig(

@@ -11,10 +11,9 @@ from hdrbench.yuv import (
     Frame,
     PlaneFormat,
     SampleRangeError,
-    Sequence,
     YuvFormatError,
 )
-from tests.conftest import make_sequence
+from tests.conftest import make_frames, write_clip
 
 
 class TestPlaneFormat:
@@ -52,7 +51,7 @@ class TestPlaneFormat:
 
 class TestFrame:
     def test_planes_are_read_only(self, fmt10):
-        frame = make_sequence(0, fmt10, frames=1).frames[0]
+        (frame,) = make_frames(0, fmt10, frames=1)
         with pytest.raises(ValueError):
             frame.y[0, 0] = 1
 
@@ -68,7 +67,7 @@ class TestFrame:
             Frame(y, c, c, fmt10)
 
     def test_equality_is_by_content(self, fmt10):
-        a = make_sequence(3, fmt10, frames=1).frames[0]
+        (a,) = make_frames(3, fmt10, frames=1)
         b = Frame(a.y.copy(), a.u.copy(), a.v.copy(), fmt10)
         assert a == b
         c = Frame(a.y.copy() // 2, a.u.copy(), a.v.copy(), fmt10)
@@ -79,12 +78,10 @@ class TestFileRoundTrip:
     @pytest.mark.parametrize("depth", [8, 10])
     def test_write_read_round_trip(self, tmp_path, depth):
         fmt = PlaneFormat(32, 16, depth)
-        seq = make_sequence(7, fmt, frames=4)
         path = tmp_path / "clip.yuv"
-        yuv.write_sequence(seq, path)
+        frames = write_clip(path, 7, fmt, frames=4)
         assert path.stat().st_size == 4 * fmt.frame_bytes
-        back = yuv.read_sequence(path, fmt, seq.frame_rate)
-        assert back == seq
+        assert tuple(yuv.iter_frames(path, fmt)) == frames
 
     def test_ten_bit_samples_are_little_endian_words(self, tmp_path):
         fmt = PlaneFormat(2, 2, 10)
@@ -97,15 +94,13 @@ class TestFileRoundTrip:
         assert raw[8:10] == b"\x01\x02"  # 513 = 0x0201 little endian
 
     def test_frame_count(self, tmp_path, fmt10):
-        seq = make_sequence(5, fmt10, frames=3)
         path = tmp_path / "clip.yuv"
-        yuv.write_sequence(seq, path)
+        write_clip(path, 5, fmt10, frames=3)
         assert yuv.frame_count(path, fmt10) == 3
 
     def test_truncated_file_raises(self, tmp_path, fmt10):
-        seq = make_sequence(5, fmt10, frames=2)
         path = tmp_path / "clip.yuv"
-        yuv.write_sequence(seq, path)
+        write_clip(path, 5, fmt10, frames=2)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FileSizeError):
             yuv.frame_count(path, fmt10)
@@ -124,7 +119,7 @@ class TestFileRoundTrip:
     def test_streamed_planes_are_read_only(self, tmp_path, depth):
         fmt = PlaneFormat(16, 16, depth)
         path = tmp_path / "clip.yuv"
-        yuv.write_sequence(make_sequence(2, fmt, frames=2), path)
+        write_clip(path, 2, fmt, frames=2)
         for frame in yuv.iter_frames(path, fmt):
             for plane in frame.planes():
                 assert plane.dtype == fmt.dtype
@@ -132,30 +127,14 @@ class TestFileRoundTrip:
                     plane[0, 0] = 0
 
     def test_iter_frames_matches_bulk_read(self, tmp_path, fmt10):
-        seq = make_sequence(9, fmt10, frames=5)
+        # One frame at a time from the stream equals one bulk read of the file.
         path = tmp_path / "clip.yuv"
-        yuv.write_sequence(seq, path)
+        write_clip(path, 9, fmt10, frames=5)
+        bulk = np.fromfile(path, dtype=fmt10.dtype).reshape(5, fmt10.frame_samples)
         streamed = tuple(yuv.iter_frames(path, fmt10))
-        assert streamed == seq.frames
-
-
-class TestSequence:
-    def test_len_and_equality(self, fmt10):
-        a = make_sequence(1, fmt10, frames=2)
-        b = make_sequence(1, fmt10, frames=2)
-        assert len(a) == 2
-        assert a == b
-        assert a != make_sequence(2, fmt10, frames=2)
-
-    def test_rejects_nonpositive_frame_rate(self, fmt10):
-        frames = make_sequence(1, fmt10, frames=1).frames
-        with pytest.raises(YuvFormatError):
-            Sequence(frames, fmt10, 0.0)
-
-    def test_rejects_mixed_formats(self, fmt10):
-        frame8 = make_sequence(1, PlaneFormat(64, 64, 8), frames=1).frames[0]
-        with pytest.raises(YuvFormatError):
-            Sequence((frame8,), fmt10, 50.0)
+        assert len(streamed) == 5
+        for raw, frame in zip(bulk, streamed):
+            assert np.array_equal(np.concatenate([p.ravel() for p in frame.planes()]), raw)
 
 
 @settings(max_examples=25, deadline=None)
@@ -167,19 +146,16 @@ class TestSequence:
 def test_round_trip_is_byte_exact(tmp_path_factory, depth, frames, seed):
     fmt = PlaneFormat(8, 4, depth)
     rng = np.random.default_rng(seed)
-    seq = Sequence(
-        tuple(
-            Frame(
-                rng.integers(0, fmt.max_value + 1, (4, 8)).astype(fmt.dtype),
-                rng.integers(0, fmt.max_value + 1, (2, 4)).astype(fmt.dtype),
-                rng.integers(0, fmt.max_value + 1, (2, 4)).astype(fmt.dtype),
-                fmt,
-            )
-            for _ in range(frames)
-        ),
-        fmt,
-        50.0,
+    clip = tuple(
+        Frame(
+            rng.integers(0, fmt.max_value + 1, (4, 8)).astype(fmt.dtype),
+            rng.integers(0, fmt.max_value + 1, (2, 4)).astype(fmt.dtype),
+            rng.integers(0, fmt.max_value + 1, (2, 4)).astype(fmt.dtype),
+            fmt,
+        )
+        for _ in range(frames)
     )
     path = tmp_path_factory.mktemp("rt") / "clip.yuv"
-    yuv.write_sequence(seq, path)
-    assert yuv.read_sequence(path, fmt, 50.0) == seq
+    yuv.write_frames(path, clip)
+    assert path.stat().st_size == frames * fmt.frame_bytes
+    assert tuple(yuv.iter_frames(path, fmt)) == clip
