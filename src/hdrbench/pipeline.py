@@ -9,13 +9,16 @@ hash so repeated runs reuse finished cells instead of re-encoding.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import subprocess
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -66,6 +69,21 @@ def _hash_file(digest, path: str | os.PathLike) -> str:
 
 def file_sha256(path: str | os.PathLike) -> str:
     return _hash_file(hashlib.sha256(), path)
+
+
+def _file_signature(path: Path) -> tuple[int, int, int] | None:
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _new_file_mode() -> int:
+    """The mode ``open(path, "w")`` gives a new file: 0o666 less the umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 @dataclass(frozen=True)
@@ -169,10 +187,28 @@ class RunRecord:
 
 
 class ResultStore:
-    """JSONL-backed collection of run records, one JSON object per line."""
+    """JSONL-backed collection of run records, one JSON object per line.
+
+    ``save`` appends only the records added since this store last loaded or
+    wrote the same file, when that is exact: the file must be as this store
+    left it (same inode, size and mtime), and the store must only have
+    gained new keys since. New keys sit last in ``records``, so the file
+    ends up as a full rewrite would leave it; lines already in it are not
+    serialised again. Otherwise ``save`` rewrites the whole file through a
+    unique temporary file and ``os.replace``. ``load`` drops a last line
+    that a crash cut short. There is no lock: of two concurrent writers the
+    last full rewrite wins, and a rewrite in place to the same size within
+    one mtime tick goes unnoticed.
+    """
 
     def __init__(self, records: dict[str, RunRecord] | None = None):
         self.records: dict[str, RunRecord] = dict(records or {})
+        # What this store's last load or save left on disk: (absolute path,
+        # (st_ino, st_size, st_mtime_ns), records in the file), or None when
+        # the next save must rewrite. _expected is that record count plus the
+        # new keys added since, so a record deleted from ``records`` shows.
+        self._synced: tuple[str, tuple[int, int, int], int] | None = None
+        self._expected = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -182,23 +218,43 @@ class ResultStore:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ResultStore":
+        """Read a store; a missing file is an empty store.
+
+        A last line without its newline that does not parse is the torn
+        tail of an interrupted append and is dropped. A store read from a
+        file that does not end in a newline rewrites it on its next save.
+        """
         store = cls()
         path = Path(path)
-        if not path.exists():
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
             return store
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        with fh:
+            data = fh.read()
+            st = os.fstat(fh.fileno())
+        lines = data.decode().split("\n")
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
+                if lineno == len(lines):
+                    break  # no newline after it: the torn tail of an append
                 raise StoreError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            store.add(RunRecord.from_dict(data), replace=True)
+            store.add(RunRecord.from_dict(record), replace=True)
+        # Appendable only if every newline-terminated line is one distinct
+        # record and nothing follows the last newline.
+        if lines[-1] == "" and len(lines) - 1 == len(store):
+            store._mark_synced(path, st, len(data))
         return store
 
     def add(self, record: RunRecord, replace: bool = False) -> None:
         existing = self.records.get(record.cache_key)
-        if existing is not None and not replace:
+        if existing is None:
+            self._expected += 1
+        elif not replace:
             if existing.bitstream_sha256 != record.bitstream_sha256:
                 raise StoreConflictError(
                     f"cell {record.sequence}/{record.variant}/qp{record.qp}: "
@@ -206,6 +262,8 @@ class ResultStore:
                     f"{existing.bitstream_sha256[:12]} vs {record.bitstream_sha256[:12]}"
                 )
             return
+        else:
+            self._synced = None  # a line already written would change
         self.records[record.cache_key] = record
 
     def merge(self, other: "ResultStore") -> None:
@@ -214,13 +272,60 @@ class ResultStore:
             self.add(record, replace=False)
 
     def save(self, path: str | os.PathLike) -> None:
+        """Write the store to ``path``: append the new records, or rewrite."""
         path = Path(path)
+        synced = self._synced
+        if (
+            synced is not None
+            and len(self.records) == self._expected
+            and synced[:2] == (os.path.abspath(path), _file_signature(path))
+        ):
+            _, (_, size, _), persisted = synced
+            self._append(path, persisted, size)
+        else:
+            self._rewrite(path)
+
+    def _append(self, path: Path, persisted: int, size: int) -> None:
+        # Serialise first, so a record that fails to serialise leaves the
+        # file untouched, then write it in one call.
+        data = "".join(
+            json.dumps(record.to_dict()) + "\n"
+            for record in itertools.islice(self.records.values(), persisted, None)
+        ).encode()
+        with open(path, "ab") as fh:
+            fh.write(data)
+            fh.flush()
+            st = os.fstat(fh.fileno())
+        self._mark_synced(path, st, size + len(data))
+
+    def _rewrite(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            for record in self.records.values():
-                fh.write(json.dumps(record.to_dict()) + "\n")
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with open(fd, "w") as fh:
+                os.fchmod(fd, _new_file_mode())
+                for record in self.records.values():
+                    fh.write(json.dumps(record.to_dict()) + "\n")
+                fh.flush()
+                st = os.fstat(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+        self._mark_synced(path, st, st.st_size)
+
+    def _mark_synced(self, path: Path, st: os.stat_result, size: int) -> None:
+        """Record the file state this store's own read or write left.
+
+        ``size`` is the size that read or write accounts for; a file of
+        another size was also written by someone else, so it is not synced.
+        """
+        self._expected = len(self.records)
+        self._synced = None
+        if st.st_size == size:
+            signature = (st.st_ino, st.st_size, st.st_mtime_ns)
+            self._synced = (os.path.abspath(path), signature, len(self.records))
 
     def select(self, sequence: str | None = None, variant: str | None = None) -> list[RunRecord]:
         out = [
@@ -479,8 +584,11 @@ class Runner:
     def run(self, force_fresh: bool | None = None, progress=None) -> ResultStore:
         """Execute every planned cell, reusing stored results when allowed.
 
-        The store file is checkpointed after each executed cell so an
-        interrupted run loses at most the cell in flight.
+        The store file is checkpointed after each executed cell, by
+        appending that cell's record (see ``ResultStore.save``), so an
+        interrupted run loses at most the cell in flight. A crash during the
+        append can leave a torn last line; the next load drops it, so a
+        resumed run measures that cell again.
         """
         fresh = force_fresh if force_fresh is not None else self.config.cache == "fresh"
         cells = self.plan()

@@ -1,12 +1,19 @@
 """Execution pipeline: records, store, cache keys, and full runs."""
 
 import hashlib
+import itertools
 import json
 import math
+import os
+import stat
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdrbench.bitdepth import expand_plane
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
@@ -17,6 +24,7 @@ from hdrbench.pipeline import (
     Runner,
     RunRecord,
     StoreConflictError,
+    StoreError,
     cell_cache_key,
     file_sha256,
     from_json_float,
@@ -52,6 +60,16 @@ def make_record(**overrides) -> RunRecord:
     )
     defaults.update(overrides)
     return RunRecord(**defaults)
+
+
+def full_rewrite(store: ResultStore, path) -> bytes:
+    """The bytes a store never synced to ``path`` writes there: a full rewrite."""
+    ResultStore(dict(store.records)).save(path)
+    return Path(path).read_bytes()
+
+
+def cut_tail(path, nbytes: int) -> None:
+    os.truncate(path, os.path.getsize(path) - nbytes)
 
 
 def make_run_config(tmp_path, variants=("10-10", "8-8"), sequences=("clip",), **overrides):
@@ -166,6 +184,145 @@ class TestResultStore:
         assert len(a) == 2
 
 
+class TestStoreCheckpoints:
+    """save appends the records added since the store last synced the file
+    when that is exact, and rewrites the whole file otherwise."""
+
+    def test_checkpoint_into_a_loaded_store_appends(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
+        before, inode = path.read_bytes(), path.stat().st_ino
+        store = ResultStore.load(path)
+        store.add(make_record(cache_key="k3", qp=27))
+        store.save(path)
+        after = path.read_bytes()
+        assert path.stat().st_ino == inode
+        assert after.startswith(before) and after.count(b"\n") == 3
+        assert after == full_rewrite(store, tmp_path / "ref.jsonl")
+
+    @pytest.mark.parametrize("change", ["replace", "delete"])
+    def test_changing_a_saved_record_forces_a_rewrite(self, tmp_path, change):
+        path = tmp_path / "store.jsonl"
+        ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
+        store = ResultStore.load(path)
+        if change == "replace":
+            store.add(make_record(cache_key="k1", wall_time=9.0), replace=True)
+        else:
+            del store.records["k1"]
+        store.add(make_record(cache_key="k3"))
+        store.save(path)
+        assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
+
+    def test_load_drops_a_torn_last_line_and_the_next_save_rewrites(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2", "k3")}).save(path)
+        cut_tail(path, 50)
+        store = ResultStore.load(path)
+        assert list(store.records) == ["k1", "k2"]
+        store.add(make_record(cache_key="k4"))
+        store.save(path)
+        assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
+
+    def test_complete_last_line_without_newline_is_kept_and_rewritten(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
+        cut_tail(path, 1)
+        store = ResultStore.load(path)
+        assert list(store.records) == ["k1", "k2"]
+        store.add(make_record(cache_key="k3"))
+        store.save(path)
+        assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
+
+    def test_unparsable_line_with_its_newline_is_rejected(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore({"k1": make_record(cache_key="k1")}).save(path)
+        with open(path, "a") as fh:
+            fh.write('{"schema": 1, "key"\n')
+        with pytest.raises(StoreError, match=":2: invalid JSON"):
+            ResultStore.load(path)
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["rewrite", "append"])
+    def test_failed_save_leaves_no_temp_file_and_the_store_unchanged(self, tmp_path, loaded):
+        path = tmp_path / "store.jsonl"
+        ResultStore({"k1": make_record(cache_key="k1")}).save(path)
+        before = path.read_bytes()
+        store = ResultStore.load(path) if loaded else ResultStore({"k1": make_record(cache_key="k1")})
+        store.add(make_record(cache_key="k2", warnings=(object(),)))  # not JSON-serialisable
+        with pytest.raises(TypeError):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
+
+    def test_a_write_racing_an_append_forces_the_next_save_to_rewrite(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        ResultStore({"k1": make_record(cache_key="k1")}).save(path)
+        store = ResultStore.load(path)
+        store.add(make_record(cache_key="k2"))
+        real_fstat = os.fstat
+
+        def fstat_after_another_append(fd):
+            with open(path, "a") as fh:
+                fh.write(json.dumps(make_record(cache_key="other").to_dict()) + "\n")
+            return real_fstat(fd)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fstat", fstat_after_another_append)
+            store.save(path)
+        store.add(make_record(cache_key="k3"))
+        store.save(path)
+        assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
+
+    def test_rewrite_gives_the_file_the_mode_open_would(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        umask = os.umask(0o027)
+        try:
+            ResultStore({"k1": make_record(cache_key="k1")}).save(path)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("new", "replace", "keep", "delete", "save", "load", "outside", "truncate")
+                ),
+                st.integers(0, 999),
+            ),
+            max_size=30,
+        )
+    )
+    def test_every_save_writes_what_a_full_rewrite_writes(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = Path(tmp) / "store.jsonl", Path(tmp) / "ref.jsonl"
+            store, fresh = ResultStore(), itertools.count()
+            for step, n in steps:
+                keys = list(store.records)
+                if step == "new":
+                    store.add(make_record(cache_key=f"k{next(fresh)}", wall_time=float(n)))
+                elif step in ("replace", "keep") and keys:
+                    record = make_record(cache_key=keys[n % len(keys)], wall_time=float(n))
+                    store.add(record, replace=step == "replace")
+                elif step == "delete" and keys:
+                    del store.records[keys[n % len(keys)]]
+                elif step == "save":
+                    store.save(path)
+                    assert path.read_bytes() == full_rewrite(store, ref)
+                    assert list(ResultStore.load(path).records.items()) == list(store.records.items())
+                elif step == "load":
+                    store = ResultStore.load(path)
+                elif step == "outside":
+                    # Another writer's full rewrite. Its one record's line is
+                    # longer than any line of ``store``, so the file's size
+                    # changes: a rewrite in place to the same size within one
+                    # mtime tick is the change the stat check cannot see.
+                    outside = make_record(cache_key=f"outside-writer-{n:04d}-" + "x" * 40)
+                    ResultStore({outside.cache_key: outside}).save(path)
+                elif step == "truncate" and path.exists():
+                    cut_tail(path, n % (path.stat().st_size + 1))
+
+
 class TestCacheKey:
     def variant(self, name="10-10", template=MOCK_ENCODE):
         return VariantConfig(name, 10, 10, True, template, MOCK_DECODE)
@@ -250,6 +407,7 @@ class TestExecution:
         rerun = Runner(make_run_config(tmp_path, cache="fresh"))
         rerun.run()
         assert rerun.executed_cells == 8
+        assert len(config.store_path.read_text().splitlines()) == 8
 
     def test_records_are_complete(self, tmp_path):
         config = make_run_config(tmp_path, variants=("10-10",))
@@ -322,6 +480,19 @@ class TestExecution:
         resumed.run()
         assert resumed.reused_cells == 1
         assert resumed.executed_cells == 3
+
+    def test_resumed_run_remeasures_the_torn_cell(self, tmp_path):
+        config = make_run_config(tmp_path, variants=("10-10",))
+        Runner(config).run()
+        lines = config.store_path.read_text().splitlines()
+        torn_key = json.loads(lines[-1])["key"]
+        cut_tail(config.store_path, 50)
+        resumed = Runner(config)
+        store = resumed.run()
+        assert (resumed.executed_cells, resumed.reused_cells) == (1, 3)
+        assert list(store.records)[-1] == torn_key
+        after = config.store_path.read_text().splitlines()
+        assert len(after) == 4 and after[:3] == lines[:3]
 
 
 class TestEightBitScoring:
