@@ -3,32 +3,40 @@
 Measures rate, quality, CPU time and package energy of encoder variants
 that trade internal bit depth for speed, and compares them with
 Bjøntegaard-style curve deltas.
+
+The names below are imported from their modules on first access, so that
+``python -m hdrbench.mockcodec`` starts without the curve, metric and
+subprocess code it never uses.
 """
 
-from .bitdepth import convert_file, quantization_noise_report
-from .curves import Curve, OperatingPoint, bd_delta, compare, find_intersections
-from .errors import ExecutionError, ValidationError
-from .metrics import psnr_plane, psnr_yuv, score_files
-from .yuv import Frame, PlaneFormat, iter_frames, write_frames
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Curve",
-    "ExecutionError",
-    "Frame",
-    "OperatingPoint",
-    "PlaneFormat",
-    "ValidationError",
-    "bd_delta",
-    "compare",
-    "convert_file",
-    "find_intersections",
-    "iter_frames",
-    "psnr_plane",
-    "psnr_yuv",
-    "quantization_noise_report",
-    "score_files",
-    "write_frames",
-    "__version__",
-]
+_EXPORTS = {
+    "Curve": "curves",
+    "ExecutionError": "errors",
+    "Frame": "yuv",
+    "OperatingPoint": "curves",
+    "PlaneFormat": "yuv",
+    "ValidationError": "errors",
+    "bd_delta": "curves",
+    "compare": "curves",
+    "convert_file": "bitdepth",
+    "find_intersections": "curves",
+    "iter_frames": "yuv",
+    "psnr_plane": "metrics",
+    "psnr_yuv": "metrics",
+    "quantization_noise_report": "bitdepth",
+    "score_files": "metrics",
+    "write_frames": "yuv",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

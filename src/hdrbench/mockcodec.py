@@ -1,11 +1,20 @@
 """Deterministic stand-in codec for exercising the pipeline without HEVC.
 
 Not a video codec: every sample is uniformly requantized with a
-QP-dependent step and the indices are stored bit-packed, with no entropy
-stage on top. That is enough to give the harness what it needs from a real
-encoder: bitstream size and reconstruction error move monotonically with
-QP, output bytes depend only on input and settings, and decode is
-self-describing via a small header.
+QP-dependent step (a right shift that keeps its top ``bits`` bits) and the
+indices are stored bit-packed, MSB first, with no entropy stage on top.
+That is enough to give the harness what it needs from a real encoder:
+bitstream size and reconstruction error move monotonically with QP, output
+bytes depend only on input and settings, and decode is self-describing via
+a small header.
+
+Eight ``bits``-wide indices fill exactly ``bits`` bytes, so packing works
+on groups of eight: each group is assembled in 64-bit words with shifts
+and ORs (two words of four indices each above 8 bits), and its bytes are
+written big-endian. The last group is zero-padded and the payload cut to
+``ceil(samples * bits / 8)`` bytes. Decode refuses a payload of any other
+length, as it refuses an identity payload that is not exactly the frames'
+bytes.
 
 With ``--identity`` the input bytes are stored verbatim (lossless, for
 sanity runs). ``--no-simd`` is accepted and ignored so that variant
@@ -44,6 +53,72 @@ def bits_for_qp(qp: int, bit_depth: int) -> int:
     return int(np.clip(bit_depth - dropped, 1, bit_depth))
 
 
+def _join(columns: np.ndarray, bits: int) -> np.ndarray:
+    """One uint64 per row holding the row's indices, first column highest."""
+    word = columns[:, 0].astype(np.uint64)
+    for k in range(1, columns.shape[1]):
+        word <<= bits
+        word |= columns[:, k]
+    return word
+
+
+def _split(word: np.ndarray, bits: int, out: np.ndarray) -> None:
+    """Inverse of ``_join``: unpack each word into its row of ``out``.
+
+    Shifts ``word`` in place, so it must be a temporary.
+    """
+    mask = (1 << bits) - 1
+    for k in range(out.shape[1] - 1, -1, -1):
+        out[:, k] = word & mask
+        word >>= bits
+
+
+def _big_endian_bytes(word: np.ndarray) -> np.ndarray:
+    return word.astype(">u8").view(np.uint8).reshape(-1, 8)
+
+
+def pack_indices(indices: np.ndarray, bits: int) -> bytes:
+    """Pack unsigned indices below ``2**bits`` MSB first, ``ceil(n * bits / 8)`` bytes."""
+    count = indices.size
+    if count % 8:
+        indices = np.concatenate([indices, np.zeros(-count % 8, dtype=indices.dtype)])
+    groups = indices.reshape(-1, 8)
+    if bits <= 8:
+        packed = _big_endian_bytes(_join(groups, bits))[:, 8 - bits :]
+    else:
+        half, tail = 4 * bits, 8 * bits - 64  # tail: bits of ``lo`` past the first word
+        hi, lo = _join(groups[:, :4], bits), _join(groups[:, 4:], bits)
+        packed = np.empty((len(groups), bits), dtype=np.uint8)
+        packed[:, :8] = _big_endian_bytes((hi << (64 - half)) | (lo >> tail))
+        packed[:, 8:] = _big_endian_bytes(lo << (64 - tail))[:, : bits - 8]
+    return np.ascontiguousarray(packed).reshape(-1)[: -(-count * bits // 8)].tobytes()
+
+
+def unpack_indices(payload, count: int, bits: int) -> np.ndarray:
+    """Inverse of ``pack_indices``: ``count`` indices as a uint16 array.
+
+    ``payload`` must be exactly ``ceil(count * bits / 8)`` bytes.
+    """
+    groups = -(-count // 8)
+    padded = np.zeros(groups * bits, dtype=np.uint8)
+    padded[: -(-count * bits // 8)] = np.frombuffer(payload, dtype=np.uint8)
+    out = np.empty((groups, 8), dtype=np.uint16)
+    if bits <= 8:
+        rows = np.zeros((groups, 8), dtype=np.uint8)
+        rows[:, 8 - bits :] = padded.reshape(groups, bits)
+        _split(rows.view(">u8")[:, 0].astype(np.uint64), bits, out)
+    else:
+        half, tail = 4 * bits, 8 * bits - 64
+        rows = np.zeros((groups, 16), dtype=np.uint8)
+        rows[:, :bits] = padded.reshape(groups, bits)
+        words = rows.view(">u8").astype(np.uint64)
+        first, second = words[:, 0], words[:, 1]
+        lo = ((first & ((1 << (64 - half)) - 1)) << tail) | (second >> (64 - tail))
+        _split(first >> (64 - half), bits, out[:, :4])
+        _split(lo, bits, out[:, 4:])
+    return out.reshape(-1)[:count]
+
+
 def _read_samples(path: Path, fmt: PlaneFormat) -> tuple[np.ndarray, int]:
     frames = frame_count(path, fmt)
     data = np.fromfile(path, dtype=fmt.dtype)
@@ -54,6 +129,8 @@ def _read_samples(path: Path, fmt: PlaneFormat) -> tuple[np.ndarray, int]:
 
 def encode(input_path, output_path, fmt: PlaneFormat, qp: int, identity: bool = False) -> int:
     """Write the mock bitstream; returns its size in bytes."""
+    if not -128 <= qp <= 127:
+        raise MockCodecError(f"qp {qp} does not fit the header's signed byte (-128..127)")
     in_path, out_path = Path(input_path), Path(output_path)
     if identity:
         payload = in_path.read_bytes()
@@ -64,11 +141,7 @@ def encode(input_path, output_path, fmt: PlaneFormat, qp: int, identity: bool = 
 
     samples, frames = _read_samples(in_path, fmt)
     bits = bits_for_qp(qp, fmt.bit_depth)
-    step = 1 << (fmt.bit_depth - bits)
-    indices = (samples.astype(np.uint32) // step).astype(np.uint16)
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint16)
-    bit_matrix = ((indices[:, None] >> shifts) & 1).astype(np.uint8)
-    payload = np.packbits(bit_matrix.reshape(-1)).tobytes()
+    payload = pack_indices(samples >> (fmt.bit_depth - bits), bits)
     header = _HEADER.pack(MAGIC, MODE_PACKED, fmt.width, fmt.height, fmt.bit_depth, qp, bits, frames)
     out_path.write_bytes(header + payload)
     return len(header) + len(payload)
@@ -86,20 +159,26 @@ def decode(input_path, output_path, output_depth: int | None = None) -> PlaneFor
         raise MockCodecError(f"{input_path}: not a mock bitstream")
     magic, mode, width, height, depth, qp, bits, frames = _HEADER.unpack_from(blob)
     fmt = PlaneFormat(width, height, depth)
-    payload = blob[_HEADER.size :]
+    payload = memoryview(blob)[_HEADER.size :]
+    total = frames * fmt.frame_samples
 
     if mode == MODE_IDENTITY:
-        samples = np.frombuffer(payload, dtype=fmt.dtype).copy()
-        if samples.size != frames * fmt.frame_samples:
+        if len(payload) != total * fmt.bytes_per_sample:
             raise MockCodecError(f"{input_path}: identity payload size mismatch")
+        samples = np.frombuffer(payload, dtype=fmt.dtype)
     elif mode == MODE_PACKED:
-        total = frames * fmt.frame_samples
-        unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=total * bits)
-        bit_matrix = unpacked.reshape(total, bits).astype(np.uint32)
-        weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.uint32))
-        indices = bit_matrix @ weights
+        if not 1 <= bits <= depth:
+            raise MockCodecError(f"{input_path}: {bits}-bit indices in a {depth}-bit stream")
+        expected = -(-total * bits // 8)
+        if len(payload) != expected:
+            raise MockCodecError(
+                f"{input_path}: packed payload is {len(payload)} bytes, expected {expected}"
+            )
         step = 1 << (depth - bits)
-        samples = np.minimum(indices * step + step // 2, fmt.max_value).astype(fmt.dtype)
+        samples = unpack_indices(payload, total, bits)
+        samples *= step
+        samples += step // 2
+        samples = samples.astype(fmt.dtype, copy=False)
     else:
         raise MockCodecError(f"{input_path}: unknown mode {mode}")
 
@@ -108,7 +187,7 @@ def decode(input_path, output_path, output_depth: int | None = None) -> PlaneFor
             raise MockCodecError(f"cannot convert decode output {depth} -> {output_depth} bit")
         samples = expand_plane(samples)
         fmt = fmt.with_bit_depth(10)
-    samples.astype(fmt.dtype).tofile(output_path)
+    samples.astype(fmt.dtype, copy=False).tofile(output_path)
     return fmt
 
 

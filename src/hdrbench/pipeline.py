@@ -233,7 +233,11 @@ class ResultStore:
         with fh:
             data = fh.read()
             st = os.fstat(fh.fileno())
-        lines = data.decode().split("\n")
+        try:
+            lines = data.decode().split("\n")
+        except UnicodeDecodeError as exc:  # save writes ASCII: not even a torn tail
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise StoreError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -243,7 +247,11 @@ class ResultStore:
                 if lineno == len(lines):
                     break  # no newline after it: the torn tail of an append
                 raise StoreError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            store.add(RunRecord.from_dict(record), replace=True)
+            try:
+                record = RunRecord.from_dict(record)
+            except (StoreError, AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+                raise StoreError(f"{path}:{lineno}: not a run record: {exc!r}") from exc
+            store.add(record, replace=True)
         # Appendable only if every newline-terminated line is one distinct
         # record and nothing follows the last newline.
         if lines[-1] == "" and len(lines) - 1 == len(store):

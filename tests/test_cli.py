@@ -287,6 +287,12 @@ class TestRunAndReport:
     def test_report_missing_store(self, tmp_path):
         assert run_cli("report", "--store", str(tmp_path / "absent.jsonl")) == 1
 
+    def test_report_store_line_that_is_not_a_record(self, tmp_path, capsys):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"schema": 1}\n')
+        assert run_cli("report", "--store", str(path)) == 1
+        assert f"error: {path}:1: not a run record" in capsys.readouterr().err
+
     def test_report_incomplete_store_is_validation_error(self, tmp_path):
         store = synth_store()
         key = next(k for k, r in store.records.items() if r.qp == 27 and r.variant == "8-8")

@@ -1,15 +1,99 @@
 """The deterministic stand-in codec used by pipeline and CLI tests."""
 
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hdrbench
 from hdrbench import mockcodec, yuv
 from hdrbench.metrics import psnr_plane
-from hdrbench.mockcodec import MockCodecError, bits_for_qp, decode, encode
+from hdrbench.mockcodec import MockCodecError, bits_for_qp, decode, encode, pack_indices, unpack_indices
 from hdrbench.yuv import PlaneFormat
 from tests.conftest import write_clip
 
 QP_LADDER = (12, 17, 22, 27, 32, 37)
+
+
+def reference_pack(indices: np.ndarray, bits: int) -> bytes:
+    """The bit-matrix packer: one row of ``bits`` bits per index, MSB first."""
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint16)
+    bit_matrix = ((indices.astype(np.uint16)[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bit_matrix.reshape(-1)).tobytes()
+
+
+def reference_unpack(payload: bytes, count: int, bits: int) -> np.ndarray:
+    unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count * bits)
+    weights = 1 << np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    return unpacked.reshape(count, bits).astype(np.uint32) @ weights
+
+
+@st.composite
+def index_arrays(draw):
+    bits = draw(st.integers(1, 10))
+    count = draw(st.integers(1, 64))
+    values = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=count, max_size=count))
+    return np.array(values, dtype=np.uint16), bits
+
+
+class TestPacking:
+    @settings(max_examples=300, deadline=None)
+    @given(index_arrays())
+    def test_matches_bit_matrix_reference(self, case):
+        indices, bits = case
+        packed = pack_indices(indices, bits)
+        assert packed == reference_pack(indices, bits)
+        assert len(packed) == -(-indices.size * bits // 8)
+        assert np.array_equal(unpack_indices(packed, indices.size, bits), indices)
+        assert np.array_equal(reference_unpack(packed, indices.size, bits), indices)
+
+
+# sha256 of (bitstream, reconstruction) for a seeded clip of uniformly random
+# samples at 18x10, 270 samples a frame: 3 frames fill no whole last group of
+# eight indices. Taken from the bit-matrix packer; a change of any byte of
+# the format shows here.
+PINNED_DIGESTS = {
+    (10, 5): ("9cb2765ba77829ed871afb7b85358077e22111d15258c91448dd024f49fd4e13",
+              "680afc59745e9d8a4b866295b1aae6a6e868fd8f6e910d12914b2fb4975b67d2"),
+    (10, 12): ("92ae920f938b0c8e122db008bd4a1b5c87df7021b55785152130a762509fd1e1",
+               "54b75c8e09a92620472e5d8f99d9a40147a1a39f6c95aaec90e1c159a81fd770"),
+    (10, 17): ("8ef0d018a27d4bad76160040a51948d75d548ff14048682757db5459a8882b27",
+               "72af9171a347146dbfadcaa3bef276c2f581f9a85030b2ae93557013a1de75b1"),
+    (10, 22): ("1632f604e3a55b76efe15dc78135a9491ae0eeec83a6b855e3f9347c6e835e50",
+               "f577b5ab2942dc279fe2f5a584de06386588a49bd70a4c92e40fda4d89d0fe08"),
+    (10, 32): ("19d9bba94a5a3b665e3b417671cf556b382dca871a37756124e4ccfa3755f3ba",
+               "d8baf3e65bed10b0e49bbd455817d3b3849de152ec5a7d29c040ec8fa3da305a"),
+    (10, 51): ("d2e3a3dc4a7922e92edcfee2e382397e7baadd623608bc69c7cd904c8dd7f2aa",
+               "ce7783f610015d8256d45723f19a55926a04958ca00802c4fc2d73e3a2c4801b"),
+    (8, 5): ("0d126a42d41ae6c68d0b3395f5c614bb09aae38c7d1e77eaaeac974d0d2668d9",
+             "bdceabba80a89270e55f590c83849e00db73005170e1a0a32adf98b641fef704"),
+    (8, 12): ("2a56eeb71fc21aa894cf11f832f57f1ec8ac12d96816f49bb8bac3b74f88a8ee",
+              "6e90378243c0256df1188b0951fed39df3f14b4d013e2767c677c2edf5e26531"),
+    (8, 17): ("09af43f4d04a5697976c33a0fc8aded975b83d4895975b36981034cb95acd808",
+              "57bed7f32cb1ce0dbf3c684abefc6e4b40cb90e14bb870587b56e5bdaa236319"),
+    (8, 22): ("51503cecb3d96744ae6f94d0dbadb573c5180769405591d7995f60fa20e546d5",
+              "9ba045a81eedf329f14e51c7464d90873714b7242af7ae55c14036a2fdcb5fc0"),
+    (8, 32): ("76690825556d1d877bcd0b5a137cb0e383a196acfc5be69e1671f0f985708da9",
+              "21316521a2654602ebab2409472b0179f75a25b8668e9c5dcd2eb932546fad95"),
+    (8, 51): ("180c923615489974558151bb4f3da8ab9456e77b0f2ba6ab74a986dc32937410",
+              "89dacb85266a843e8d74bb1466d3bd0f201daa0104e724015a6b8bc38c87881f"),
+}
+
+
+@pytest.mark.parametrize("depth,qp", sorted(PINNED_DIGESTS))
+def test_bitstream_and_reconstruction_bytes_are_pinned(tmp_path, depth, qp):
+    fmt = PlaneFormat(18, 10, depth)
+    clip, stream, recon = tmp_path / "clip.yuv", tmp_path / "s.bin", tmp_path / "r.yuv"
+    rng = np.random.default_rng(5)
+    rng.integers(0, fmt.max_value + 1, size=3 * fmt.frame_samples).astype(fmt.dtype).tofile(clip)
+    encode(clip, stream, fmt, qp)
+    decode(stream, recon)
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (stream, recon))
+    assert digests == PINNED_DIGESTS[depth, qp]
 
 
 class TestBitsForQp:
@@ -113,6 +197,26 @@ class TestEncodeDecode:
         with pytest.raises(MockCodecError):
             decode(bad, tmp_path / "out.yuv")
 
+    @pytest.mark.parametrize("identity", [False, True], ids=["packed", "identity"])
+    @pytest.mark.parametrize("change", [-100, -1, 1, 7], ids=["cut100", "cut1", "extra1", "extra7"])
+    def test_decode_rejects_payload_of_wrong_length(self, tmp_path, identity, change):
+        fmt = PlaneFormat(16, 16, 10)
+        path, stream = tmp_path / "clip.yuv", tmp_path / "s.bin"
+        write_clip(path, 4, fmt, frames=1)
+        encode(path, stream, fmt, qp=22, identity=identity)
+        blob = stream.read_bytes()
+        stream.write_bytes(blob[:change] if change < 0 else blob + b"\x00" * change)
+        with pytest.raises(MockCodecError, match="payload"):
+            decode(stream, tmp_path / "out.yuv")
+
+    @pytest.mark.parametrize("bits", [0, 11])
+    def test_decode_rejects_index_width_outside_depth(self, tmp_path, bits):
+        stream = tmp_path / "s.bin"
+        header = mockcodec._HEADER.pack(mockcodec.MAGIC, mockcodec.MODE_PACKED, 2, 2, 10, 22, bits, 1)
+        stream.write_bytes(header + bytes(8))
+        with pytest.raises(MockCodecError, match="indices"):
+            decode(stream, tmp_path / "out.yuv")
+
     def test_decode_rejects_downscale(self, tmp_path, clip, fmt10):
         path, _ = clip
         stream = tmp_path / "s.bin"
@@ -149,6 +253,20 @@ class TestCommandLine:
         assert mockcodec.main(base + ["--output", str(nosimd), "--no-simd"]) == 0
         assert plain.read_bytes() == nosimd.read_bytes()
 
+    @pytest.mark.parametrize("qp", [-129, 128, 200])
+    def test_qp_outside_header_byte_exits_one(self, tmp_path, clip, capsys, qp):
+        path, _ = clip
+        stream = tmp_path / "s.bin"
+        rc = mockcodec.main(
+            [
+                "encode", "--input", str(path), "--output", str(stream),
+                "--width", "64", "--height", "64", "--bit-depth", "10", "--qp", str(qp),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"mockcodec: qp {qp} ")
+        assert not stream.exists()
+
     def test_bad_input_exits_one(self, tmp_path):
         rc = mockcodec.main(
             [
@@ -158,3 +276,24 @@ class TestCommandLine:
             ]
         )
         assert rc == 1
+
+
+class TestLeanStart:
+    def test_codec_child_skips_unused_modules(self):
+        unused = ("hdrbench.curves", "hdrbench.metrics", "hdrbench.pipeline", "hdrbench.akima")
+        code = f"import hdrbench.mockcodec, sys; print([m for m in {unused!r} if m in sys.modules])"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_every_exported_name_resolves(self):
+        for name in hdrbench.__all__:
+            assert getattr(hdrbench, name) is not None
+        from hdrbench import bd_delta
+        from hdrbench.curves import bd_delta as defined
+
+        assert bd_delta is defined
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hdrbench.no_such_name

@@ -241,6 +241,27 @@ class TestStoreCheckpoints:
         with pytest.raises(StoreError, match=":2: invalid JSON"):
             ResultStore.load(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"schema": 1}', "5", "[]", '{"schema": 99}', "null"],
+        ids=["missing-fields", "number", "list", "other-schema", "null"],
+    )
+    def test_json_line_that_is_not_a_record_is_rejected(self, tmp_path, line):
+        path = tmp_path / "store.jsonl"
+        ResultStore({"k1": make_record(cache_key="k1")}).save(path)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(StoreError, match=r"store\.jsonl:2: not a run record"):
+            ResultStore.load(path)
+
+    def test_line_that_is_not_utf8_is_rejected(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore({"k1": make_record(cache_key="k1")}).save(path)
+        with open(path, "ab") as fh:
+            fh.write(b'{"schema": 1, "key": "\xff"}\n')
+        with pytest.raises(StoreError, match=r"store\.jsonl:2: not UTF-8"):
+            ResultStore.load(path)
+
     @pytest.mark.parametrize("loaded", [False, True], ids=["rewrite", "append"])
     def test_failed_save_leaves_no_temp_file_and_the_store_unchanged(self, tmp_path, loaded):
         path = tmp_path / "store.jsonl"
