@@ -15,6 +15,7 @@ import argparse
 import json
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, bitdepth, report, yuv
@@ -24,7 +25,7 @@ from .errors import ExecutionError, ValidationError
 from .measure import measure_process
 # psnr_plane is unused here; perfbench's tracer test reads cli.psnr_plane.
 from .metrics import external_metric, psnr_plane, score_files
-from .pipeline import STORE_SCHEMA, ResultStore, Runner, to_json_float
+from .pipeline import _QUALITY_JSON, STORE_SCHEMA, ResultStore, Runner
 from .yuv import PlaneFormat
 
 
@@ -112,15 +113,11 @@ def _cmd_convert(args) -> int:
 def _cmd_quality(args) -> int:
     fmt = PlaneFormat(args.width, args.height, 10)
     quality = score_files(args.ref, args.test, fmt)
-    payload = {
-        "frames": yuv.frame_count(args.ref, fmt),
-        "psnr_y": to_json_float(quality.psnr_y),
-        "psnr_u": to_json_float(quality.psnr_u),
-        "psnr_v": to_json_float(quality.psnr_v),
-        "psnr_yuv": to_json_float(quality.psnr_yuv),
-    }
     if args.metric_cmd:
-        payload["external_score"] = external_metric(args.ref, args.test, args.metric_cmd)
+        quality = replace(quality, external_score=external_metric(args.ref, args.test, args.metric_cmd))
+    payload = _QUALITY_JSON(quality, {"frames": yuv.frame_count(args.ref, fmt)})
+    if not args.metric_cmd:
+        del payload["external_score"]
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -181,8 +178,6 @@ def _cmd_measure(args) -> int:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.store:
-        from dataclasses import replace
-
         config = replace(config, store_path=args.store)
     runner = Runner(config)
 

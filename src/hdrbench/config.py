@@ -8,16 +8,18 @@ in the template, so the toolkit never links codec code.
 
 from __future__ import annotations
 
+import itertools
 import json
 import shlex
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from types import NoneType, UnionType
 
 from .errors import ValidationError
 from .yuv import PlaneFormat
 
 DEFAULT_QP_LADDER = (12, 17, 22, 27, 32, 37)
-DEFAULT_REPETITIONS = 5
 
 # name -> (input_depth, internal_depth, simd_enabled)
 KNOWN_VARIANTS = {
@@ -27,7 +29,9 @@ KNOWN_VARIANTS = {
     "8-8-nosimd": (8, 8, False),
 }
 
-TEMPLATE_PLACEHOLDERS = ("{INPUT}", "{OUTPUT}", "{QP}", "{WIDTH}", "{HEIGHT}", "{BITDEPTH}", "{FPS}")
+# JSON key of each dataclass field that a config file or store line names
+# differently; every other field's key is its name.
+JSON_NAMES = {"cache_key": "key", "store_path": "store"}
 
 
 class ConfigError(ValidationError):
@@ -42,7 +46,7 @@ class SequenceSpec:
     frame_rate: float
 
     def __post_init__(self):
-        if self.frame_rate <= 0:
+        if not 0 < self.frame_rate < float("inf"):  # rejects NaN and infinity too
             raise ConfigError(f"sequence {self.name}: frame rate must be positive")
 
 
@@ -92,7 +96,7 @@ class RunConfig:
     sequences: tuple[SequenceSpec, ...]
     variants: tuple[VariantConfig, ...]
     qp_ladder: tuple[int, ...] = DEFAULT_QP_LADDER
-    repetitions: int = DEFAULT_REPETITIONS
+    repetitions: int = 5
     host_label: str = "local"
     rapl_domain: str | None = None
     powercap_root: Path | None = None
@@ -137,29 +141,105 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _reject_unknown_keys(mapping: dict, allowed: frozenset, context: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _reject_unknown_keys(mapping: dict, allowed, context: str) -> None:
+    if type(mapping) is not dict:
+        raise TypeError(f"expected an object, got {mapping!r}")
+    unknown = sorted(set(mapping).difference(allowed))
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
-_SEQUENCE_KEYS = frozenset({"name", "path", "width", "height", "bit_depth", "fps"})
-_VARIANT_KEYS = frozenset(
-    {"name", "input_depth", "internal_depth", "simd_enabled", "encoder_template",
-     "decoder_template"}
-)
-_CONFIG_KEYS = frozenset(
-    {"sequences", "variants", "qp_ladder", "repetitions", "host_label", "rapl_domain",
-     "powercap_root", "store", "work_dir", "cache", "trim_outliers", "pin_cpu",
-     "metric_command", "reported_rate_regex"}
-)
+def _reader(hint, leaves: dict) -> tuple[frozenset, object]:
+    """(types, read) for a field's type hint. A JSON value whose exact type
+    is in ``types`` (a bool is no int) is already what the field holds;
+    ``read`` converts any other value, arrays to tuples and strings to paths,
+    or raises TypeError. ``leaves`` maps more types to their (types, read)."""
+    args = typing.get_args(hint)
+    if hint in leaves:
+        return leaves[hint]
+    if isinstance(hint, UnionType):  # X | None
+        types, read = _reader(args[0], leaves)
+        return types | {NoneType}, read
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...] or tuple[X, Y, Z]
+        repeated = args[-1] is Ellipsis
+        items = [_reader(arg, leaves) for arg in args if arg is not Ellipsis]
+
+        def read_items(value):
+            if type(value) not in (list, tuple) or not repeated and len(value) != len(items):
+                raise TypeError(f"expected a list{'' if repeated else f' of {len(items)} items'}, got {value!r}")
+            per_item = itertools.repeat(items[0]) if repeated else items
+            return tuple([v if type(v) in t else read(v) for v, (t, read) in zip(value, per_item)])
+
+        return frozenset(), read_items
+
+    def read(value):
+        if hint is float and value in ("inf", "-inf"):  # as to_json_float writes infinities
+            return float(value)
+        if hint is Path and type(value) is str:
+            return Path(value)
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
+
+    return frozenset({float: (int, float), Path: ()}.get(hint, (hint,))), read
+
+
+def json_fields(cls, leaves: dict | None = None) -> tuple:
+    """(name, JSON key, types, read, required) of each field of dataclass ``cls``;
+    a field holding a dataclass is flattened, with that class for the key and
+    its ``json_fields`` for ``read``. A field with a default may be left out."""
+    hints = typing.get_type_hints(cls)
+    spec = []
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if is_dataclass(hints[f.name]):
+            spec.append((f.name, hints[f.name], None, json_fields(hints[f.name], leaves), required))
+        else:
+            types, read = _reader(hints[f.name], leaves or {})
+            spec.append((f.name, JSON_NAMES.get(f.name, f.name), types, read, required))
+    return tuple(spec)
+
+
+def read_json(spec: tuple, data: dict, values: dict | None = None) -> dict:
+    """Field values of a JSON object by ``json_fields`` ``spec``, added to
+    ``values``. A missing required key raises KeyError, and a value of the
+    wrong JSON type TypeError naming its key."""
+    values = {} if values is None else values
+    for name, key, types, read, required in spec:
+        if types is None:  # a flattened dataclass
+            values[name] = key(**read_json(read, data))
+        elif key in data:
+            value = data[key]
+            if type(value) not in types:
+                try:
+                    value = read(value)
+                except TypeError as exc:
+                    raise TypeError(f"{key}: {exc}") from None
+            values[name] = value
+        elif required and name not in values:
+            raise KeyError(key)
+    return values
+
+
+def _read_config(spec: tuple, data: dict, context: str, values: dict | None = None) -> dict:
+    """``read_json`` that raises ConfigError naming the context and the key."""
+    try:
+        return read_json(spec, data, values)
+    except KeyError as exc:
+        raise ConfigError(f"{context}: missing required key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
+# A sequence entry's keys and types; they differ from SequenceSpec's fields.
+_SEQUENCE_KEYS = {"name": str, "path": str, "width": int, "height": int, "bit_depth": int, "fps": float}
+_SEQUENCE_FIELDS = tuple((key, key, *_reader(hint, {}), False) for key, hint in _SEQUENCE_KEYS.items())
+_VARIANT_KEYS = frozenset(f.name for f in fields(VariantConfig))
+_CONFIG_KEYS = frozenset(JSON_NAMES.get(f.name, f.name) for f in fields(RunConfig))
 
 
 def _parse_sequence(entry: dict, base: Path) -> SequenceSpec:
     _reject_unknown_keys(entry, _SEQUENCE_KEYS, "sequence")
-    path = Path(_require(entry, "path", "sequence"))
-    if not path.is_absolute():
-        path = base / path
+    entry = _read_config(_SEQUENCE_FIELDS, entry, "sequence")
+    path = base / _require(entry, "path", "sequence")
     name = entry.get("name") or path.stem
     fmt = PlaneFormat(
         width=_require(entry, "width", f"sequence {name}"),
@@ -174,27 +254,19 @@ def _parse_sequence(entry: dict, base: Path) -> SequenceSpec:
 def _parse_variant(entry: dict) -> VariantConfig:
     _reject_unknown_keys(entry, _VARIANT_KEYS, "variant")
     name = _require(entry, "name", "variant")
-    known = KNOWN_VARIANTS.get(name)
+    known = KNOWN_VARIANTS.get(name) if isinstance(name, str) else None
     if known is None and not all(k in entry for k in ("input_depth", "internal_depth")):
-        raise ConfigError(
-            f"unknown variant name {name!r}: specify input_depth and internal_depth"
-        )
-    input_depth, internal_depth, simd = known or (entry["input_depth"], entry["internal_depth"], True)
-    return VariantConfig(
-        name=name,
-        input_depth=entry.get("input_depth", input_depth),
-        internal_depth=entry.get("internal_depth", internal_depth),
-        simd_enabled=entry.get("simd_enabled", simd),
-        encoder_template=_require(entry, "encoder_template", f"variant {name}"),
-        decoder_template=_require(entry, "decoder_template", f"variant {name}"),
-    )
+        raise ConfigError(f"unknown variant name {name!r}: specify input_depth and internal_depth")
+    standard = known or (entry["input_depth"], entry["internal_depth"], True)
+    values = dict(zip(("input_depth", "internal_depth", "simd_enabled"), standard))
+    return VariantConfig(**_read_config(json_fields(VariantConfig), entry, f"variant {name}", values))
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON run configuration file.
 
-    Relative sequence/store/work paths resolve against the config file's
-    directory.
+    A key the file leaves out keeps its ``RunConfig`` field's default. Relative
+    paths, defaults included, resolve against the config file's directory.
     """
     path = Path(path)
     try:
@@ -208,26 +280,7 @@ def load_config(path: str | Path) -> RunConfig:
     _reject_unknown_keys(data, _CONFIG_KEYS, f"config {path}")
 
     base = path.parent
-
-    def resolve(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
-    sequences = tuple(_parse_sequence(e, base) for e in _require(data, "sequences", "config"))
-    variants = tuple(_parse_variant(e) for e in _require(data, "variants", "config"))
-    return RunConfig(
-        sequences=sequences,
-        variants=variants,
-        qp_ladder=tuple(data.get("qp_ladder", DEFAULT_QP_LADDER)),
-        repetitions=data.get("repetitions", DEFAULT_REPETITIONS),
-        host_label=data.get("host_label", "local"),
-        rapl_domain=data.get("rapl_domain"),
-        powercap_root=resolve(data["powercap_root"]) if "powercap_root" in data else None,
-        store_path=resolve(data.get("store", "results.jsonl")),
-        work_dir=resolve(data.get("work_dir", "work")),
-        cache=data.get("cache", "reuse"),
-        trim_outliers=data.get("trim_outliers", True),
-        pin_cpu=data.get("pin_cpu", True),
-        metric_command=data.get("metric_command"),
-        reported_rate_regex=data.get("reported_rate_regex"),
-    )
+    leaves = {SequenceSpec: (frozenset(), lambda entry: _parse_sequence(entry, base)),
+              VariantConfig: (frozenset(), _parse_variant)}
+    config = RunConfig(**_read_config(json_fields(RunConfig, leaves), data, "config"))
+    return replace(config, **{k: base / v for k, v in vars(config).items() if isinstance(v, Path)})

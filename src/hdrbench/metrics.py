@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import os
-import shlex
 import subprocess
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitdepth import expand_plane
+from .config import render_template
 from .errors import ExecutionError, ValidationError
 from .yuv import PlaneFormat, frame_count, iter_frames
 
@@ -150,10 +150,7 @@ def external_metric(ref_path, test_path, command_template: str, timeout: float |
     """
     if "{REF}" not in command_template or "{TEST}" not in command_template:
         raise ValidationError("metric command template must contain {REF} and {TEST}")
-    argv = [
-        token.replace("{REF}", str(ref_path)).replace("{TEST}", str(test_path))
-        for token in shlex.split(command_template)
-    ]
+    argv = render_template(command_template, {"{REF}": str(ref_path), "{TEST}": str(test_path)})
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
     except OSError as exc:

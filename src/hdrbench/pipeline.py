@@ -19,11 +19,11 @@ import os
 import re
 import subprocess
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import bitdepth, yuv
-from .config import RunConfig, SequenceSpec, VariantConfig, render_template
+from .config import RunConfig, SequenceSpec, VariantConfig, json_fields, read_json, render_template
 from .errors import ExecutionError, ValidationError
 from .measure import DEFAULT_POWERCAP_ROOT, measure_process
 # psnr_plane is unused here; perfbench's tracer test reads pipeline.psnr_plane.
@@ -113,77 +113,49 @@ class RunRecord:
     warnings: tuple[str, ...] = ()
     created_at: str = ""
 
+    def __post_init__(self):
+        if not (self.frames > 0 and 0 < self.frame_rate < math.inf):
+            raise ValueError(f"frames {self.frames!r} and frame_rate {self.frame_rate!r} must be positive")
+
     @property
     def bitrate_kbps(self) -> float:
         """Bitrate derived from the exact stored byte count (normative)."""
         return self.bitstream_bytes * 8.0 * self.frame_rate / self.frames / 1000.0
 
     def to_dict(self) -> dict:
-        return {
-            "schema": STORE_SCHEMA,
-            "key": self.cache_key,
-            "sequence": self.sequence,
-            "variant": self.variant,
-            "qp": self.qp,
-            "host": self.host,
-            "width": self.width,
-            "height": self.height,
-            "input_depth": self.input_depth,
-            "internal_depth": self.internal_depth,
-            "frames": self.frames,
-            "frame_rate": self.frame_rate,
-            "bitstream_bytes": self.bitstream_bytes,
-            "bitstream_sha256": self.bitstream_sha256,
-            "wall_time": self.wall_time,
-            "cpu_time": self.cpu_time,
-            "energy_joules": self.energy_joules,
-            "samples": [[w, c, e] for w, c, e in self.samples],
-            "retained_count": self.retained_count,
-            "psnr_y": to_json_float(self.quality.psnr_y),
-            "psnr_u": to_json_float(self.quality.psnr_u),
-            "psnr_v": to_json_float(self.quality.psnr_v),
-            "psnr_yuv": to_json_float(self.quality.psnr_yuv),
-            "external_score": self.quality.external_score,
-            "reported_rate_kbps": self.reported_rate_kbps,
-            "warnings": list(self.warnings),
-            "created_at": self.created_at,
-        }
+        """The store line's JSON object: the schema, then every field in order."""
+        return _RECORD_JSON(self, {"schema": STORE_SCHEMA})
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
         if data.get("schema") != STORE_SCHEMA:
             raise StoreError(f"unsupported store schema {data.get('schema')!r}")
-        quality = QualityRecord(
-            psnr_y=from_json_float(data["psnr_y"]),
-            psnr_u=from_json_float(data["psnr_u"]),
-            psnr_v=from_json_float(data["psnr_v"]),
-            psnr_yuv=from_json_float(data["psnr_yuv"]),
-            external_score=data.get("external_score"),
-        )
-        return cls(
-            cache_key=data["key"],
-            sequence=data["sequence"],
-            variant=data["variant"],
-            qp=data["qp"],
-            host=data["host"],
-            width=data["width"],
-            height=data["height"],
-            input_depth=data["input_depth"],
-            internal_depth=data["internal_depth"],
-            frames=data["frames"],
-            frame_rate=data["frame_rate"],
-            bitstream_bytes=data["bitstream_bytes"],
-            bitstream_sha256=data["bitstream_sha256"],
-            wall_time=data["wall_time"],
-            cpu_time=data["cpu_time"],
-            energy_joules=data["energy_joules"],
-            samples=tuple((s[0], s[1], s[2]) for s in data["samples"]),
-            retained_count=data["retained_count"],
-            quality=quality,
-            reported_rate_kbps=data.get("reported_rate_kbps"),
-            warnings=tuple(data.get("warnings", ())),
-            created_at=data.get("created_at", ""),
-        )
+        return cls(**read_json(_RECORD_FIELDS, data))
+
+
+def _json_writer(spec: tuple):
+    """``lambda obj, out: {**out, key: value, ...}`` by ``json_fields`` ``spec``:
+    a nested dataclass's fields at its place, floats through to_json_float.
+    Generated, as dataclasses generates ``__init__``: one dict display takes
+    about two thirds of the time of a loop over the fields, on every checkpoint."""
+
+    def items(spec, path):
+        for name, key, types, nested, _ in spec:
+            if types is None:
+                yield from items(nested, f"{path}.{name}")
+            else:
+                yield f"{key!r}: " + (f"to_json_float({path}.{name})" if float in types else f"{path}.{name}")
+
+    return eval(f"lambda obj, out: {{**out, {', '.join(items(spec, 'obj'))}}}", {"to_json_float": to_json_float})
+
+
+_RECORD_FIELDS = json_fields(RunRecord)
+_RECORD_JSON = _json_writer(_RECORD_FIELDS)
+_QUALITY_JSON = _json_writer(json_fields(QualityRecord))
+
+
+def _store_line(record: RunRecord) -> str:
+    return json.dumps(record.to_dict()) + "\n"
 
 
 class ResultStore:
@@ -249,7 +221,7 @@ class ResultStore:
                 raise StoreError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
                 record = RunRecord.from_dict(record)
-            except (StoreError, AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+            except (ValidationError, AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise StoreError(f"{path}:{lineno}: not a run record: {exc!r}") from exc
             store.add(record, replace=True)
         # Appendable only if every newline-terminated line is one distinct
@@ -296,10 +268,8 @@ class ResultStore:
     def _append(self, path: Path, persisted: int, size: int) -> None:
         # Serialise first, so a record that fails to serialise leaves the
         # file untouched, then write it in one call.
-        data = "".join(
-            json.dumps(record.to_dict()) + "\n"
-            for record in itertools.islice(self.records.values(), persisted, None)
-        ).encode()
+        new = itertools.islice(self.records.values(), persisted, None)
+        data = "".join(map(_store_line, new)).encode()
         with open(path, "ab") as fh:
             fh.write(data)
             fh.flush()
@@ -312,8 +282,7 @@ class ResultStore:
         try:
             with open(fd, "w") as fh:
                 os.fchmod(fd, _new_file_mode())
-                for record in self.records.values():
-                    fh.write(json.dumps(record.to_dict()) + "\n")
+                fh.writelines(map(_store_line, self.records.values()))
                 fh.flush()
                 st = os.fstat(fd)
             os.replace(tmp, path)
@@ -334,16 +303,6 @@ class ResultStore:
         if st.st_size == size:
             signature = (st.st_ino, st.st_size, st.st_mtime_ns)
             self._synced = (os.path.abspath(path), signature, len(self.records))
-
-    def select(self, sequence: str | None = None, variant: str | None = None) -> list[RunRecord]:
-        out = [
-            r
-            for r in self.records.values()
-            if (sequence is None or r.sequence == sequence)
-            and (variant is None or r.variant == variant)
-        ]
-        out.sort(key=lambda r: (r.sequence, r.variant, r.qp))
-        return out
 
 
 @dataclass(frozen=True)
@@ -366,14 +325,7 @@ def cell_cache_key(
         {
             "schema": STORE_SCHEMA,
             "source": sequence_digest,
-            "variant": [
-                variant.name,
-                variant.input_depth,
-                variant.internal_depth,
-                variant.simd_enabled,
-                variant.encoder_template,
-                variant.decoder_template,
-            ],
+            "variant": [getattr(variant, f.name) for f in fields(variant)],
             "qp": qp,
             "host": host,
         },

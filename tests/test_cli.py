@@ -11,6 +11,7 @@ from hdrbench.bitdepth import tonemap_plane
 from hdrbench.curves import Curve, OperatingPoint, write_curve_csv
 from hdrbench.yuv import PlaneFormat
 from tests.conftest import write_clip
+from tests.test_pipeline import record_line
 from tests.test_report import synth_store
 
 
@@ -125,9 +126,11 @@ class TestQuality:
             "quality", "--ref", str(path), "--test", str(path),
             "--width", "32", "--height", "32",
         ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["psnr_yuv"] == "inf"
-        assert payload["frames"] == 3
+        out = capsys.readouterr().out
+        assert out == (
+            '{\n  "frames": 3,\n  "psnr_y": "inf",\n  "psnr_u": "inf",\n'
+            '  "psnr_v": "inf",\n  "psnr_yuv": "inf"\n}\n'
+        )
 
     def test_degraded_files_report_finite(self, tmp_path, clip10, capsys):
         path, _ = clip10
@@ -153,6 +156,7 @@ class TestQuality:
             "--metric-cmd", f"{stub} {{REF}} {{TEST}}",
         ) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["frames", "psnr_y", "psnr_u", "psnr_v", "psnr_yuv", "external_score"]
         assert payload["external_score"] == 9.5
 
     def test_frame_count_mismatch(self, tmp_path, clip10, capsys):
@@ -290,6 +294,16 @@ class TestRunAndReport:
     def test_report_store_line_that_is_not_a_record(self, tmp_path, capsys):
         path = tmp_path / "s.jsonl"
         path.write_text('{"schema": 1}\n')
+        assert run_cli("report", "--store", str(path)) == 1
+        assert f"error: {path}:1: not a run record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        record_line(qp="27"), record_line(cpu_time="1.2"), record_line(frames=0),
+        record_line(bitstream_bytes=None),
+    ], ids=["qp-string", "cpu-time-string", "zero-frames", "null-bytes"])
+    def test_report_store_line_with_a_value_of_the_wrong_type(self, tmp_path, capsys, line):
+        path = tmp_path / "s.jsonl"
+        path.write_text(line + "\n")
         assert run_cli("report", "--store", str(path)) == 1
         assert f"error: {path}:1: not a run record" in capsys.readouterr().err
 

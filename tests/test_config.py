@@ -170,6 +170,99 @@ class TestLoadConfig:
         assert config.store_path == sub / "out" / "results.jsonl"
 
 
+    def test_default_paths_resolve_against_config(self, tmp_path):
+        sub = tmp_path / "nested"
+        sub.mkdir()
+        path = sub / "run.json"
+        path.write_text(json.dumps(config_dict(sub)))
+        config = load_config(path)
+        assert config.store_path == sub / "results.jsonl"
+        assert config.work_dir == sub / "work"
+        assert config.powercap_root is None
+
+    def test_keys_set_map_to_fields(self, tmp_path):
+        config = load_config(write_config(
+            tmp_path, qp_ladder=[22, 27], repetitions=3, rapl_domain="package-0",
+            powercap_root="/sys/class/powercap", work_dir="w", cache="fresh", trim_outliers=False,
+            pin_cpu=False, metric_command="m {REF} {TEST}", reported_rate_regex="([0-9.]+) kbps",
+        ))
+        assert config.qp_ladder == (22, 27) and config.repetitions == 3
+        assert config.rapl_domain == "package-0" and config.cache == "fresh"
+        assert str(config.powercap_root) == "/sys/class/powercap"
+        assert config.work_dir == tmp_path / "w"
+        assert not config.trim_outliers and not config.pin_cpu
+        assert config.metric_command == "m {REF} {TEST}"
+        assert config.reported_rate_regex == "([0-9.]+) kbps"
+
+    def test_unknown_key_message_lists_the_allowed_keys(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, stores="x"))
+        assert str(info.value).endswith(
+            "unknown key(s) ['stores']; allowed: ['cache', 'host_label', 'metric_command', "
+            "'pin_cpu', 'powercap_root', 'qp_ladder', 'rapl_domain', 'repetitions', "
+            "'reported_rate_regex', 'sequences', 'store', 'trim_outliers', 'variants', 'work_dir']"
+        )
+        data = config_dict(tmp_path)
+        data["variants"][0]["simd"] = False
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            "variant: unknown key(s) ['simd']; allowed: ['decoder_template', 'encoder_template', "
+            "'input_depth', 'internal_depth', 'name', 'simd_enabled']"
+        )
+
+    @pytest.mark.parametrize("key, value", [
+        ("repetitions", "5"), ("repetitions", 5.0), ("repetitions", True), ("qp_ladder", 22),
+        ("qp_ladder", ["22"]), ("host_label", 7), ("rapl_domain", 0), ("store", 5),
+        ("work_dir", None), ("powercap_root", []), ("cache", None), ("trim_outliers", 1),
+        ("pin_cpu", "no"), ("metric_command", ["m", "{REF}", "{TEST}"]),
+        ("reported_rate_regex", 1), ("sequences", {}), ("sequences", [5]), ("variants", "8-8"),
+    ])
+    def test_value_of_the_wrong_json_type_is_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=rf"^config: {key}: expected "):
+            load_config(write_config(tmp_path, **{key: value}))
+
+    @pytest.mark.parametrize("entry, key, value", [
+        ("variants", "input_depth", "8"), ("variants", "simd_enabled", 1),
+        ("variants", "encoder_template", None), ("sequences", "width", "32"),
+        ("sequences", "fps", "50"), ("sequences", "bit_depth", 10.0), ("sequences", "path", 1),
+    ])
+    def test_entry_value_of_the_wrong_json_type_is_rejected(self, tmp_path, entry, key, value):
+        data = config_dict(tmp_path)
+        data[entry][0][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=rf": {key}: expected "):
+            load_config(path)
+
+    @pytest.mark.parametrize("fps", [0, -25, float("inf"), float("nan")])
+    def test_frame_rate_must_be_positive_and_finite(self, tmp_path, fps):
+        data = config_dict(tmp_path)
+        data["sequences"][0]["fps"] = fps
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="frame rate must be positive"):
+            load_config(path)
+
+    def test_missing_required_key(self, tmp_path):
+        data = config_dict(tmp_path)
+        del data["variants"]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"^config: missing required key 'variants'$"):
+            load_config(path)
+        data["variants"] = [{"name": "10-10", "decoder_template": MOCK_DECODE}]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"^variant 10-10: missing required key 'encoder_template'$"):
+            load_config(path)
+        del data["sequences"][0]["width"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"^sequence clip: missing required key 'width'$"):
+            load_config(path)
+
+
 class TestRunConfigValidation:
     def make(self, tmp_path, **overrides):
         clip = write_clip(tmp_path)

@@ -62,6 +62,11 @@ def make_record(**overrides) -> RunRecord:
     return RunRecord(**defaults)
 
 
+def record_line(**fields) -> str:
+    """A store line of ``make_record()`` with some JSON values replaced."""
+    return json.dumps({**make_record().to_dict(), **fields})
+
+
 def full_rewrite(store: ResultStore, path) -> bytes:
     """The bytes a store never synced to ``path`` writes there: a full rewrite."""
     ResultStore(dict(store.records)).save(path)
@@ -136,6 +141,42 @@ class TestRunRecord:
         data["schema"] = 99
         with pytest.raises(Exception):
             RunRecord.from_dict(data)
+
+
+class TestPinnedBytes:
+    """The store line and the cache key are the contract every reported
+    number passes through: both are pinned, so they change only on purpose
+    (with a STORE_SCHEMA bump)."""
+
+    def test_store_line_bytes(self):
+        record = make_record(
+            samples=((1.5, 1.4, 12.5), (1.625, 1.375, None)),
+            quality=QualityRecord(math.inf, 42.0, 43.0, math.inf, external_score=7.5),
+            reported_rate_kbps=123.25,
+            warnings=("repetition CV 12.0% exceeds 10%",),
+            created_at="2026-01-01T00:00:00+00:00",
+        )
+        line = json.dumps(record.to_dict())
+        assert line == (
+            '{"schema": 1, "key": "k1", "sequence": "clip", "variant": "10-10", "qp": 22, '
+            '"host": "hostA", "width": 64, "height": 64, "input_depth": 10, "internal_depth": 10, '
+            '"frames": 2, "frame_rate": 50.0, "bitstream_bytes": 1000, "bitstream_sha256": '
+            '"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "wall_time": 1.5, '
+            '"cpu_time": 1.4, "energy_joules": 12.5, "samples": [[1.5, 1.4, 12.5], '
+            '[1.625, 1.375, null]], "retained_count": 1, "psnr_y": "inf", "psnr_u": 42.0, '
+            '"psnr_v": 43.0, "psnr_yuv": "inf", "external_score": 7.5, "reported_rate_kbps": '
+            '123.25, "warnings": ["repetition CV 12.0% exceeds 10%"], "created_at": '
+            '"2026-01-01T00:00:00+00:00"}'
+        )
+        assert RunRecord.from_dict(json.loads(line)) == record
+
+    def test_cache_key_bytes(self):
+        variant = VariantConfig(
+            "8-8-nosimd", 8, 8, False, "enc -i {INPUT} -o {OUTPUT} -q {QP}", "dec {INPUT} {OUTPUT}"
+        )
+        assert cell_cache_key("ab" * 32, variant, 27, "hostA") == (
+            "ff6cee829d745e43795a1891cef5ab6b21c1542d77d3ba7e087ea435ee9ced0f"
+        )
 
 
 class TestResultStore:
@@ -243,8 +284,21 @@ class TestStoreCheckpoints:
 
     @pytest.mark.parametrize(
         "line",
-        ['{"schema": 1}', "5", "[]", '{"schema": 99}', "null"],
-        ids=["missing-fields", "number", "list", "other-schema", "null"],
+        [
+            '{"schema": 1}', "5", "[]", '{"schema": 99}', "null",
+            record_line(qp="27"), record_line(cpu_time="1.2"), record_line(frames=0),
+            record_line(bitstream_bytes=None), record_line(qp=True), record_line(wall_time=False),
+            record_line(frame_rate=-50.0), record_line(frame_rate="inf"),
+            record_line(psnr_y="40"), record_line(psnr_u=None),
+            record_line(samples=[[1.5, 1.4]]), record_line(samples=[[1.5, "1.4", None]]),
+            record_line(warnings="one"), record_line(external_score=11.0),
+        ],
+        ids=[
+            "missing-fields", "number", "list", "other-schema", "null",
+            "qp-string", "cpu-time-string", "zero-frames", "null-bytes", "qp-bool",
+            "wall-time-bool", "negative-frame-rate", "infinite-frame-rate", "psnr-string",
+            "psnr-null", "short-sample", "sample-string", "warnings-string", "score-out-of-range",
+        ],
     )
     def test_json_line_that_is_not_a_record_is_rejected(self, tmp_path, line):
         path = tmp_path / "store.jsonl"
@@ -253,6 +307,23 @@ class TestStoreCheckpoints:
             fh.write(line + "\n")
         with pytest.raises(StoreError, match=r"store\.jsonl:2: not a run record"):
             ResultStore.load(path)
+
+    def test_float_fields_accept_json_integers_and_keep_them(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        line = record_line(frame_rate=50, cpu_time=2, energy_joules=None, psnr_v=43,
+                           samples=[[2, 2, None]], reported_rate_kbps=100)
+        path.write_text(line + "\n")
+        record = ResultStore.load(path).records["k1"]
+        assert record.frame_rate == 50 and record.samples == ((2, 2, None),)
+        assert full_rewrite(ResultStore.load(path), tmp_path / "ref.jsonl") == path.read_bytes()
+
+    def test_keys_with_a_default_may_be_missing(self, tmp_path):
+        data = make_record().to_dict()
+        for key in ("external_score", "reported_rate_kbps", "warnings", "created_at"):
+            del data[key]
+        record = RunRecord.from_dict(data)
+        assert record.quality.external_score is None and record.warnings == ()
+        assert record.reported_rate_kbps is None and record.created_at == ""
 
     def test_line_that_is_not_utf8_is_rejected(self, tmp_path):
         path = tmp_path / "store.jsonl"
