@@ -84,18 +84,30 @@ class AkimaSpline:
     def x_max(self) -> float:
         return float(self._x[-1])
 
-    def __call__(self, q):
-        q_arr = np.asarray(q, dtype=np.float64)
-        scalar = q_arr.ndim == 0
-        q_arr = np.atleast_1d(q_arr)
+    def _locate(self, q_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index of the piece holding each point and the offset from its left knot."""
         if q_arr.size and (q_arr.min() < self._x[0] or q_arr.max() > self._x[-1]):
             raise InterpolationError(
                 f"evaluation outside [{self._x[0]}, {self._x[-1]}] is not supported (no extrapolation)"
             )
-        idx = np.searchsorted(self._x, q_arr, side="right") - 1
-        idx = np.clip(idx, 0, self._x.size - 2)
-        h = q_arr - self._x[idx]
+        idx = np.clip(np.searchsorted(self._x, q_arr, side="right") - 1, 0, self._x.size - 2)
+        return idx, q_arr - self._x[idx]
+
+    def __call__(self, q):
+        q_arr = np.asarray(q, dtype=np.float64)
+        scalar = q_arr.ndim == 0
+        q_arr = np.atleast_1d(q_arr)
+        idx, h = self._locate(q_arr)
         out = self._y[idx] + h * (self._t[idx] + h * (self._c2[idx] + h * self._c3[idx]))
         # Exact value at the right endpoint instead of the cubic's rounding.
         out[q_arr == self._x[-1]] = self._y[-1]
         return float(out[0]) if scalar else out
+
+    def local_cubic(self, q) -> np.ndarray:
+        """Coefficients ``c``, highest power first, of the piece holding ``q`` in
+        powers of ``x - q``: ``np.polyval(c, x - q)`` is the spline on that piece.
+        Shape ``np.shape(q) + (4,)``; an inner knot takes the piece to its right."""
+        idx, h = self._locate(np.asarray(q, dtype=np.float64))
+        t, c2, c3 = self._t[idx], self._c2[idx], self._c3[idx]
+        c0 = self._y[idx] + h * (t + h * (c2 + h * c3))
+        return np.stack([c3, c2 + 3.0 * c3 * h, t + h * (2.0 * c2 + 3.0 * c3 * h), c0], axis=-1)

@@ -130,7 +130,6 @@ def _cmd_bd(args) -> int:
         curve_b,
         rcd_grid_size=args.rcd_grid,
         with_intersections=args.intersections,
-        ceil_reference=curve_a,
     )
     payload = {
         "bd_percent": result.bd_percent,

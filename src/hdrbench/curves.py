@@ -13,7 +13,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence as Seq
+from typing import Iterable, Sequence as Seq
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .akima import AkimaSpline, MIN_KNOTS
 from .errors import ValidationError
 
 BD_SIMPSON_SAMPLES = 1001
-INTERSECTION_SCAN_POINTS = 4096
-INTERSECTION_TOLERANCE = 1e-9
+# Relative size below which a log-cost gap counts as rounding noise.
+GAP_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
 class CurveError(ValidationError):
@@ -149,54 +149,41 @@ def rcd(curve_a: Curve, curve_b: Curve, quality_grid: Seq[float]) -> list[tuple[
     return list(zip(grid.tolist(), pct.tolist()))
 
 
-def _bisect(gap: Callable[[float], float], lo: float, hi: float, g_lo: float) -> float:
-    for _ in range(200):
-        if hi - lo < INTERSECTION_TOLERANCE:
-            break
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_lo < 0.0) != (g_mid < 0.0):
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
-
-
 def find_intersections(curve_a: Curve, curve_b: Curve) -> list[float]:
     """Quality values where the two interpolated curves cross.
 
-    Sign changes of the log-cost gap are bracketed on a dense scan grid and
-    refined by bisection; tangent contacts without a sign change do not
-    count, so identical curves yield the empty list.
+    Between the merged knots of both splines the log-cost gap is one cubic;
+    its real roots split the overlap into pieces of constant sign, and a
+    crossing is reported wherever that sign flips. Gap coefficients and
+    values within rounding of zero count as zero, so tangent contacts do not
+    count, identical curves yield the empty list, and a stretch where the
+    curves coincide counts once, at its high-quality end.
     """
     lo, hi = overlap_range(curve_a, curve_b)
     fa, fb = fit_akima(curve_a), fit_akima(curve_b)
-    scan = np.linspace(lo, hi, INTERSECTION_SCAN_POINTS)
-    g = fb(scan) - fa(scan)
-
-    def gap(q: float) -> float:
-        return float(fb(q) - fa(q))
-
+    knots = np.union1d(curve_a.qualities, curve_b.qualities)
+    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    lefts, widths = edges[:-1], np.diff(edges)
+    pieces_a, pieces_b = fa.local_cubic(lefts), fb.local_cubic(lefts)
+    # A term's largest size on its interval; the rounding scale of the gap
+    # there is the summed size of either spline's terms.
+    powers = widths[:, None] ** np.arange(3.0, -1.0, -1.0)
+    tols = GAP_ROUNDING * (np.abs([pieces_a, pieces_b]) * powers).sum(axis=2).max(axis=0)
+    gaps = pieces_b - pieces_a
+    gaps[np.abs(gaps) * powers <= tols[:, None]] = 0.0
     roots: list[float] = []
-    nonzero = np.nonzero(g)[0]
-    for i in range(INTERSECTION_SCAN_POINTS - 1):
-        gi, gj = g[i], g[i + 1]
-        if gi == 0.0:
-            # Zero exactly on a scan point: a root only if the gap actually
-            # changes sign through it (tangent touches are skipped).
-            before = nonzero[nonzero < i]
-            after = nonzero[nonzero > i]
-            if before.size and after.size and (g[before[-1]] < 0.0) != (g[after[0]] < 0.0):
-                if not roots or abs(roots[-1] - scan[i]) > INTERSECTION_TOLERANCE:
-                    roots.append(float(scan[i]))
-            continue
-        if gj == 0.0 or (gi < 0.0) == (gj < 0.0):
-            continue
-        root = _bisect(gap, float(scan[i]), float(scan[i + 1]), float(gi))
-        if not roots or abs(roots[-1] - root) > INTERSECTION_TOLERANCE:
-            roots.append(root)
+    sign = 0.0
+    for left, width, tol, gap in zip(lefts, widths, tols, gaps):
+        cuts = np.roots(gap) if gap.any() else np.empty(0)
+        cuts = np.sort(cuts.real[(cuts.imag == 0.0) & (cuts.real > 0.0) & (cuts.real < width)])
+        s = np.concatenate(([0.0], cuts, [width]))
+        values = np.polyval(gap, 0.5 * (s[:-1] + s[1:]))
+        for start, value in zip(left + s[:-1], values):
+            if abs(value) <= tol:
+                continue
+            if sign and (value > 0.0) != (sign > 0.0):
+                roots.append(float(start))
+            sign = value
     return roots
 
 
@@ -242,10 +229,11 @@ def compare(
     curve_b: Curve,
     rcd_grid_size: int = 0,
     with_intersections: bool = True,
-    ceil_reference: Curve | None = None,
 ) -> BdReport:
     """Assemble the BD percentage, optional RCD samples, intersections, and
-    the next-QP value (anchored on ``ceil_reference``, typically curve_a)."""
+    the next-QP value (anchored on curve_a)."""
+    if rcd_grid_size < 0:
+        raise CurveError(f"RCD grid size must be non-negative, got {rcd_grid_size}")
     lo, hi = overlap_range(curve_a, curve_b)
     report_rcd: tuple[tuple[float, float], ...] = ()
     if rcd_grid_size:
@@ -255,10 +243,10 @@ def compare(
     if with_intersections:
         roots = tuple(find_intersections(curve_a, curve_b))
     qp_value = None
-    if roots and ceil_reference is not None:
+    if roots:
         # When a curve pair crosses more than once, the ceiling QP is anchored
         # on the highest-quality crossing.
-        qp_value = ceil_qp(roots[-1], ceil_reference)
+        qp_value = ceil_qp(roots[-1], curve_a)
     return BdReport(
         cost_kind=curve_a.cost_kind,
         bd_percent=bd_delta(curve_a, curve_b),
@@ -302,7 +290,7 @@ def report_row(
     contender variants, keyed by their name.
     """
     ref_rate, contender_rate = rate_pair
-    rate_report = compare(ref_rate, contender_rate, ceil_reference=ref_rate)
+    rate_report = compare(ref_rate, contender_rate)
     crossing = rate_report.intersections[-1] if rate_report.intersections else None
     bd_rates = {contender: rate_report.bd_percent}
     if extra_rate_pairs:

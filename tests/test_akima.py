@@ -173,3 +173,19 @@ class TestEvaluation:
         spline = AkimaSpline([0, 1, 2, 3], [0, 1, 4, 9])
         value = spline(1.5)
         assert np.ndim(value) == 0
+
+    def test_local_cubic_reproduces_its_piece(self):
+        rng = np.random.default_rng(11)
+        xs, ys = random_knots(rng, 8)
+        spline = AkimaSpline(xs, ys)
+        centres = np.concatenate((xs, rng.uniform(xs[0], xs[-1], size=12)))
+        coeffs = spline.local_cubic(centres)
+        assert coeffs.shape == (centres.size, 4)
+        for centre, c in zip(centres, coeffs):
+            i = min(np.searchsorted(xs, centre, side="right") - 1, xs.size - 2)
+            probes = np.linspace(xs[i], xs[i + 1], 9)
+            assert np.allclose(np.polyval(c, probes - centre), spline(probes), rtol=0, atol=1e-12)
+        assert np.array_equal(spline.local_cubic(xs[3]), coeffs[3])
+        assert coeffs[0, 3] == ys[0]
+        with pytest.raises(InterpolationError):
+            spline.local_cubic(xs[-1] + 1e-3)

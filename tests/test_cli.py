@@ -1,6 +1,7 @@
 """Command-line interface behaviour and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,21 @@ class TestBd:
         assert "intersections" in json.loads(capsys.readouterr().out)
         assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--no-intersections") == 0
         assert "intersections" not in json.loads(capsys.readouterr().out)
+
+    def test_negative_rcd_grid_is_validation_error(self, curve_files, capsys):
+        a, b = curve_files
+        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--rcd-grid", "-3") == 1
+        assert "error: RCD grid size must be non-negative" in capsys.readouterr().err
+
+    def test_coincident_stretch_reports_one_crossing(self, capsys):
+        data = Path(__file__).parent / "data"
+        assert run_cli(
+            "bd", "--curve-a", str(data / "coincident_a.csv"),
+            "--curve-b", str(data / "coincident_b.csv"),
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["intersections"]) == 1
+        assert 32.0 <= payload["intersections"][0] <= 42.0
 
     def test_missing_curve_file(self, tmp_path):
         assert run_cli(

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hdrbench.curves import (
     compare,
     export_comparison_csv,
     find_intersections,
+    fit_akima,
     overlap_range,
     rcd,
     read_curve_csv,
@@ -42,6 +44,85 @@ def scaled_curve(factor, qualities=(30, 34, 38, 42, 46)):
         for q in qualities
     ]
     return Curve.from_points(points)
+
+
+def coincident_pair():
+    """Two curves that coincide on [32, 42] and cross once across that stretch.
+
+    log10 cost is 2 + 0.08 * (q - 30) at q = 30, 32, ..., 44; the second
+    curve is 0.05 higher at q = 30 and 0.05 lower at q = 44.
+    """
+    data = Path(__file__).parent / "data"
+    return read_curve_csv(data / "coincident_a.csv"), read_curve_csv(data / "coincident_b.csv")
+
+
+REFERENCE_SCAN_POINTS = 4096
+INTERSECTION_TOLERANCE = 1e-9
+
+
+def reference_intersections(curve_a, curve_b):
+    """Dense-scan and bisection search for sign changes of the log-cost gap.
+
+    Brackets each sign change between neighbouring points of a 4096-point
+    grid and bisects it to INTERSECTION_TOLERANCE; a zero exactly on a grid
+    point counts only when the gap changes sign through it. It cannot
+    resolve two crossings closer together than one grid step.
+    """
+    lo, hi = overlap_range(curve_a, curve_b)
+    fa, fb = fit_akima(curve_a), fit_akima(curve_b)
+    scan = np.linspace(lo, hi, REFERENCE_SCAN_POINTS)
+    g = fb(scan) - fa(scan)
+
+    def gap(q):
+        return float(fb(q) - fa(q))
+
+    def bisect(lo, hi, g_lo):
+        for _ in range(200):
+            if hi - lo < INTERSECTION_TOLERANCE:
+                break
+            mid = 0.5 * (lo + hi)
+            g_mid = gap(mid)
+            if g_mid == 0.0:
+                return mid
+            if (g_lo < 0.0) != (g_mid < 0.0):
+                hi = mid
+            else:
+                lo, g_lo = mid, g_mid
+        return 0.5 * (lo + hi)
+
+    roots = []
+    nonzero = np.nonzero(g)[0]
+    for i in range(REFERENCE_SCAN_POINTS - 1):
+        gi, gj = g[i], g[i + 1]
+        if gi == 0.0:
+            before = nonzero[nonzero < i]
+            after = nonzero[nonzero > i]
+            if before.size and after.size and (g[before[-1]] < 0.0) != (g[after[0]] < 0.0):
+                if not roots or abs(roots[-1] - scan[i]) > INTERSECTION_TOLERANCE:
+                    roots.append(float(scan[i]))
+            continue
+        if gj == 0.0 or (gi < 0.0) == (gj < 0.0):
+            continue
+        root = bisect(float(scan[i]), float(scan[i + 1]), float(gi))
+        if not roots or abs(roots[-1] - root) > INTERSECTION_TOLERANCE:
+            roots.append(root)
+    return roots
+
+
+def random_curve_pair(rng):
+    """Two 4-8 point curves around one log-linear trend, often crossing."""
+
+    def curve(offset, tilt):
+        count = int(rng.integers(4, 9))
+        inner = rng.uniform(31.0, 43.0, size=count - 2)
+        qualities = np.concatenate(([rng.uniform(28.0, 31.0)], inner, [rng.uniform(43.0, 48.0)]))
+        qualities = np.unique(qualities)
+        logs = 2 + 0.08 * (qualities - 30) + offset + tilt * (qualities - 38)
+        logs += rng.normal(0.0, 0.04, size=qualities.size)
+        points = [OperatingPoint(i, float(q), 10 ** y) for i, (q, y) in enumerate(zip(qualities, logs))]
+        return Curve.from_points(points, monotone_cost=False)
+
+    return curve(0.0, 0.0), curve(rng.uniform(-0.08, 0.08), rng.uniform(-0.01, 0.01))
 
 
 class TestOperatingPoint:
@@ -194,6 +275,30 @@ class TestIntersections:
         for root in roots:
             assert root != pytest.approx(1.0, abs=1e-9)
 
+    def test_coincident_stretch_counts_once_at_its_high_end(self):
+        a, b = coincident_pair()
+        assert find_intersections(a, b) == [42.0]
+        assert find_intersections(b, a) == [42.0]
+        assert find_intersections(a, a) == []
+
+    def test_matches_scan_and_bisection_reference(self):
+        rng = np.random.default_rng(2024)
+        compared = crossings = 0
+        for _ in range(1050):
+            a, b = random_curve_pair(rng)
+            lo, hi = overlap_range(a, b)
+            roots = find_intersections(a, b)
+            step = (hi - lo) / (REFERENCE_SCAN_POINTS - 1)
+            if np.any(np.diff(roots) < step):
+                continue
+            expected = reference_intersections(a, b)
+            assert len(roots) == len(expected)
+            assert np.allclose(roots, expected, rtol=0, atol=INTERSECTION_TOLERANCE)
+            compared += 1
+            crossings += len(roots)
+        assert compared >= 1000
+        assert crossings >= compared // 2
+
 
 class TestCeilQp:
     def test_next_qp_past_the_crossing(self):
@@ -217,7 +322,7 @@ class TestCompare:
     def test_reports_everything(self):
         a = line_curve(slope=1.0)
         b = line_curve(slope=-1.0, offset=10.0)
-        result = compare(a, b, rcd_grid_size=11, ceil_reference=a)
+        result = compare(a, b, rcd_grid_size=11)
         assert isinstance(result, BdReport)
         assert result.overlap == (1.0, 9.0)
         assert len(result.rcd_samples) == 11
@@ -232,6 +337,11 @@ class TestCompare:
         result = compare(a, b, with_intersections=False)
         assert result.intersections == ()
         assert result.ceil_qp is None
+
+    def test_negative_rcd_grid_raises(self):
+        a = scaled_curve(1.0)
+        with pytest.raises(CurveError, match="non-negative"):
+            compare(a, a, rcd_grid_size=-3)
 
 
 class TestCsv:
