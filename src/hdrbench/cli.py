@@ -125,12 +125,7 @@ def _cmd_quality(args) -> int:
 def _cmd_bd(args) -> int:
     curve_a = read_curve_csv(args.curve_a, monotone_cost=False)
     curve_b = read_curve_csv(args.curve_b, monotone_cost=False)
-    result = compare(
-        curve_a,
-        curve_b,
-        rcd_grid_size=args.rcd_grid,
-        with_intersections=args.intersections,
-    )
+    result = compare(curve_a, curve_b, rcd_grid_size=args.rcd_grid)
     payload = {
         "bd_percent": result.bd_percent,
         "overlap": list(result.overlap),
@@ -178,6 +173,8 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.store:
         config = replace(config, store_path=args.store)
+    if args.fresh_measurements:
+        config = replace(config, cache="fresh")
     runner = Runner(config)
 
     def progress(index, total, cell, state):
@@ -185,7 +182,7 @@ def _cmd_run(args) -> int:
             f"[{index}/{total}] {cell.sequence.name}/{cell.variant.name}/qp{cell.qp:02d}: {state}"
         )
 
-    runner.run(force_fresh=args.fresh_measurements or None, progress=progress)
+    runner.run(progress=progress)
     print(
         f"done: {runner.executed_cells} cell(s) measured, {runner.reused_cells} reused, "
         f"{runner.encoder_invocations} encoder invocation(s); store: {config.store_path}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import shlex
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -127,6 +128,17 @@ class RunConfig:
         seq_names = [s.name for s in self.sequences]
         if len(set(seq_names)) != len(seq_names):
             raise ConfigError("duplicate sequence names")
+        if self.metric_command is not None and not (
+            "{REF}" in self.metric_command and "{TEST}" in self.metric_command
+        ):
+            raise ConfigError("metric_command must contain {REF} and {TEST}")
+        if self.reported_rate_regex is not None:
+            try:
+                re.compile(self.reported_rate_regex)
+            except re.error as exc:
+                raise ConfigError(
+                    f"reported_rate_regex {self.reported_rate_regex!r} is not a valid pattern: {exc}"
+                ) from None
 
     def variant(self, name: str) -> VariantConfig:
         for v in self.variants:

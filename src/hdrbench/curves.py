@@ -1,6 +1,10 @@
-"""Quality/cost curve calculus: Akima fits in (quality, log10 cost) space,
-Bjontegaard deltas over an arbitrary cost axis (rate, time, or energy),
-relative curve differences, curve intersections, and the next-QP mapping.
+"""Quality/cost curve calculus and curve CSV files.
+
+Akima fits in (quality, log10 cost) space, Bjontegaard deltas over an
+arbitrary cost axis (rate, time, or energy), relative curve differences,
+curve intersections, and the next-QP mapping; ``qp,quality,cost`` curve
+files in and interpolated comparisons out. Report rows and tables are
+built from these in ``report``.
 
 All pairwise operations work on the quality overlap of the two curves only;
 nothing is ever extrapolated. With curve_a as the reference, a positive
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence as Seq
 
 import numpy as np
@@ -224,12 +228,7 @@ class BdReport:
                 raise CurveError(f"intersection {q} outside the overlap [{lo}, {hi}]")
 
 
-def compare(
-    curve_a: Curve,
-    curve_b: Curve,
-    rcd_grid_size: int = 0,
-    with_intersections: bool = True,
-) -> BdReport:
+def compare(curve_a: Curve, curve_b: Curve, rcd_grid_size: int = 0) -> BdReport:
     """Assemble the BD percentage, optional RCD samples, intersections, and
     the next-QP value (anchored on curve_a)."""
     if rcd_grid_size < 0:
@@ -239,9 +238,7 @@ def compare(
     if rcd_grid_size:
         grid = np.linspace(lo, hi, rcd_grid_size)
         report_rcd = tuple(rcd(curve_a, curve_b, grid))
-    roots: tuple[float, ...] = ()
-    if with_intersections:
-        roots = tuple(find_intersections(curve_a, curve_b))
+    roots = tuple(find_intersections(curve_a, curve_b))
     qp_value = None
     if roots:
         # When a curve pair crosses more than once, the ceiling QP is anchored
@@ -254,55 +251,6 @@ def compare(
         rcd_samples=report_rcd,
         intersections=roots,
         ceil_qp=qp_value,
-    )
-
-
-@dataclass(frozen=True)
-class SequenceRow:
-    """One per-sequence report row: rate-curve crossing plus BD columns.
-
-    ``bdt_percent`` and ``bdee_percent`` map a platform label to the
-    time/energy delta; ``bd_rate_percent`` maps a contender variant name to
-    its rate delta against the reference variant.
-    """
-
-    sequence: str
-    intersection_quality: float | None
-    ceil_qp: int | None
-    bdt_percent: dict[str, float] = field(default_factory=dict)
-    bdee_percent: dict[str, float] = field(default_factory=dict)
-    bd_rate_percent: dict[str, float] = field(default_factory=dict)
-
-
-def report_row(
-    sequence: str,
-    rate_pair: tuple[Curve, Curve],
-    time_pairs: dict[str, tuple[Curve, Curve]] | None = None,
-    energy_pairs: dict[str, tuple[Curve, Curve]] | None = None,
-    extra_rate_pairs: dict[str, tuple[Curve, Curve]] | None = None,
-    contender: str = "contender",
-) -> SequenceRow:
-    """Build one report row from reference/contender curve pairs.
-
-    ``rate_pair`` drives the crossing quality and the ceiling QP; each entry
-    of ``time_pairs``/``energy_pairs`` contributes one delta column per
-    platform label; ``extra_rate_pairs`` adds rate deltas for further
-    contender variants, keyed by their name.
-    """
-    ref_rate, contender_rate = rate_pair
-    rate_report = compare(ref_rate, contender_rate)
-    crossing = rate_report.intersections[-1] if rate_report.intersections else None
-    bd_rates = {contender: rate_report.bd_percent}
-    if extra_rate_pairs:
-        for name, (a, b) in extra_rate_pairs.items():
-            bd_rates[name] = bd_delta(a, b)
-    return SequenceRow(
-        sequence=sequence,
-        intersection_quality=crossing,
-        ceil_qp=rate_report.ceil_qp,
-        bdt_percent={label: bd_delta(a, b) for label, (a, b) in (time_pairs or {}).items()},
-        bdee_percent={label: bd_delta(a, b) for label, (a, b) in (energy_pairs or {}).items()},
-        bd_rate_percent=bd_rates,
     )
 
 

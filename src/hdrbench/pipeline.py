@@ -420,7 +420,7 @@ class Runner:
             if match:
                 try:
                     return float(match.group(1) if match.groups() else match.group(0))
-                except ValueError:
+                except (TypeError, ValueError):  # TypeError: group 1 took no part
                     return None
         return None
 
@@ -541,8 +541,9 @@ class Runner:
             quality = replace(quality, external_score=score)
         return quality
 
-    def run(self, force_fresh: bool | None = None, progress=None) -> ResultStore:
-        """Execute every planned cell, reusing stored results when allowed.
+    def run(self, progress=None) -> ResultStore:
+        """Execute every planned cell; a cell with a stored record is reused
+        unless the config's ``cache`` is ``"fresh"``.
 
         The store file is checkpointed after each executed cell, by
         appending that cell's record (see ``ResultStore.save``), so an
@@ -550,10 +551,9 @@ class Runner:
         append can leave a torn last line; the next load drops it, so a
         resumed run measures that cell again.
         """
-        fresh = force_fresh if force_fresh is not None else self.config.cache == "fresh"
         cells = self.plan()
         for index, cell in enumerate(cells, start=1):
-            if not fresh and cell.cache_key in self.store:
+            if self.config.cache != "fresh" and cell.cache_key in self.store:
                 self.reused_cells += 1
                 if progress:
                     progress(index, len(cells), cell, "cached")

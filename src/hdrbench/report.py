@@ -1,9 +1,11 @@
-"""Turn stored run records into per-sequence comparison tables.
+"""Build per-sequence comparison tables from stored run records.
 
 The headline table compares the 10-bit reference route against the 8-bit
 route per sequence: where their rate curves cross, the next ladder QP
 past the crossing, and BD deltas for encoding time (per host), encoding
-energy (per host with RAPL data), and bitrate. Hosts appear as column
+energy (per host with RAPL data), and bitrate. This module turns records
+into curves, each row's numbers into a ``SequenceRow``, and the rows into
+text and CSV; ``curves`` does the calculus. Hosts appear as column
 suffixes, so one table can mix measurements from several machines as long
 as every machine saw byte-identical bitstreams.
 """
@@ -12,15 +14,20 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .curves import Curve, OperatingPoint, SequenceRow, report_row
+from .curves import Curve, OperatingPoint, bd_delta, compare
 from .errors import ValidationError
 from .pipeline import ResultStore, RunRecord
 
 BASELINE_VARIANT = "10-10"
 CONTENDER_VARIANT = "8-8"
+# Further routes whose BD-rate against the baseline gets a column when the
+# store holds them.
+EXTRA_RATE_VARIANTS = ("8-10",)
 QUALITY_AXES = ("psnr_yuv", "external")
+# Cost axis of each curve kind: the RunRecord field it reads.
+_COST_FIELDS = {"bitrate": "bitrate_kbps", "time": "cpu_time", "energy": "energy_joules"}
 
 
 class ReportError(ValidationError):
@@ -30,13 +37,11 @@ class ReportError(ValidationError):
 def _quality_value(record: RunRecord, axis: str) -> float:
     if axis == "psnr_yuv":
         return record.quality.psnr_yuv
-    if axis == "external":
-        if record.quality.external_score is None:
-            raise ReportError(
-                f"{record.sequence}/{record.variant}/qp{record.qp}: no external score stored"
-            )
-        return record.quality.external_score
-    raise ReportError(f"unknown quality axis {axis!r}")
+    if record.quality.external_score is None:
+        raise ReportError(
+            f"{record.sequence}/{record.variant}/qp{record.qp}: no external score stored"
+        )
+    return record.quality.external_score
 
 
 def collect(store: ResultStore) -> dict[str, dict[str, dict[str, list[RunRecord]]]]:
@@ -85,22 +90,36 @@ def _check_digests(sequence: str, variants: dict[str, dict[str, list[RunRecord]]
                 )
 
 
-def _rate_curve(records: list[RunRecord], axis: str) -> Curve:
+def _curve(records: list[RunRecord], axis: str, cost_kind: str) -> Curve:
+    """One variant's ladder on one host, as quality against ``cost_kind``.
+
+    Time and energy are measurements, not rate-control outputs, so only the
+    bitrate curve is forced to grow monotonically along the ladder.
+    """
+    cost_field = _COST_FIELDS[cost_kind]
     points = [
-        OperatingPoint(r.qp, _quality_value(r, axis), r.bitrate_kbps) for r in records
+        OperatingPoint(r.qp, _quality_value(r, axis), getattr(r, cost_field)) for r in records
     ]
-    return Curve.from_points(points, quality_kind=axis, cost_kind="bitrate")
+    return Curve.from_points(
+        points, quality_kind=axis, cost_kind=cost_kind, monotone_cost=cost_kind == "bitrate"
+    )
 
 
-def _cost_curve(records: list[RunRecord], axis: str, cost_kind: str) -> Curve:
-    # Time and energy are measurements, not rate-control outputs, so they are
-    # not forced to grow monotonically along the ladder.
-    costs = {
-        "time": lambda r: r.cpu_time,
-        "energy": lambda r: r.energy_joules,
-    }[cost_kind]
-    points = [OperatingPoint(r.qp, _quality_value(r, axis), costs(r)) for r in records]
-    return Curve.from_points(points, quality_kind=axis, cost_kind=cost_kind, monotone_cost=False)
+@dataclass(frozen=True)
+class SequenceRow:
+    """One per-sequence report row: rate-curve crossing plus BD columns.
+
+    ``bdt_percent`` and ``bdee_percent`` map a platform label to the
+    time/energy delta; ``bd_rate_percent`` maps a contender variant name to
+    its rate delta against the reference variant.
+    """
+
+    sequence: str
+    intersection_quality: float | None
+    ceil_qp: int | None
+    bdt_percent: dict[str, float] = field(default_factory=dict)
+    bdee_percent: dict[str, float] = field(default_factory=dict)
+    bd_rate_percent: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -138,9 +157,13 @@ def build_table(
     baseline: str = BASELINE_VARIANT,
     contender: str = CONTENDER_VARIANT,
     quality_axis: str = "psnr_yuv",
-    extra_rate_variants: tuple[str, ...] = ("8-10",),
 ) -> ReportTable:
-    """Assemble the per-sequence comparison table from a (merged) store."""
+    """Assemble the per-sequence comparison table from a (merged) store.
+
+    The baseline/contender rate pair gives the crossing, ``ceil(QP)`` and
+    the contender's BD-rate; each host both variants ran on gives a BDT
+    column, and an energy column too when all its records carry energy.
+    """
     if quality_axis not in QUALITY_AXES:
         raise ReportError(f"unknown quality axis {quality_axis!r}")
     grouped = collect(store)
@@ -148,9 +171,6 @@ def build_table(
         raise ReportError("result store is empty")
 
     rows = []
-    time_hosts: set[str] = set()
-    energy_hosts: set[str] = set()
-    rate_variants: set[str] = set()
     for sequence in sorted(grouped):
         variants = grouped[sequence]
         for needed in (baseline, contender):
@@ -159,67 +179,44 @@ def build_table(
         _check_ladders(sequence, variants)
         _check_digests(sequence, variants)
 
-        def host_records(variant: str, host: str) -> list[RunRecord]:
-            return variants[variant][host]
-
         # Rate and quality are host-independent (digests were just checked),
-        # so the rate curves come from whichever host sorts first.
-        def any_host(variant: str) -> list[RunRecord]:
-            hosts = variants[variant]
-            return hosts[sorted(hosts)[0]]
-
-        rate_pair = (
-            _rate_curve(any_host(baseline), quality_axis),
-            _rate_curve(any_host(contender), quality_axis),
+        # so each rate curve comes from whichever host sorts first.
+        extras = [v for v in EXTRA_RATE_VARIANTS if v in variants and v not in (baseline, contender)]
+        reference, rate, *extra_rates = (
+            _curve(variants[v][min(variants[v])], quality_axis, "bitrate")
+            for v in (baseline, contender, *extras)
         )
+        crossing = compare(reference, rate)
+        bd_rates = {contender: crossing.bd_percent}
+        bd_rates.update((v, bd_delta(reference, c)) for v, c in zip(extras, extra_rates))
 
-        shared_hosts = sorted(
-            set(variants[baseline]) & set(variants[contender])
-        )
-        time_pairs = {}
-        energy_pairs = {}
-        for host in shared_hosts:
-            time_pairs[host] = (
-                _cost_curve(host_records(baseline, host), quality_axis, "time"),
-                _cost_curve(host_records(contender, host), quality_axis, "time"),
-            )
-            both = host_records(baseline, host) + host_records(contender, host)
-            if all(r.energy_joules is not None for r in both):
-                energy_pairs[host] = (
-                    _cost_curve(host_records(baseline, host), quality_axis, "energy"),
-                    _cost_curve(host_records(contender, host), quality_axis, "energy"),
+        bdt, bdee = {}, {}
+        for host in sorted(set(variants[baseline]) & set(variants[contender])):
+            ref, con = variants[baseline][host], variants[contender][host]
+            bdt[host] = bd_delta(_curve(ref, quality_axis, "time"), _curve(con, quality_axis, "time"))
+            if all(r.energy_joules is not None for r in ref + con):
+                bdee[host] = bd_delta(
+                    _curve(ref, quality_axis, "energy"), _curve(con, quality_axis, "energy")
                 )
 
-        extra_pairs = {}
-        for name in extra_rate_variants:
-            if name in variants and name not in (baseline, contender):
-                extra_pairs[name] = (
-                    _rate_curve(any_host(baseline), quality_axis),
-                    _rate_curve(any_host(name), quality_axis),
-                )
+        rows.append(SequenceRow(
+            sequence=sequence,
+            intersection_quality=crossing.intersections[-1] if crossing.intersections else None,
+            ceil_qp=crossing.ceil_qp,
+            bdt_percent=bdt,
+            bdee_percent=bdee,
+            bd_rate_percent=bd_rates,
+        ))
 
-        row = report_row(
-            sequence,
-            rate_pair,
-            time_pairs=time_pairs,
-            energy_pairs=energy_pairs,
-            extra_rate_pairs=extra_pairs,
-            contender=contender,
-        )
-        rows.append(row)
-        time_hosts.update(row.bdt_percent)
-        energy_hosts.update(row.bdee_percent)
-        rate_variants.update(row.bd_rate_percent)
-
-    ordered_variants = [contender] + sorted(rate_variants - {contender})
+    extra_variants = set().union(*(row.bd_rate_percent for row in rows)) - {contender}
     return ReportTable(
         quality_axis=quality_axis,
         baseline=baseline,
         contender=contender,
         rows=tuple(rows),
-        time_hosts=tuple(sorted(time_hosts)),
-        energy_hosts=tuple(sorted(energy_hosts)),
-        rate_variants=tuple(v for v in ordered_variants if v in rate_variants),
+        time_hosts=tuple(sorted(set().union(*(row.bdt_percent for row in rows)))),
+        energy_hosts=tuple(sorted(set().union(*(row.bdee_percent for row in rows)))),
+        rate_variants=(contender, *sorted(extra_variants)),
     )
 
 
@@ -253,36 +250,39 @@ def _columns(table: ReportTable) -> list[tuple[str, object]]:
     return cols
 
 
+def _cells(table: ReportTable) -> list[list[str]]:
+    """The header, then one line of cell text per row, the average row last."""
+    cols = _columns(table)
+    return [[header for header, _ in cols]] + [
+        [cell(row) for _, cell in cols] for row in (*table.rows, table.averages())
+    ]
+
+
 def render_text(table: ReportTable) -> str:
     """Fixed-width text rendering with a closing average row."""
-    cols = _columns(table)
-    all_rows = list(table.rows) + [table.averages()]
-    matrix = [[header for header, _ in cols]]
-    for row in all_rows:
-        matrix.append([accessor(row) for _, accessor in cols])
-    widths = [max(len(line[i]) for line in matrix) for i in range(len(cols))]
+    header, *body = _cells(table)
+    widths = [max(map(len, column)) for column in zip(header, *body)]
 
+    def line(cells: list[str]) -> str:
+        # The sequence name is left-aligned, the numbers right-aligned.
+        text = "  ".join(c.rjust(w) if i else c.ljust(w) for i, (c, w) in enumerate(zip(cells, widths)))
+        return text.rstrip() + "\n"
+
+    rule = "  ".join("-" * w for w in widths) + "\n"
     out = io.StringIO()
     out.write(
         f"Reference {table.baseline} vs {table.contender}"
         f" (quality axis: {table.quality_axis})\n"
     )
-    header, *body = matrix
     out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-    out.write("  ".join("-" * w for w in widths) + "\n")
-    for line in body[:-1]:
-        out.write("  ".join(c.rjust(w) if i else c.ljust(w) for i, (c, w) in enumerate(zip(line, widths))).rstrip() + "\n")
-    out.write("  ".join("-" * w for w in widths) + "\n")
-    average = body[-1]
-    out.write("  ".join(c.rjust(w) if i else c.ljust(w) for i, (c, w) in enumerate(zip(average, widths))).rstrip() + "\n")
+    out.write(rule)
+    out.writelines(line(cells) for cells in body[:-1])
+    out.write(rule)
+    out.write(line(body[-1]))
     return out.getvalue()
 
 
 def write_csv(table: ReportTable, path) -> None:
     """CSV twin of the text table, same columns and rows."""
-    cols = _columns(table)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header for header, _ in cols])
-        for row in list(table.rows) + [table.averages()]:
-            writer.writerow([accessor(row) for _, accessor in cols])
+        csv.writer(fh).writerows(_cells(table))

@@ -13,18 +13,11 @@ import pytest
 
 from hdrbench.bitdepth import expand_plane, quantization_noise_report, tonemap_plane
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
-from hdrbench.curves import (
-    Curve,
-    OperatingPoint,
-    SequenceRow,
-    bd_delta,
-    find_intersections,
-    rcd,
-)
+from hdrbench.curves import Curve, OperatingPoint, bd_delta, find_intersections, rcd
 from hdrbench.measure import EnergyCounterSnapshot, MeasurementSample, aggregate, energy_delta
 from hdrbench.metrics import psnr_yuv
 from hdrbench.pipeline import Runner
-from hdrbench.report import ReportTable, build_table, render_text
+from hdrbench.report import ReportTable, SequenceRow, build_table, render_text
 from hdrbench.yuv import PlaneFormat
 from tests.conftest import MOCK_DECODE, MOCK_ENCODE, write_clip
 from tests.test_akima import reference_akima
@@ -215,7 +208,7 @@ def test_criterion_7_end_to_end_mock_study(announce, tmp_path):
     store = runner.run()
     cells_ok = runner.executed_cells == 24 and len(store) == 24
 
-    table = build_table(store, extra_rate_variants=())
+    table = build_table(store)
     text = render_text(table)
     table_ok = (
         len(table.rows) == 2

@@ -219,7 +219,8 @@ class TestBd:
         assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--intersections") == 0
         assert "intersections" in json.loads(capsys.readouterr().out)
         assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--no-intersections") == 0
-        assert "intersections" not in json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)
+        assert "intersections" not in payload and "ceil_qp" not in payload
 
     def test_negative_rcd_grid_is_validation_error(self, curve_files, capsys):
         a, b = curve_files
@@ -269,6 +270,9 @@ class TestRunAndReport:
 
         assert run_cli("run", "--config", str(config)) == 0
         assert "0 cell(s) measured" in capsys.readouterr().out
+
+        assert run_cli("run", "--config", str(config), "--fresh-measurements") == 0
+        assert "8 cell(s) measured" in capsys.readouterr().out
 
         assert run_cli("report", "--store", str(store)) == 0
         text = capsys.readouterr().out

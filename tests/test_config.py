@@ -293,6 +293,15 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match="cache"):
             self.make(tmp_path, cache="maybe")
 
+    def test_invalid_reported_rate_regex_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"reported_rate_regex '\(\[' is not a valid pattern"):
+            self.make(tmp_path, reported_rate_regex="([")
+
+    @pytest.mark.parametrize("command", ["metric {REF}", "metric {TEST}", "metric a b"])
+    def test_metric_command_without_placeholders_rejected(self, tmp_path, command):
+        with pytest.raises(ConfigError, match=r"metric_command must contain \{REF\} and \{TEST\}"):
+            self.make(tmp_path, metric_command=command)
+
     def test_unknown_variant_lookup(self, tmp_path):
         config = self.make(tmp_path)
         with pytest.raises(ConfigError, match="unknown variant"):

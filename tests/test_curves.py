@@ -21,7 +21,6 @@ from hdrbench.curves import (
     overlap_range,
     rcd,
     read_curve_csv,
-    report_row,
     write_curve_csv,
 )
 
@@ -331,13 +330,6 @@ class TestCompare:
         assert result.ceil_qp == 34
         assert result.cost_kind == "bitrate"
 
-    def test_no_intersections_requested(self):
-        a = scaled_curve(1.0)
-        b = scaled_curve(2.0)
-        result = compare(a, b, with_intersections=False)
-        assert result.intersections == ()
-        assert result.ceil_qp is None
-
     def test_negative_rcd_grid_raises(self):
         a = scaled_curve(1.0)
         with pytest.raises(CurveError, match="non-negative"):
@@ -371,34 +363,3 @@ class TestCsv:
         assert len(rows) == 32
         assert float(rows[1][3]) == pytest.approx(100.0, abs=1e-6)
 
-
-class TestReportRow:
-    def test_row_contents(self):
-        rate_ref = line_curve(slope=1.0)
-        rate_con = line_curve(slope=-1.0, offset=10.0)
-        time_ref = line_curve(slope=1.0, offset=-1.0, cost_kind="time")
-        time_con = line_curve(slope=1.0, offset=-1.0 + math.log10(0.5), cost_kind="time")
-        row = report_row(
-            "Clip",
-            (rate_ref, rate_con),
-            time_pairs={"linux": (time_ref, time_con)},
-            energy_pairs={},
-            contender="8-8",
-        )
-        assert row.sequence == "Clip"
-        assert row.intersection_quality == pytest.approx(5.0, abs=1e-6)
-        assert row.ceil_qp == 34
-        assert row.bdt_percent["linux"] == pytest.approx(-50.0, abs=1e-9)
-        assert row.bdee_percent == {}
-        assert set(row.bd_rate_percent) == {"8-8"}
-
-    def test_extra_rate_pairs(self):
-        ref = scaled_curve(1.0)
-        row = report_row(
-            "Clip",
-            (ref, scaled_curve(1.2)),
-            extra_rate_pairs={"8-10": (ref, scaled_curve(1.5))},
-            contender="8-8",
-        )
-        assert row.bd_rate_percent["8-8"] == pytest.approx(20.0, abs=1e-9)
-        assert row.bd_rate_percent["8-10"] == pytest.approx(50.0, abs=1e-9)

@@ -640,6 +640,13 @@ class TestReportedRate:
         log.write_text("rate 123.5 kbps\n")
         assert runner._parse_reported_rate(log) is None
 
+    def test_group_that_took_no_part_in_the_match(self, tmp_path):
+        config = make_run_config(tmp_path, reported_rate_regex=r"(\d+)?\s*kbpsX|kbps")
+        runner = Runner(config)
+        log = tmp_path / "enc.log"
+        log.write_text("rate 123.5 kbps\n")
+        assert runner._parse_reported_rate(log) is None
+
     def test_missing_log_is_tolerated(self, tmp_path):
         config = make_run_config(tmp_path, reported_rate_regex=r"rate ([0-9.]+)")
         runner = Runner(config)

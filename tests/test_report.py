@@ -124,6 +124,11 @@ class TestBuildTable:
         assert row.bdt_percent["windows"] == pytest.approx(-75.0, abs=1e-6)
         assert "windows" not in row.bdee_percent
 
+    def test_rate_columns_only_for_variants_in_the_store(self):
+        table = build_table(synth_store(variants=("10-10", "8-8")))
+        assert table.rate_variants == ("8-8",)
+        assert all(set(row.bd_rate_percent) == {"8-8"} for row in table.rows)
+
     def test_averages_row(self):
         table = build_table(synth_store())
         averages = table.averages()
@@ -209,3 +214,36 @@ class TestRendering:
         assert rows[1][0] == "alpha"
         assert rows[-1][0] == "Average"
         assert rows[1][3] == "-75.0%"
+
+
+class TestGoldenTable:
+    """The exact text and CSV of a two-host table, one host with energy.
+
+    Pinned so that a refactor of row building or rendering cannot move a
+    column, a digit or a blank cell unnoticed.
+    """
+
+    STORE = dict(hosts=("linux", "windows"), energy_hosts=("linux",))
+    TEXT = (
+        "Reference 10-10 vs 8-8 (quality axis: psnr_yuv)\n"
+        "Sequence  PSNR (dB)  ceil(QP)  BDT[linux]  BDT[windows]  BDEE[linux]  BD-Rate[8-8]  BD-Rate[8-10]\n"
+        "--------  ---------  --------  ----------  ------------  -----------  ------------  -------------\n"
+        "alpha                              -75.0%        -75.0%       -70.0%        -20.0%         +50.0%\n"
+        "bravo         45.00        17      -75.0%        -75.0%       -70.0%        -19.6%         +50.0%\n"
+        "--------  ---------  --------  ----------  ------------  -----------  ------------  -------------\n"
+        "Average                            -75.0%        -75.0%       -70.0%        -19.8%         +50.0%\n"
+    )
+    CSV = (
+        b"Sequence,PSNR (dB),ceil(QP),BDT[linux],BDT[windows],BDEE[linux],BD-Rate[8-8],BD-Rate[8-10]\r\n"
+        b"alpha,,,-75.0%,-75.0%,-70.0%,-20.0%,+50.0%\r\n"
+        b"bravo,45.00,17,-75.0%,-75.0%,-70.0%,-19.6%,+50.0%\r\n"
+        b"Average,,,-75.0%,-75.0%,-70.0%,-19.8%,+50.0%\r\n"
+    )
+
+    def test_text(self):
+        assert render_text(build_table(synth_store(**self.STORE))) == self.TEXT
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(build_table(synth_store(**self.STORE)), path)
+        assert path.read_bytes() == self.CSV
