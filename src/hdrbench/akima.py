@@ -76,14 +76,6 @@ class AkimaSpline:
         self._c2 = (3.0 * m - 2.0 * t[:-1] - t[1:]) / dx
         self._c3 = (t[:-1] + t[1:] - 2.0 * m) / (dx * dx)
 
-    @property
-    def x_min(self) -> float:
-        return float(self._x[0])
-
-    @property
-    def x_max(self) -> float:
-        return float(self._x[-1])
-
     def _locate(self, q_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Index of the piece holding each point and the offset from its left knot."""
         if q_arr.size and (q_arr.min() < self._x[0] or q_arr.max() > self._x[-1]):

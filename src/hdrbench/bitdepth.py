@@ -107,7 +107,7 @@ class NoiseReport:
 def quantization_noise_report() -> NoiseReport:
     """Sweep all 1024 input codes (uniform weighting) and report the noise."""
     codes = np.arange(1024, dtype=np.int64)
-    mapped = (codes * 510 + 1023) // 2046
+    mapped = _TONEMAP_LUT.astype(np.int64)
     err_ideal = codes - (1023.0 / 255.0) * mapped
     err_shift = codes - 4 * mapped
     return NoiseReport(

@@ -6,7 +6,8 @@ Subcommands mirror the library layers: ``convert`` (bit-depth), ``quality``
 config), and ``report`` (tables from one or more result stores).
 
 Exit codes: 0 on success, 1 for validation problems (bad arguments, bad
-files, inconsistent stores), 2 for runtime failures of external tools.
+files, inconsistent stores), 2 for runtime failures of external tools and
+for I/O errors, such as an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--direction", required=True, choices=("10to8", "8to10"))
     p.add_argument("--width", required=True, type=int)
     p.add_argument("--height", required=True, type=int)
-    p.add_argument("--fps", type=float, default=None,
-                   help="frame-rate metadata; raw planar output carries no header")
 
     p = add("quality", "Score a 10-bit reconstruction against its 10-bit source.")
     p.add_argument("--ref", required=True, type=Path)
@@ -73,9 +72,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--curve-b", required=True, type=Path, help="contender curve")
     p.add_argument("--rcd-grid", type=int, default=0, metavar="N",
                    help="sample the relative curve difference at N points")
-    p.add_argument("--intersections", action="store_true", default=True,
-                   help="locate curve crossings (default)")
-    p.add_argument("--no-intersections", dest="intersections", action="store_false")
+    p.add_argument("--no-intersections", dest="intersections", action="store_false",
+                   help="leave the curve crossings and ceil(QP) out of the output")
     p.add_argument("--export", type=Path, metavar="CSV",
                    help="write interpolated curves and RCD for plotting")
 
@@ -123,8 +121,8 @@ def _cmd_quality(args) -> int:
 
 
 def _cmd_bd(args) -> int:
-    curve_a = read_curve_csv(args.curve_a, monotone_cost=False)
-    curve_b = read_curve_csv(args.curve_b, monotone_cost=False)
+    curve_a = read_curve_csv(args.curve_a)
+    curve_b = read_curve_csv(args.curve_b)
     result = compare(curve_a, curve_b, rcd_grid_size=args.rcd_grid)
     payload = {
         "bd_percent": result.bd_percent,
@@ -142,16 +140,13 @@ def _cmd_bd(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    kwargs = {}
-    if args.powercap_root:
-        kwargs["powercap_root"] = args.powercap_root
     result = measure_process(
         shlex.split(args.cmd),
         repetitions=args.reps,
         rapl_domain=args.rapl_domain,
+        powercap_root=args.powercap_root,
         pin_cpu=not args.no_pin,
         trim_outliers=not args.no_trim,
-        **kwargs,
     )
     payload = {
         "repetitions": len(result.samples),
@@ -232,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ExecutionError as exc:
+    except (ExecutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -140,12 +140,6 @@ class RunConfig:
                     f"reported_rate_regex {self.reported_rate_regex!r} is not a valid pattern: {exc}"
                 ) from None
 
-    def variant(self, name: str) -> VariantConfig:
-        for v in self.variants:
-            if v.name == name:
-                return v
-        raise ConfigError(f"unknown variant name {name!r}")
-
 
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:

@@ -4,7 +4,8 @@ Akima fits in (quality, log10 cost) space, Bjontegaard deltas over an
 arbitrary cost axis (rate, time, or energy), relative curve differences,
 curve intersections, and the next-QP mapping; ``qp,quality,cost`` curve
 files in and interpolated comparisons out. Report rows and tables are
-built from these in ``report``.
+built from these in ``report``. Curves carry no axis labels: pairing
+only curves of the same quality and cost axes is the caller's job.
 
 All pairwise operations work on the quality overlap of the two curves only;
 nothing is ever extrapolated. With curve_a as the reference, a positive
@@ -50,25 +51,17 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class Curve:
-    """Operating points sorted by ascending quality, with axis labels.
+    """Operating points sorted by ascending quality.
 
-    Measured ladders must be monotone in both axes; ``monotone_cost=False``
-    relaxes the cost check for synthetic analysis curves and for noisy
-    cost axes where the quality ordering still holds.
+    Measured rate ladders must be monotone in both axes; ``monotone_cost=False``
+    relaxes the cost check for curve files and for noisy cost axes (time,
+    energy) where the quality ordering still holds.
     """
 
     points: tuple[OperatingPoint, ...]
-    quality_kind: str = "psnr_yuv"
-    cost_kind: str = "bitrate"
 
     @classmethod
-    def from_points(
-        cls,
-        points: Iterable[OperatingPoint],
-        quality_kind: str = "psnr_yuv",
-        cost_kind: str = "bitrate",
-        monotone_cost: bool = True,
-    ) -> "Curve":
+    def from_points(cls, points: Iterable[OperatingPoint], monotone_cost: bool = True) -> "Curve":
         pts = tuple(sorted(points, key=lambda p: p.quality))
         if len(pts) < MIN_KNOTS:
             raise CurveError(f"a curve needs at least {MIN_KNOTS} points, got {len(pts)}")
@@ -83,7 +76,7 @@ class Curve:
                     f"cost not strictly increasing along quality: {prev.cost} (QP {prev.qp}) "
                     f"then {cur.cost} (QP {cur.qp})"
                 )
-        return cls(pts, quality_kind, cost_kind)
+        return cls(pts)
 
     @property
     def qualities(self) -> np.ndarray:
@@ -105,11 +98,6 @@ def fit_akima(curve: Curve) -> AkimaSpline:
 
 def overlap_range(curve_a: Curve, curve_b: Curve) -> tuple[float, float]:
     """Intersection of the two curves' quality ranges; must be non-degenerate."""
-    if (curve_a.quality_kind, curve_a.cost_kind) != (curve_b.quality_kind, curve_b.cost_kind):
-        raise CurveError(
-            f"axis mismatch: ({curve_a.quality_kind}, {curve_a.cost_kind}) vs "
-            f"({curve_b.quality_kind}, {curve_b.cost_kind})"
-        )
     lo = max(curve_a.quality_range[0], curve_b.quality_range[0])
     hi = min(curve_a.quality_range[1], curve_b.quality_range[1])
     if lo >= hi:
@@ -212,7 +200,6 @@ def ceil_qp(intersection_quality: float, reference_curve: Curve) -> int:
 class BdReport:
     """Full comparison of one curve pair on one cost axis."""
 
-    cost_kind: str
     bd_percent: float
     overlap: tuple[float, float]
     rcd_samples: tuple[tuple[float, float], ...] = ()
@@ -245,7 +232,6 @@ def compare(curve_a: Curve, curve_b: Curve, rcd_grid_size: int = 0) -> BdReport:
         # on the highest-quality crossing.
         qp_value = ceil_qp(roots[-1], curve_a)
     return BdReport(
-        cost_kind=curve_a.cost_kind,
         bd_percent=bd_delta(curve_a, curve_b),
         overlap=(lo, hi),
         rcd_samples=report_rcd,
@@ -254,11 +240,12 @@ def compare(curve_a: Curve, curve_b: Curve, rcd_grid_size: int = 0) -> BdReport:
     )
 
 
-def read_curve_csv(
-    path: str | os.PathLike, quality_kind: str = "quality", cost_kind: str = "cost",
-    monotone_cost: bool = True,
-) -> Curve:
-    """Load operating points from a ``qp,quality,cost`` CSV file."""
+def read_curve_csv(path: str | os.PathLike) -> Curve:
+    """Load operating points from a ``qp,quality,cost`` CSV file.
+
+    Quality must rise strictly along the file's points; the cost need not,
+    since a file may hold a time or energy axis as well as a rate.
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -276,7 +263,7 @@ def read_curve_csv(
                 points.append(OperatingPoint(int(row[0]), float(row[1]), float(row[2])))
             except (IndexError, ValueError) as exc:
                 raise CurveError(f"{path}:{line_no}: bad curve row {row}: {exc}") from None
-    return Curve.from_points(points, quality_kind, cost_kind, monotone_cost=monotone_cost)
+    return Curve.from_points(points, monotone_cost=False)
 
 
 def write_curve_csv(curve: Curve, path: str | os.PathLike) -> None:
@@ -287,15 +274,14 @@ def write_curve_csv(curve: Curve, path: str | os.PathLike) -> None:
             writer.writerow([p.qp, repr(p.quality), repr(p.cost)])
 
 
-def export_comparison_csv(
-    curve_a: Curve, curve_b: Curve, path: str | os.PathLike, samples: int = 201
-) -> None:
-    """Write interpolated costs and the RCD over the overlap for plotting.
+def export_comparison_csv(curve_a: Curve, curve_b: Curve, path: str | os.PathLike) -> None:
+    """Write interpolated costs and the RCD at 201 evenly spaced qualities
+    over the overlap, for plotting.
 
     Columns: quality, cost_a, cost_b, rcd_percent.
     """
     lo, hi = overlap_range(curve_a, curve_b)
-    grid = np.linspace(lo, hi, samples)
+    grid = np.linspace(lo, hi, 201)
     fa, fb = fit_akima(curve_a), fit_akima(curve_b)
     cost_a = 10.0 ** fa(grid)
     cost_b = 10.0 ** fb(grid)

@@ -197,7 +197,7 @@ def measure_process(
     command: Seq[str],
     repetitions: int = 5,
     rapl_domain: str | os.PathLike | None = None,
-    powercap_root: str | os.PathLike = DEFAULT_POWERCAP_ROOT,
+    powercap_root: str | os.PathLike | None = None,
     pin_cpu: bool = True,
     trim_outliers: bool = True,
     stdout_path: str | os.PathLike | None = None,
@@ -208,13 +208,15 @@ def measure_process(
     Each repetition records the child's user+system CPU time, the wall
     time, and the package-energy delta when RAPL is readable. A nonzero
     exit aborts the measurement. When output paths are given, the child's
-    stdout/stderr of the last repetition are left on disk.
+    stdout/stderr of the last repetition are left on disk. The counters are
+    read under ``powercap_root``/``rapl_domain``; None stands for
+    ``DEFAULT_POWERCAP_ROOT`` and ``DEFAULT_RAPL_DOMAIN``.
     """
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     if not command:
         raise ValidationError("empty command")
-    domain = Path(powercap_root) / (rapl_domain or DEFAULT_RAPL_DOMAIN)
+    domain = Path(powercap_root or DEFAULT_POWERCAP_ROOT) / (rapl_domain or DEFAULT_RAPL_DOMAIN)
     warnings: list[str] = []
     try:
         read_counter(domain)

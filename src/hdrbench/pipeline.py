@@ -18,14 +18,13 @@ import math
 import os
 import re
 import subprocess
-import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import bitdepth, yuv
 from .config import RunConfig, SequenceSpec, VariantConfig, json_fields, read_json, render_template
 from .errors import ExecutionError, ValidationError
-from .measure import DEFAULT_POWERCAP_ROOT, measure_process
+from .measure import measure_process
 # psnr_plane is unused here; perfbench's tracer test reads pipeline.psnr_plane.
 from .metrics import QualityRecord, external_metric, psnr_plane, score_files
 from .yuv import PlaneFormat
@@ -54,11 +53,6 @@ def to_json_float(value: float | None):
     return value
 
 
-def from_json_float(value) -> float | None:
-    # float() parses the "inf"/"-inf" strings that to_json_float writes.
-    return None if value is None else float(value)
-
-
 def _hash_file(digest, path: str | os.PathLike) -> str:
     """Feed a file to ``digest`` in chunks; return the hex digest."""
     with open(path, "rb") as fh:
@@ -77,13 +71,6 @@ def _file_signature(path: Path) -> tuple[int, int, int] | None:
     except FileNotFoundError:
         return None
     return st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _new_file_mode() -> int:
-    """The mode ``open(path, "w")`` gives a new file: 0o666 less the umask."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
 
 
 @dataclass(frozen=True)
@@ -278,13 +265,15 @@ class ResultStore:
 
     def _rewrite(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        # A new file of a name no other writer uses: the umask sets its mode,
+        # as for any file open creates.
+        tmp = path.parent / f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+        fh = open(tmp, "x")
         try:
-            with open(fd, "w") as fh:
-                os.fchmod(fd, _new_file_mode())
+            with fh:
                 fh.writelines(map(_store_line, self.records.values()))
                 fh.flush()
-                st = os.fstat(fd)
+                st = os.fstat(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -335,11 +324,16 @@ def cell_cache_key(
 
 
 class Runner:
-    """Plans and executes all cells of a run configuration."""
+    """Plans and executes all cells of a run configuration.
 
-    def __init__(self, config: RunConfig, store: ResultStore | None = None):
+    The runner loads its store from ``config.store_path`` and checkpoints
+    into the same file; a run on another store is a config with another
+    ``store_path``, as ``hdrbench run --store`` makes it.
+    """
+
+    def __init__(self, config: RunConfig):
         self.config = config
-        self.store = store if store is not None else ResultStore.load(config.store_path)
+        self.store = ResultStore.load(config.store_path)
         self.encoder_invocations = 0
         self.executed_cells = 0
         self.reused_cells = 0
@@ -445,7 +439,7 @@ class Runner:
             enc_argv,
             repetitions=config.repetitions,
             rapl_domain=config.rapl_domain,
-            powercap_root=config.powercap_root or DEFAULT_POWERCAP_ROOT,
+            powercap_root=config.powercap_root,
             pin_cpu=config.pin_cpu,
             trim_outliers=config.trim_outliers,
             stdout_path=enc_stdout,

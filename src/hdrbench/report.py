@@ -100,9 +100,7 @@ def _curve(records: list[RunRecord], axis: str, cost_kind: str) -> Curve:
     points = [
         OperatingPoint(r.qp, _quality_value(r, axis), getattr(r, cost_field)) for r in records
     ]
-    return Curve.from_points(
-        points, quality_kind=axis, cost_kind=cost_kind, monotone_cost=cost_kind == "bitrate"
-    )
+    return Curve.from_points(points, monotone_cost=cost_kind == "bitrate")
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,6 @@ class TestConstruction:
         with pytest.raises(InterpolationError):
             AkimaSpline([0, 1, 2, 3], [0, 1, np.inf, 3])
 
-    def test_range_properties(self):
-        spline = AkimaSpline([1, 2, 4, 8], [0, 1, 0, 1])
-        assert spline.x_min == 1 and spline.x_max == 8
-
 
 class TestAgainstReference:
     def test_hundred_random_knot_sets(self):

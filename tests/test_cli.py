@@ -38,6 +38,15 @@ class TestParsing:
     def test_missing_required_argument(self, capsys):
         assert run_cli("quality", "--ref", "a.yuv") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("bd", "--curve-a", "a.csv", "--curve-b", "b.csv", "--intersections"),
+        ("convert", "--in", "i.yuv", "--out", "o.yuv", "--direction", "10to8",
+         "--width", "32", "--height", "32", "--fps", "50"),
+    ], ids=["bd-intersections", "convert-fps"])
+    def test_deleted_flags_are_usage_errors(self, argv, capsys):
+        assert run_cli(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli("--version")
@@ -89,10 +98,18 @@ class TestConvert:
         rc = run_cli(
             "convert", "--in", str(path), "--out", str(tmp_path / "o.yuv"),
             "--direction", "10to8", "--width", "32", "--height", "32",
-            "--fps", "50",
         )
         assert rc == 0
         assert "3 frame(s)" in capsys.readouterr().out
+
+    def test_unwritable_output_is_io_error(self, tmp_path, clip10, capsys):
+        path, _ = clip10
+        rc = run_cli(
+            "convert", "--in", str(path), "--out", str(tmp_path / "no-dir" / "o.yuv"),
+            "--direction", "10to8", "--width", "32", "--height", "32",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_wrong_direction_for_input_depth(self, tmp_path, clip10):
         # An 8-bit rendition read back as 10-bit trips size or range checks.
@@ -216,11 +233,17 @@ class TestBd:
 
     def test_intersection_flags(self, curve_files, capsys):
         a, b = curve_files
-        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--intersections") == 0
+        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b)) == 0
         assert "intersections" in json.loads(capsys.readouterr().out)
         assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--no-intersections") == 0
         payload = json.loads(capsys.readouterr().out)
         assert "intersections" not in payload and "ceil_qp" not in payload
+
+    def test_unwritable_export_is_io_error(self, curve_files, tmp_path, capsys):
+        a, b = curve_files
+        out = tmp_path / "no-dir" / "cmp.csv"
+        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--export", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_negative_rcd_grid_is_validation_error(self, curve_files, capsys):
         a, b = curve_files
@@ -249,6 +272,17 @@ class TestMeasure:
         payload = json.loads(capsys.readouterr().out)
         assert payload["repetitions"] == 2
         assert payload["mean_wall_time_s"] > 0.0
+
+    def test_energy_from_a_powercap_tree(self, rapl_tree, capsys):
+        assert run_cli(
+            "measure", "--cmd", "true", "--reps", "1", "--no-pin",
+            "--powercap-root", str(rapl_tree), "--rapl-domain", "intel-rapl:0",
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # The fixture counter never advances, so the energy is exactly zero.
+        assert payload["mean_energy_j"] == 0.0
+        assert payload["samples"][0]["energy_j"] == 0.0
+        assert payload["warnings"] == []
 
     def test_failing_command_is_runtime_error(self, capsys):
         assert run_cli("measure", "--cmd", "false", "--reps", "1", "--no-pin") == 2
@@ -307,6 +341,15 @@ class TestRunAndReport:
         assert "quality axis: psnr_yuv" in text
         assert "quality axis: external" in text
         assert (tmp_path / "table.external.csv").is_file()
+
+    def test_report_unwritable_csv_is_io_error(self, tmp_path, capsys):
+        synth_store().save(tmp_path / "s.jsonl")
+        rc = run_cli(
+            "report", "--store", str(tmp_path / "s.jsonl"),
+            "--csv", str(tmp_path / "no-dir" / "table.csv"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_report_missing_store(self, tmp_path):
         assert run_cli("report", "--store", str(tmp_path / "absent.jsonl")) == 1

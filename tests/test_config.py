@@ -100,7 +100,7 @@ class TestLoadConfig:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(data))
         config = load_config(path)
-        assert config.variant("exotic").internal_depth == 8
+        assert [v.internal_depth for v in config.variants if v.name == "exotic"] == [8]
 
     def test_builtin_variant_contradiction_rejected(self, tmp_path):
         data = config_dict(tmp_path)
@@ -301,11 +301,6 @@ class TestRunConfigValidation:
     def test_metric_command_without_placeholders_rejected(self, tmp_path, command):
         with pytest.raises(ConfigError, match=r"metric_command must contain \{REF\} and \{TEST\}"):
             self.make(tmp_path, metric_command=command)
-
-    def test_unknown_variant_lookup(self, tmp_path):
-        config = self.make(tmp_path)
-        with pytest.raises(ConfigError, match="unknown variant"):
-            config.variant("8-8")
 
 
 class TestRenderTemplate:

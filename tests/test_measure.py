@@ -147,6 +147,13 @@ class TestMeasureProcess:
                 pin_cpu=False,
             )
 
+    def test_no_powercap_root_reads_the_default_root(self):
+        # Whether or not this machine has RAPL, None and no argument agree.
+        omitted = measure_process(["true"], repetitions=1, pin_cpu=False)
+        explicit = measure_process(["true"], repetitions=1, powercap_root=None, pin_cpu=False)
+        assert explicit.warnings == omitted.warnings
+        assert (explicit.mean_energy_joules is None) == (omitted.mean_energy_joules is None)
+
     def test_repetition_validation(self, tmp_path):
         with pytest.raises(Exception):
             measure_process(BUSY, repetitions=0, powercap_root=tmp_path / "nope")
