@@ -206,14 +206,6 @@ class BdReport:
     intersections: tuple[float, ...] = ()
     ceil_qp: int | None = None
 
-    def __post_init__(self):
-        lo, hi = self.overlap
-        if lo >= hi:
-            raise CurveError(f"overlap must be non-empty, got [{lo}, {hi}]")
-        for q in self.intersections:
-            if not (lo <= q <= hi):
-                raise CurveError(f"intersection {q} outside the overlap [{lo}, {hi}]")
-
 
 def compare(curve_a: Curve, curve_b: Curve, rcd_grid_size: int = 0) -> BdReport:
     """Assemble the BD percentage, optional RCD samples, intersections, and

@@ -140,7 +140,7 @@ def aggregate_frame_psnrs(
     return QualityRecord(py, pu, pv, psnr_yuv(py, pu, pv))
 
 
-def external_metric(ref_path, test_path, command_template: str, timeout: float | None = None) -> float:
+def external_metric(ref_path, test_path, command_template: str) -> float:
     """Run an external quality metric and parse its score from stdout.
 
     The template must contain {REF} and {TEST}; any further arguments (viewing
@@ -152,11 +152,9 @@ def external_metric(ref_path, test_path, command_template: str, timeout: float |
         raise ValidationError("metric command template must contain {REF} and {TEST}")
     argv = render_template(command_template, {"{REF}": str(ref_path), "{TEST}": str(test_path)})
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(argv, capture_output=True, text=True)
     except OSError as exc:
         raise ExternalMetricError(f"metric command failed to start: {exc}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise ExternalMetricError(f"metric command timed out after {timeout}s") from exc
     if proc.returncode != 0:
         raise ExternalMetricError(
             f"metric command exited {proc.returncode}: {proc.stderr.strip()[:500]}"

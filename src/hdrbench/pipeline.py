@@ -18,6 +18,7 @@ import math
 import os
 import re
 import subprocess
+import types
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -148,26 +149,26 @@ def _store_line(record: RunRecord) -> str:
 class ResultStore:
     """JSONL-backed collection of run records, one JSON object per line.
 
-    ``save`` appends only the records added since this store last loaded or
-    wrote the same file, when that is exact: the file must be as this store
-    left it (same inode, size and mtime), and the store must only have
-    gained new keys since. New keys sit last in ``records``, so the file
-    ends up as a full rewrite would leave it; lines already in it are not
-    serialised again. Otherwise ``save`` rewrites the whole file through a
-    unique temporary file and ``os.replace``. ``load`` drops a last line
-    that a crash cut short. There is no lock: of two concurrent writers the
-    last full rewrite wins, and a rewrite in place to the same size within
-    one mtime tick goes unnoticed.
+    Records are only ever added; ``records`` is a read-only view, and a
+    store without some of them is a new store from a filtered copy. ``save``
+    appends the records added since this store last loaded or wrote the
+    same file, when the file is as this store left it (same inode, size and
+    mtime). New keys sit last in ``records``, so the file ends up as a full
+    rewrite would leave it; lines already in it are not serialised again.
+    Otherwise ``save`` rewrites the whole file through a unique temporary
+    file and ``os.replace``. ``load`` drops a last line that a crash cut
+    short. There is no lock: of two concurrent writers the last full
+    rewrite wins, and a rewrite in place to the same size within one mtime
+    tick goes unnoticed.
     """
 
     def __init__(self, records: dict[str, RunRecord] | None = None):
-        self.records: dict[str, RunRecord] = dict(records or {})
+        self._records: dict[str, RunRecord] = dict(records or {})
+        self.records = types.MappingProxyType(self._records)
         # What this store's last load or save left on disk: (absolute path,
         # (st_ino, st_size, st_mtime_ns), records in the file), or None when
-        # the next save must rewrite. _expected is that record count plus the
-        # new keys added since, so a record deleted from ``records`` shows.
+        # the next save must rewrite.
         self._synced: tuple[str, tuple[int, int, int], int] | None = None
-        self._expected = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -179,9 +180,10 @@ class ResultStore:
     def load(cls, path: str | os.PathLike) -> "ResultStore":
         """Read a store; a missing file is an empty store.
 
-        A last line without its newline that does not parse is the torn
-        tail of an interrupted append and is dropped. A store read from a
-        file that does not end in a newline rewrites it on its next save.
+        Of several lines with one key the last wins. A last line without
+        its newline that does not parse is the torn tail of an interrupted
+        append and is dropped. A store read from a file that does not end
+        in a newline, or that repeats a key, rewrites it on its next save.
         """
         store = cls()
         path = Path(path)
@@ -210,43 +212,35 @@ class ResultStore:
                 record = RunRecord.from_dict(record)
             except (ValidationError, AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise StoreError(f"{path}:{lineno}: not a run record: {exc!r}") from exc
-            store.add(record, replace=True)
+            store._records[record.cache_key] = record
         # Appendable only if every newline-terminated line is one distinct
         # record and nothing follows the last newline.
         if lines[-1] == "" and len(lines) - 1 == len(store):
             store._mark_synced(path, st, len(data))
         return store
 
-    def add(self, record: RunRecord, replace: bool = False) -> None:
+    def add(self, record: RunRecord) -> None:
+        """Insert a new key's record; a known key keeps its first, if the digests agree."""
         existing = self.records.get(record.cache_key)
         if existing is None:
-            self._expected += 1
-        elif not replace:
-            if existing.bitstream_sha256 != record.bitstream_sha256:
-                raise StoreConflictError(
-                    f"cell {record.sequence}/{record.variant}/qp{record.qp}: "
-                    f"conflicting bitstream digests "
-                    f"{existing.bitstream_sha256[:12]} vs {record.bitstream_sha256[:12]}"
-                )
-            return
-        else:
-            self._synced = None  # a line already written would change
-        self.records[record.cache_key] = record
+            self._records[record.cache_key] = record
+        elif existing.bitstream_sha256 != record.bitstream_sha256:
+            raise StoreConflictError(
+                f"cell {record.sequence}/{record.variant}/qp{record.qp}: "
+                f"conflicting bitstream digests "
+                f"{existing.bitstream_sha256[:12]} vs {record.bitstream_sha256[:12]}"
+            )
 
     def merge(self, other: "ResultStore") -> None:
         """Fold another store in; same-key records must agree on the bitstream."""
         for record in other.records.values():
-            self.add(record, replace=False)
+            self.add(record)
 
     def save(self, path: str | os.PathLike) -> None:
         """Write the store to ``path``: append the new records, or rewrite."""
         path = Path(path)
         synced = self._synced
-        if (
-            synced is not None
-            and len(self.records) == self._expected
-            and synced[:2] == (os.path.abspath(path), _file_signature(path))
-        ):
+        if synced is not None and synced[:2] == (os.path.abspath(path), _file_signature(path)):
             _, (_, size, _), persisted = synced
             self._append(path, persisted, size)
         else:
@@ -287,7 +281,6 @@ class ResultStore:
         ``size`` is the size that read or write accounts for; a file of
         another size was also written by someone else, so it is not synced.
         """
-        self._expected = len(self.records)
         self._synced = None
         if st.st_size == size:
             signature = (st.st_ino, st.st_size, st.st_mtime_ns)
@@ -428,6 +421,9 @@ class Runner:
         cell_dir.mkdir(parents=True, exist_ok=True)
         bitstream = cell_dir / "bitstream.bin"
         recon = cell_dir / f"recon_{variant.internal_depth}bit.yuv"
+        # A codec that exits 0 without writing must not inherit an earlier run's file.
+        bitstream.unlink(missing_ok=True)
+        recon.unlink(missing_ok=True)
 
         enc_argv = render_template(
             variant.encoder_template,
@@ -466,6 +462,8 @@ class Runner:
                 f"{spec.name}/{variant.name}/qp{qp}: {' | '.join(tail)}"
             )
 
+        if not recon.is_file():
+            raise PipelineError(f"decoder produced no reconstruction for {spec.name}/{variant.name}/qp{qp}")
         recon_fmt = spec.fmt.with_bit_depth(variant.internal_depth)
         recon_frames = yuv.frame_count(recon, recon_fmt)
         if recon_frames != source_frames:
@@ -544,16 +542,23 @@ class Runner:
         interrupted run loses at most the cell in flight. A crash during the
         append can leave a torn last line; the next load drops it, so a
         resumed run measures that cell again.
+
+        A fresh run first drops the planned cells' records: its first
+        checkpoint rewrites the file, later ones append. Stopped early, it
+        leaves the cells it did not reach for the next run to measure.
         """
         cells = self.plan()
+        if self.config.cache == "fresh":
+            planned = {cell.cache_key for cell in cells}
+            self.store = ResultStore({k: r for k, r in self.store.records.items() if k not in planned})
         for index, cell in enumerate(cells, start=1):
-            if self.config.cache != "fresh" and cell.cache_key in self.store:
+            if cell.cache_key in self.store:
                 self.reused_cells += 1
                 if progress:
                     progress(index, len(cells), cell, "cached")
                 continue
             record = self.execute_cell(cell)
-            self.store.add(record, replace=True)
+            self.store.add(record)
             self.store.save(self.config.store_path)
             self.executed_cells += 1
             if progress:

@@ -10,6 +10,7 @@ import hdrbench.cli as cli
 from hdrbench import yuv
 from hdrbench.bitdepth import tonemap_plane
 from hdrbench.curves import Curve, OperatingPoint, write_curve_csv
+from hdrbench.pipeline import ResultStore
 from hdrbench.yuv import PlaneFormat
 from tests.conftest import write_clip
 from tests.test_pipeline import record_line
@@ -373,6 +374,5 @@ class TestRunAndReport:
     def test_report_incomplete_store_is_validation_error(self, tmp_path):
         store = synth_store()
         key = next(k for k, r in store.records.items() if r.qp == 27 and r.variant == "8-8")
-        del store.records[key]
-        store.save(tmp_path / "broken.jsonl")
+        ResultStore({k: r for k, r in store.records.items() if k != key}).save(tmp_path / "broken.jsonl")
         assert run_cli("report", "--store", str(tmp_path / "broken.jsonl")) == 1

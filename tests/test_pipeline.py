@@ -8,6 +8,7 @@ import os
 import stat
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -239,16 +240,20 @@ class TestStoreCheckpoints:
         assert after.startswith(before) and after.count(b"\n") == 3
         assert after == full_rewrite(store, tmp_path / "ref.jsonl")
 
-    @pytest.mark.parametrize("change", ["replace", "delete"])
-    def test_changing_a_saved_record_forces_a_rewrite(self, tmp_path, change):
-        path = tmp_path / "store.jsonl"
-        ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
-        store = ResultStore.load(path)
-        if change == "replace":
-            store.add(make_record(cache_key="k1", wall_time=9.0), replace=True)
-        else:
+    def test_records_are_read_only(self):
+        store = ResultStore({"k1": make_record(cache_key="k1")})
+        with pytest.raises(TypeError):
             del store.records["k1"]
-        store.add(make_record(cache_key="k3"))
+        with pytest.raises(TypeError):
+            store.records["k2"] = make_record(cache_key="k2")
+        assert list(store.records) == ["k1"]
+
+    def test_load_keeps_the_last_line_of_a_key_and_the_next_save_rewrites(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(record_line(wall_time=1.0) + "\n" + record_line(wall_time=2.0) + "\n")
+        store = ResultStore.load(path)
+        assert [r.wall_time for r in store.records.values()] == [2.0]
+        store.add(make_record(cache_key="k2"))
         store.save(path)
         assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
 
@@ -376,7 +381,7 @@ class TestStoreCheckpoints:
         steps=st.lists(
             st.tuples(
                 st.sampled_from(
-                    ("new", "replace", "keep", "delete", "save", "load", "outside", "truncate")
+                    ("new", "keep", "drop", "save", "load", "outside", "truncate")
                 ),
                 st.integers(0, 999),
             ),
@@ -391,11 +396,12 @@ class TestStoreCheckpoints:
                 keys = list(store.records)
                 if step == "new":
                     store.add(make_record(cache_key=f"k{next(fresh)}", wall_time=float(n)))
-                elif step in ("replace", "keep") and keys:
-                    record = make_record(cache_key=keys[n % len(keys)], wall_time=float(n))
-                    store.add(record, replace=step == "replace")
-                elif step == "delete" and keys:
-                    del store.records[keys[n % len(keys)]]
+                elif step == "keep" and keys:
+                    store.add(make_record(cache_key=keys[n % len(keys)], wall_time=float(n)))
+                elif step == "drop" and keys:
+                    # A new store from a copy without one key, as a fresh run makes it.
+                    dropped = keys[n % len(keys)]
+                    store = ResultStore({k: r for k, r in store.records.items() if k != dropped})
                 elif step == "save":
                     store.save(path)
                     assert path.read_bytes() == full_rewrite(store, ref)
@@ -499,6 +505,42 @@ class TestExecution:
         assert rerun.executed_cells == 8
         assert len(config.store_path.read_text().splitlines()) == 8
 
+    def test_fresh_rerun_rewrites_once_then_appends(self, tmp_path, monkeypatch):
+        config = make_run_config(tmp_path)
+        Runner(config).run()
+        writes = []
+        for name in ("_rewrite", "_append"):
+            def counted(self, *args, name=name, real=getattr(ResultStore, name)):
+                writes.append(name)
+                return real(self, *args)
+
+            monkeypatch.setattr(ResultStore, name, counted)
+        rerun = Runner(make_run_config(tmp_path, cache="fresh"))
+        store = rerun.run()
+        assert (rerun.executed_cells, rerun.reused_cells) == (8, 0)
+        assert writes == ["_rewrite"] + ["_append"] * 7
+        assert len(config.store_path.read_text().splitlines()) == 8
+        monkeypatch.undo()
+        assert config.store_path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
+
+    def test_stopped_fresh_run_leaves_its_unreached_cells_for_the_next_run(self, tmp_path):
+        config = make_run_config(tmp_path)
+        Runner(config).run()
+
+        class Stop(Exception):
+            pass
+
+        def stop_after_first_checkpoint(index, total, cell, status):
+            if status == "measured":
+                raise Stop
+
+        with pytest.raises(Stop):
+            Runner(make_run_config(tmp_path, cache="fresh")).run(stop_after_first_checkpoint)
+        assert len(ResultStore.load(config.store_path)) == 1
+        plain = Runner(config)
+        plain.run()
+        assert (plain.executed_cells, plain.reused_cells) == (7, 1)
+
     def test_records_are_complete(self, tmp_path):
         config = make_run_config(tmp_path, variants=("10-10",))
         store = Runner(config).run()
@@ -546,6 +588,16 @@ class TestExecution:
         runner = Runner(config)
         with pytest.raises(PipelineError, match="no bitstream"):
             runner.run()
+
+    @pytest.mark.parametrize("silent", ["encoder", "decoder"])
+    def test_silent_codec_is_not_credited_with_the_last_runs_output(self, tmp_path, silent):
+        config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22,))
+        Runner(config).run()
+        templates = {"encoder": MOCK_ENCODE, "decoder": MOCK_DECODE, silent: "/bin/true {INPUT} {OUTPUT}"}
+        variant = VariantConfig("10-10", 10, 10, True, templates["encoder"], templates["decoder"])
+        with pytest.raises(PipelineError, match="no (bitstream|reconstruction) for clip/10-10/qp22"):
+            Runner(replace(config, variants=(variant,))).run()
+        assert len(ResultStore.load(config.store_path)) == 1
 
     def test_failing_decoder_reported(self, tmp_path):
         config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22,))
