@@ -9,6 +9,7 @@ hash so repeated runs reuse finished cells instead of re-encoding.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import datetime
 import hashlib
@@ -25,7 +26,7 @@ from pathlib import Path
 from . import bitdepth, yuv
 from .config import RunConfig, SequenceSpec, VariantConfig, json_fields, read_json, render_template
 from .errors import ExecutionError, ValidationError
-from .measure import measure_process
+from .measure import AggregatedMeasurement, measure_process
 # psnr_plane is unused here; perfbench's tracer test reads pipeline.psnr_plane.
 from .metrics import QualityRecord, external_metric, psnr_plane, score_files
 from .yuv import PlaneFormat
@@ -295,6 +296,25 @@ class PlanCell:
     cache_key: str
 
 
+@dataclass(frozen=True)
+class _EncodedCell:
+    """A cell whose timed encode is done: what decoding and scoring it need."""
+
+    cell: PlanCell
+    cell_dir: Path
+    bitstream: Path
+    recon: Path
+    measurement: AggregatedMeasurement
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: the decoders run at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def cell_cache_key(
     sequence_digest: str, variant: VariantConfig, qp: int, host: str
 ) -> str:
@@ -412,9 +432,14 @@ class Runner:
         return None
 
     def execute_cell(self, cell: PlanCell) -> RunRecord:
+        """Encode, decode and score one cell: a group of one (see ``run``)."""
+        with contextlib.closing(self._decode_and_score([self._encode(cell)])) as records:
+            return next(records)
+
+    def _encode(self, cell: PlanCell) -> _EncodedCell:
+        """The timed half of a cell: prepare its input and measure its encoder."""
         config = self.config
         spec, variant, qp = cell.sequence, cell.variant, cell.qp
-        source_frames = yuv.frame_count(spec.path, spec.fmt)
         in_path = self._prepare_input(spec, variant.input_depth)
 
         cell_dir = config.work_dir / spec.name / variant.name / f"qp{qp:02d}"
@@ -429,8 +454,6 @@ class Runner:
             variant.encoder_template,
             self._substitutions(spec, in_path, bitstream, qp, variant.input_depth),
         )
-        enc_stdout = cell_dir / "encoder.stdout.log"
-        enc_stderr = cell_dir / "encoder.stderr.log"
         measurement = measure_process(
             enc_argv,
             repetitions=config.repetitions,
@@ -438,8 +461,8 @@ class Runner:
             powercap_root=config.powercap_root,
             pin_cpu=config.pin_cpu,
             trim_outliers=config.trim_outliers,
-            stdout_path=enc_stdout,
-            stderr_path=enc_stderr,
+            stdout_path=cell_dir / "encoder.stdout.log",
+            stderr_path=cell_dir / "encoder.stderr.log",
         )
         self.encoder_invocations += config.repetitions
 
@@ -447,35 +470,77 @@ class Runner:
             raise PipelineError(
                 f"encoder produced no bitstream for {spec.name}/{variant.name}/qp{qp}"
             )
-        bitstream_bytes = bitstream.stat().st_size
-        bitstream_digest = file_sha256(bitstream)
+        return _EncodedCell(cell, cell_dir, bitstream, recon, measurement)
 
+    def _start_decoder(self, encoded: _EncodedCell) -> subprocess.Popen:
+        cell = encoded.cell
         dec_argv = render_template(
-            variant.decoder_template,
-            self._substitutions(spec, bitstream, recon, qp, variant.internal_depth),
+            cell.variant.decoder_template,
+            self._substitutions(
+                cell.sequence, encoded.bitstream, encoded.recon, cell.qp, cell.variant.internal_depth
+            ),
         )
-        dec_result = subprocess.run(dec_argv, capture_output=True, text=True)
-        if dec_result.returncode != 0:
-            tail = (dec_result.stderr or dec_result.stdout or "").strip().splitlines()[-3:]
-            raise PipelineError(
-                f"decoder exited {dec_result.returncode} for "
-                f"{spec.name}/{variant.name}/qp{qp}: {' | '.join(tail)}"
-            )
+        with open(encoded.cell_dir / "decoder.stdout.log", "wb") as out, \
+                open(encoded.cell_dir / "decoder.stderr.log", "wb") as err:
+            return subprocess.Popen(dec_argv, stdout=out, stderr=err)
 
+    def _decode_and_score(self, encoded: list[_EncodedCell]):
+        """The untimed half of encoded cells: yield their records in order.
+
+        Up to one decoder per CPU runs ahead of the cell being scored; hashing
+        and scoring stay on this thread. Closing the generator early (the
+        caller stopped, or anything raised) kills and reaps every decoder
+        still running, so none outlives it into a timed encode.
+        """
+        running: collections.deque[tuple[_EncodedCell, subprocess.Popen]] = collections.deque()
+        waiting = iter(encoded)
+
+        def start(count: int) -> None:
+            for item in itertools.islice(waiting, count):
+                running.append((item, self._start_decoder(item)))
+
+        try:
+            start(_usable_cpus())
+            for _ in encoded:
+                item, decoder = running[0]
+                returncode = decoder.wait()
+                running.popleft()
+                start(1)
+                yield self._record(item, returncode)
+        finally:
+            for _, decoder in running:
+                decoder.kill()
+                decoder.wait()
+
+    def _record(self, encoded: _EncodedCell, dec_returncode: int) -> RunRecord:
+        """Check a decoded cell's outputs, hash and score them: its record."""
+        config = self.config
+        cell, cell_dir, measurement = encoded.cell, encoded.cell_dir, encoded.measurement
+        spec, variant, qp = cell.sequence, cell.variant, cell.qp
+        where = f"{spec.name}/{variant.name}/qp{qp}"
+        if dec_returncode != 0:
+            logs = (cell_dir / "decoder.stderr.log", cell_dir / "decoder.stdout.log")
+            text = next(filter(None, (log.read_text(errors="replace").strip() for log in logs)), "")
+            tail = text.splitlines()[-3:]
+            raise PipelineError(f"decoder exited {dec_returncode} for {where}: {' | '.join(tail)}")
+
+        recon = encoded.recon
         if not recon.is_file():
-            raise PipelineError(f"decoder produced no reconstruction for {spec.name}/{variant.name}/qp{qp}")
+            raise PipelineError(f"decoder produced no reconstruction for {where}")
+        source_frames = yuv.frame_count(spec.path, spec.fmt)
         recon_fmt = spec.fmt.with_bit_depth(variant.internal_depth)
         recon_frames = yuv.frame_count(recon, recon_fmt)
         if recon_frames != source_frames:
             raise PipelineError(
-                f"decoder returned {recon_frames} frames, source has {source_frames} "
-                f"({spec.name}/{variant.name}/qp{qp})"
+                f"decoder returned {recon_frames} frames, source has {source_frames} ({where})"
             )
+        bitstream_bytes = encoded.bitstream.stat().st_size
+        bitstream_digest = file_sha256(encoded.bitstream)
 
         quality = self._score(spec, recon, recon_fmt, cell_dir)
 
         warnings = list(measurement.warnings)
-        reported = self._parse_reported_rate(enc_stderr, enc_stdout)
+        reported = self._parse_reported_rate(cell_dir / "encoder.stderr.log", cell_dir / "encoder.stdout.log")
         record = RunRecord(
             cache_key=cell.cache_key,
             sequence=spec.name,
@@ -537,11 +602,19 @@ class Runner:
         """Execute every planned cell; a cell with a stored record is reused
         unless the config's ``cache`` is ``"fresh"``.
 
-        The store file is checkpointed after each executed cell, by
-        appending that cell's record (see ``ResultStore.save``), so an
-        interrupted run loses at most the cell in flight. A crash during the
-        append can leave a torn last line; the next load drops it, so a
-        resumed run measures that cell again.
+        Cells run in groups: the consecutive planned cells of one (sequence,
+        variant), one QP ladder. First the group's uncached cells are encoded
+        and timed one after another, with no other child of this process
+        alive. Then their decoders run, up to one per CPU, while this thread
+        walks the group in plan order: it checks, hashes and scores each
+        decoded cell, and checkpoints its record by appending it to the
+        store file (see ``ResultStore.save``). So ``progress`` calls arrive
+        in bursts after each group's encodes, and an interrupted run loses
+        the measured but not yet checkpointed encodes of one group, up to
+        one QP ladder. Any exception kills and reaps the group's decoders
+        before it propagates; the records checkpointed before it stay. A
+        crash during an append can leave a torn last line; the next load
+        drops it, so a resumed run measures that cell again.
 
         A fresh run first drops the planned cells' records: its first
         checkpoint rewrites the file, later ones append. Stopped early, it
@@ -551,16 +624,20 @@ class Runner:
         if self.config.cache == "fresh":
             planned = {cell.cache_key for cell in cells}
             self.store = ResultStore({k: r for k, r in self.store.records.items() if k not in planned})
-        for index, cell in enumerate(cells, start=1):
-            if cell.cache_key in self.store:
-                self.reused_cells += 1
-                if progress:
-                    progress(index, len(cells), cell, "cached")
-                continue
-            record = self.execute_cell(cell)
-            self.store.add(record)
-            self.store.save(self.config.store_path)
-            self.executed_cells += 1
-            if progress:
-                progress(index, len(cells), cell, "measured")
+        numbered = enumerate(cells, start=1)
+        for _, group in itertools.groupby(numbered, key=lambda item: (item[1].sequence.name, item[1].variant.name)):
+            group = list(group)
+            encoded = [self._encode(cell) for _, cell in group if cell.cache_key not in self.store]
+            with contextlib.closing(self._decode_and_score(encoded)) as records:
+                for index, cell in group:
+                    if cell.cache_key in self.store:
+                        self.reused_cells += 1
+                        if progress:
+                            progress(index, len(cells), cell, "cached")
+                        continue
+                    self.store.add(next(records))
+                    self.store.save(self.config.store_path)
+                    self.executed_cells += 1
+                    if progress:
+                        progress(index, len(cells), cell, "measured")
         return self.store

@@ -637,6 +637,119 @@ class TestExecution:
         assert len(after) == 4 and after[:3] == lines[:3]
 
 
+# A codec of a few stdlib lines: copies INPUT to OUTPUT after PAUSE seconds
+# (0.05 at QP QUICK) and logs its monotonic (start, end). As the decoder, at
+# the QP that the file FAIL names if it exists, it prints four lines to
+# STREAM instead and exits 3.
+FAKE_CODEC = """\
+import os, shutil, sys, time
+start = time.monotonic()
+role, src, dst, qp, log, fail, stream, pause, quick = sys.argv[1:]
+if role == "dec" and os.path.exists(fail) and open(fail).read() == qp:
+    print("first\\nsecond\\nthird\\nlast", file=getattr(sys, stream))
+    sys.exit(3)
+time.sleep(0.05 if qp == quick else float(pause))
+shutil.copyfile(src, dst)
+with open(log, "a") as fh:
+    fh.write(f"{role} {qp} {start} {time.monotonic()}\\n")
+"""
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoPhaseExecution:
+    """Each (sequence, variant) group's encodes run alone; its decoders then
+    run up to one per CPU, and none outlives the group."""
+
+    def fake_config(self, tmp_path, variants=("10-10",), fail_stream="stderr", pause=0.3):
+        """The run config, its interval log, and the file that makes a decoder QP fail.
+
+        Encoders take 0.02 s; the first cell's decoder 0.05 s and the others ``pause``.
+        """
+        script, log, fail = tmp_path / "fake_codec.py", tmp_path / "intervals.log", tmp_path / "fail_qp"
+        script.write_text(FAKE_CODEC)
+
+        def template(role, pause):
+            return (f"{sys.executable} -S {script} {role} {{INPUT}} {{OUTPUT}} {{QP}} {log} {fail} "
+                    f"{fail_stream} {pause} {max(LADDER)}")
+
+        config = make_run_config(tmp_path, variants=variants)
+        fakes = tuple(
+            replace(v, encoder_template=template("enc", 0.02), decoder_template=template("dec", pause))
+            for v in config.variants
+        )
+        return replace(config, variants=fakes), log, fail
+
+    @staticmethod
+    def intervals(log: Path, role: str) -> list[tuple[int, float, float]]:
+        """(QP, start, end) of the runs of ``role`` that finished, in finishing order."""
+        rows = [line.split() for line in log.read_text().splitlines()]
+        return [(int(qp), float(start), float(end)) for name, qp, start, end in rows if name == role]
+
+    def test_no_decoder_runs_during_a_timed_encode(self, tmp_path):
+        config, log, _ = self.fake_config(tmp_path, variants=("10-10", "8-8"))
+        runner = Runner(config)
+        runner.run()
+        assert runner.executed_cells == 8
+        encodes = [(start, end) for _, start, end in self.intervals(log, "enc")]
+        decodes = [(start, end) for _, start, end in self.intervals(log, "dec")]
+        assert len(encodes) == len(decodes) == 8
+        for dec_start, dec_end in decodes:
+            for enc_start, enc_end in encodes:
+                assert dec_end <= enc_start or enc_end <= dec_start
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert any(
+                a_start < b_end and b_start < a_end
+                for (a_start, a_end), (b_start, b_end) in itertools.combinations(decodes[:4], 2)
+            ), "no two decoders of the first group overlapped"
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("fail_stream", ["stderr", "stdout"])
+    def test_failing_decoder_leaves_the_cells_before_it_and_no_child(self, tmp_path, fail_stream):
+        assert_no_child_process()
+        config, log, fail = self.fake_config(tmp_path, fail_stream=fail_stream, pause=1.0)
+        fail.write_text("27")
+        keys = [cell.cache_key for cell in Runner(config).plan()]  # QP 37, 32, 27, 22
+        with pytest.raises(PipelineError, match=r"^decoder exited 3 for clip/10-10/qp27: second \| third \| last$"):
+            Runner(config).run()
+        assert_no_child_process()
+        # With two CPUs QP 22's decoder was running: it was killed, not waited for.
+        assert [qp for qp, _, _ in self.intervals(log, "dec")] == [37, 32]
+        assert list(ResultStore.load(config.store_path).records) == keys[:2]
+        assert (config.work_dir / "clip" / "10-10" / "qp27" / f"decoder.{fail_stream}.log").stat().st_size > 0
+
+        fail.unlink()
+        rerun = Runner(config)
+        rerun.run()
+        assert (rerun.executed_cells, rerun.reused_cells) == (2, 2)
+        assert list(rerun.store.records) == keys
+        assert_no_child_process()
+
+    def test_exception_from_progress_kills_the_decoders_in_flight(self, tmp_path):
+        assert_no_child_process()
+        config, log, _ = self.fake_config(tmp_path, pause=1.0)
+
+        class Stop(Exception):
+            pass
+
+        def stop(index, total, cell, status):
+            raise Stop
+
+        try:
+            Runner(config).run(stop)
+        except Stop:
+            # Checked while the traceback still holds run's frame: the
+            # decoders were reaped before the exception left run.
+            assert_no_child_process()
+        else:
+            pytest.fail("the exception from progress did not propagate")
+        assert [qp for qp, _, _ in self.intervals(log, "dec")] == [37]
+        assert len(ResultStore.load(config.store_path)) == 1
+
+
 class TestEightBitScoring:
     """An 8-bit reconstruction is expanded inside the scoring loop; it goes to
     disk as recon_10bit.yuv only for an external metric, which reads files."""
