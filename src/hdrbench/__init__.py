@@ -6,7 +6,7 @@ Bjøntegaard-style curve deltas.
 
 The names below are imported from their modules on first access, so that
 ``python -m hdrbench.mockcodec`` starts without the curve, metric and
-subprocess code it never uses.
+child-process code it never uses.
 """
 
 from importlib import import_module

@@ -7,6 +7,7 @@ behind a process-wide lock, the measured child is pinned to one logical
 CPU where the platform allows it, and by default one minimum and one
 maximum sample per metric are discarded before averaging. Quiescing the
 host is the operator's job; the tool only guarantees sequential execution.
+Every child process of the package, timed or not, runs through ``Child``.
 """
 
 from __future__ import annotations
@@ -156,39 +157,80 @@ def _pin_cpu(pid: int) -> str | None:
     return None
 
 
+class Child:
+    """One child process: the one spawn path of the encoder, decoders and metric.
+
+    A new Child opens ``<logs>.stdout.log`` and ``<logs>.stderr.log`` (no
+    ``logs``: output is discarded), so a timed caller opens them before its
+    clock starts. ``start`` runs ``argv`` on them; ``wait`` reaps it with
+    ``os.wait4``. ``close``, and so leaving a ``with`` block, closes the logs
+    and kills and reaps a child not yet reaped, whatever was raised.
+    """
+
+    def __init__(self, argv: Seq[str], logs: str | os.PathLike | None = None):
+        self.argv, self.logs = list(argv), logs
+        self._proc: subprocess.Popen | None = None
+        self._files = [open(self.log(stream), "wb") for stream in ("stdout", "stderr")] if logs else []
+
+    def log(self, stream: str) -> Path:  # stream: "stdout" or "stderr"
+        return Path(f"{self.logs}.{stream}.log")
+
+    def start(self) -> None:
+        """Start the command; an ``OSError`` says it could not start."""
+        out, err = self._files or (subprocess.DEVNULL, subprocess.DEVNULL)
+        self._proc = subprocess.Popen(self.argv, stdout=out, stderr=err)
+
+    def wait(self):
+        """Reap the child: its exit code and its ``resource.struct_rusage``."""
+        _, status, rusage = os.wait4(self._proc.pid, 0)
+        self._proc.returncode = os.waitstatus_to_exitcode(status)  # already reaped; keep Popen consistent
+        return self._proc.returncode, rusage
+
+    def close(self) -> None:
+        for fh in self._files:
+            fh.close()
+        if self._proc is not None:
+            self._proc.kill()  # a no-op once reaped
+            self._proc.wait()
+
+    def __enter__(self) -> "Child":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def failure(self, code: int, context: str = "") -> str:
+        """``exited <code><context>``, then the last three lines of stderr,
+        or of stdout when stderr is empty, joined by `` | ``."""
+        texts = (self.log(s).read_text(errors="replace").strip() for s in ("stderr", "stdout"))
+        tail = " | ".join(next(filter(None, texts), "").splitlines()[-3:]) if self.logs else ""
+        return f"exited {code}{context}: {tail}" if tail else f"exited {code}{context}"
+
+
 def _run_once(
     argv: Seq[str],
     rapl_domain: Path | None,
     pin: bool,
-    stdout_path: Path | None,
-    stderr_path: Path | None,
+    logs: str | os.PathLike | None,
     warnings: list[str],
 ) -> MeasurementSample:
-    out_fh = open(stdout_path, "wb") if stdout_path else subprocess.DEVNULL
-    err_fh = open(stderr_path, "wb") if stderr_path else subprocess.DEVNULL
-    try:
+    with Child(argv, logs) as child:
         before = read_counter(rapl_domain) if rapl_domain else None
         start = time.perf_counter()
         try:
-            proc = subprocess.Popen(list(argv), stdout=out_fh, stderr=err_fh)
+            child.start()
         except OSError as exc:
             raise MeasurementError(f"command failed to start: {argv[0]}: {exc}") from exc
         if pin:
-            note = _pin_cpu(proc.pid)
+            note = _pin_cpu(child._proc.pid)
             if note and note not in warnings:
                 warnings.append(note)
-        _, status, rusage = os.wait4(proc.pid, 0)
-        returncode = os.waitstatus_to_exitcode(status)
-        proc.returncode = returncode  # already reaped; keep Popen consistent
+        returncode, rusage = child.wait()
         cpu_time = rusage.ru_utime + rusage.ru_stime
         wall_time = time.perf_counter() - start
         after = read_counter(rapl_domain) if rapl_domain else None
-    finally:
-        for fh in (out_fh, err_fh):
-            if fh is not subprocess.DEVNULL:
-                fh.close()
     if returncode != 0:
-        raise MeasurementError(f"measured command exited {returncode}: {' '.join(argv)}")
+        raise MeasurementError("measured command " + child.failure(returncode, f": {' '.join(argv)}"))
     energy = energy_delta(before, after) if before is not None else None
     return MeasurementSample(wall_time=wall_time, cpu_time=max(cpu_time, 0.0), energy_joules=energy)
 
@@ -200,17 +242,17 @@ def measure_process(
     powercap_root: str | os.PathLike | None = None,
     pin_cpu: bool = True,
     trim_outliers: bool = True,
-    stdout_path: str | os.PathLike | None = None,
-    stderr_path: str | os.PathLike | None = None,
+    logs: str | os.PathLike | None = None,
 ) -> AggregatedMeasurement:
     """Run ``command`` to completion ``repetitions`` times, sequentially.
 
     Each repetition records the child's user+system CPU time, the wall
     time, and the package-energy delta when RAPL is readable. A nonzero
-    exit aborts the measurement. When output paths are given, the child's
-    stdout/stderr of the last repetition are left on disk. The counters are
-    read under ``powercap_root``/``rapl_domain``; None stands for
-    ``DEFAULT_POWERCAP_ROOT`` and ``DEFAULT_RAPL_DOMAIN``.
+    exit aborts the measurement with the tail of the child's output. With
+    ``logs``, the last repetition's stdout and stderr are left in
+    ``<logs>.stdout.log`` and ``<logs>.stderr.log`` (see ``Child``). The
+    counters are read under ``powercap_root``/``rapl_domain``; None stands
+    for ``DEFAULT_POWERCAP_ROOT`` and ``DEFAULT_RAPL_DOMAIN``.
     """
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
@@ -225,10 +267,8 @@ def measure_process(
         domain = None
 
     samples = []
-    out = Path(stdout_path) if stdout_path else None
-    err = Path(stderr_path) if stderr_path else None
     with _MEASUREMENT_LOCK:
         for _ in range(repetitions):
-            samples.append(_run_once(command, domain, pin_cpu, out, err, warnings))
+            samples.append(_run_once(command, domain, pin_cpu, logs, warnings))
     agg = aggregate(samples, trim=trim_outliers)
     return replace(agg, warnings=tuple(warnings)) if warnings else agg

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import math
 import os
-import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .bitdepth import expand_plane
 from .config import render_template
 from .errors import ExecutionError, ValidationError
+from .measure import Child
 from .yuv import PlaneFormat, frame_count, iter_frames
 
 INFINITE_PSNR = float("inf")
@@ -140,28 +142,33 @@ def aggregate_frame_psnrs(
     return QualityRecord(py, pu, pv, psnr_yuv(py, pu, pv))
 
 
-def external_metric(ref_path, test_path, command_template: str) -> float:
+def external_metric(ref_path, test_path, command_template: str, logs=None) -> float:
     """Run an external quality metric and parse its score from stdout.
 
     The template must contain {REF} and {TEST}; any further arguments (viewing
     parameters and the like) are the invoked tool's business and pass through
     verbatim. Placeholders are substituted after shell-style tokenization, so
-    paths with spaces survive.
+    paths with spaces survive. The tool's output goes to ``<logs>.stdout.log``
+    and ``<logs>.stderr.log``, in a temporary directory when ``logs`` is None.
     """
     if "{REF}" not in command_template or "{TEST}" not in command_template:
         raise ValidationError("metric command template must contain {REF} and {TEST}")
+    if logs is None:
+        with tempfile.TemporaryDirectory(prefix="hdrbench-metric-") as tmp:
+            return external_metric(ref_path, test_path, command_template, Path(tmp) / "metric")
     argv = render_template(command_template, {"{REF}": str(ref_path), "{TEST}": str(test_path)})
-    try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
-    except OSError as exc:
-        raise ExternalMetricError(f"metric command failed to start: {exc}") from exc
-    if proc.returncode != 0:
-        raise ExternalMetricError(
-            f"metric command exited {proc.returncode}: {proc.stderr.strip()[:500]}"
-        )
+    with Child(argv, logs) as child:
+        try:
+            child.start()
+        except OSError as exc:
+            raise ExternalMetricError(f"metric command failed to start: {exc}") from exc
+        returncode, _ = child.wait()
+    if returncode != 0:
+        raise ExternalMetricError("metric command " + child.failure(returncode))
     # Tools tend to print banners before the figure; the score is the last
     # non-empty stdout line.
-    lines = [line.strip() for line in proc.stdout.splitlines() if line.strip()]
+    stdout = child.log("stdout").read_text(errors="replace")
+    lines = [line.strip() for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ExternalMetricError("metric command printed nothing on stdout")
     try:

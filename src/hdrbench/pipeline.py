@@ -18,7 +18,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import types
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -26,7 +25,7 @@ from pathlib import Path
 from . import bitdepth, yuv
 from .config import RunConfig, SequenceSpec, VariantConfig, json_fields, read_json, render_template
 from .errors import ExecutionError, ValidationError
-from .measure import AggregatedMeasurement, measure_process
+from .measure import AggregatedMeasurement, Child, measure_process
 # psnr_plane is unused here; perfbench's tracer test reads pipeline.psnr_plane.
 from .metrics import QualityRecord, external_metric, psnr_plane, score_files
 from .yuv import PlaneFormat
@@ -301,6 +300,7 @@ class _EncodedCell:
     """A cell whose timed encode is done: what decoding and scoring it need."""
 
     cell: PlanCell
+    where: str  # sequence/variant/qpQP, for messages
     cell_dir: Path
     bitstream: Path
     recon: Path
@@ -442,6 +442,7 @@ class Runner:
         spec, variant, qp = cell.sequence, cell.variant, cell.qp
         in_path = self._prepare_input(spec, variant.input_depth)
 
+        where = f"{spec.name}/{variant.name}/qp{qp}"
         cell_dir = config.work_dir / spec.name / variant.name / f"qp{qp:02d}"
         cell_dir.mkdir(parents=True, exist_ok=True)
         bitstream = cell_dir / "bitstream.bin"
@@ -461,18 +462,15 @@ class Runner:
             powercap_root=config.powercap_root,
             pin_cpu=config.pin_cpu,
             trim_outliers=config.trim_outliers,
-            stdout_path=cell_dir / "encoder.stdout.log",
-            stderr_path=cell_dir / "encoder.stderr.log",
+            logs=cell_dir / "encoder",
         )
         self.encoder_invocations += config.repetitions
 
         if not bitstream.is_file() or bitstream.stat().st_size == 0:
-            raise PipelineError(
-                f"encoder produced no bitstream for {spec.name}/{variant.name}/qp{qp}"
-            )
-        return _EncodedCell(cell, cell_dir, bitstream, recon, measurement)
+            raise PipelineError(f"encoder produced no bitstream for {where}")
+        return _EncodedCell(cell, where, cell_dir, bitstream, recon, measurement)
 
-    def _start_decoder(self, encoded: _EncodedCell) -> subprocess.Popen:
+    def _start_decoder(self, encoded: _EncodedCell) -> Child:
         cell = encoded.cell
         dec_argv = render_template(
             cell.variant.decoder_template,
@@ -480,9 +478,13 @@ class Runner:
                 cell.sequence, encoded.bitstream, encoded.recon, cell.qp, cell.variant.internal_depth
             ),
         )
-        with open(encoded.cell_dir / "decoder.stdout.log", "wb") as out, \
-                open(encoded.cell_dir / "decoder.stderr.log", "wb") as err:
-            return subprocess.Popen(dec_argv, stdout=out, stderr=err)
+        decoder = Child(dec_argv, encoded.cell_dir / "decoder")
+        try:
+            decoder.start()
+        except OSError as exc:
+            decoder.close()
+            raise PipelineError(f"decoder failed to start for {encoded.where}: {exc}") from exc
+        return decoder
 
     def _decode_and_score(self, encoded: list[_EncodedCell]):
         """The untimed half of encoded cells: yield their records in order.
@@ -492,7 +494,7 @@ class Runner:
         caller stopped, or anything raised) kills and reaps every decoder
         still running, so none outlives it into a timed encode.
         """
-        running: collections.deque[tuple[_EncodedCell, subprocess.Popen]] = collections.deque()
+        running: collections.deque[tuple[_EncodedCell, Child]] = collections.deque()
         waiting = iter(encoded)
 
         def start(count: int) -> None:
@@ -502,28 +504,23 @@ class Runner:
         try:
             start(_usable_cpus())
             for _ in encoded:
-                item, decoder = running[0]
-                returncode = decoder.wait()
-                running.popleft()
+                item, decoder = running.popleft()
+                with decoder:
+                    returncode, _ = decoder.wait()
+                if returncode != 0:
+                    raise PipelineError("decoder " + decoder.failure(returncode, f" for {item.where}"))
                 start(1)
-                yield self._record(item, returncode)
+                yield self._record(item)
         finally:
             for _, decoder in running:
-                decoder.kill()
-                decoder.wait()
+                decoder.close()
 
-    def _record(self, encoded: _EncodedCell, dec_returncode: int) -> RunRecord:
+    def _record(self, encoded: _EncodedCell) -> RunRecord:
         """Check a decoded cell's outputs, hash and score them: its record."""
         config = self.config
         cell, cell_dir, measurement = encoded.cell, encoded.cell_dir, encoded.measurement
         spec, variant, qp = cell.sequence, cell.variant, cell.qp
-        where = f"{spec.name}/{variant.name}/qp{qp}"
-        if dec_returncode != 0:
-            logs = (cell_dir / "decoder.stderr.log", cell_dir / "decoder.stdout.log")
-            text = next(filter(None, (log.read_text(errors="replace").strip() for log in logs)), "")
-            tail = text.splitlines()[-3:]
-            raise PipelineError(f"decoder exited {dec_returncode} for {where}: {' | '.join(tail)}")
-
+        where = encoded.where
         recon = encoded.recon
         if not recon.is_file():
             raise PipelineError(f"decoder produced no reconstruction for {where}")
@@ -594,7 +591,7 @@ class Runner:
             if recon_fmt.bit_depth == 8:
                 recon10 = cell_dir / "recon_10bit.yuv"
                 bitdepth.convert_file(recon, recon10, recon_fmt)
-            score = external_metric(spec.path, recon10, self.config.metric_command)
+            score = external_metric(spec.path, recon10, self.config.metric_command, cell_dir / "metric")
             quality = replace(quality, external_score=score)
         return quality
 

@@ -1,6 +1,9 @@
 """Time/energy measurement: counters, aggregation, process supervision."""
 
+import os
+import signal
 import sys
+import time
 
 import pytest
 
@@ -159,18 +162,50 @@ class TestMeasureProcess:
             measure_process(BUSY, repetitions=0, powercap_root=tmp_path / "nope")
 
     def test_output_capture(self, tmp_path):
-        out = tmp_path / "out.log"
-        err = tmp_path / "err.log"
+        out = tmp_path / "cmd.stdout.log"
+        err = tmp_path / "cmd.stderr.log"
         measure_process(
             [sys.executable, "-c", "import sys; print('to out'); print('to err', file=sys.stderr)"],
             repetitions=2,
             powercap_root=tmp_path / "nope",
             pin_cpu=False,
-            stdout_path=out,
-            stderr_path=err,
+            logs=tmp_path / "cmd",
         )
         assert out.read_text().strip() == "to out"
         assert err.read_text().strip() == "to err"
+
+    def test_failure_quotes_the_tail_of_the_output(self, tmp_path):
+        script = "import sys; print('a\\nb\\nc\\nqp 999 does not fit', file=sys.stderr); sys.exit(1)"
+        argv = [sys.executable, "-c", script]
+        with pytest.raises(MeasurementError) as info:
+            measure_process(
+                argv, repetitions=1, powercap_root=tmp_path / "nope", pin_cpu=False,
+                logs=tmp_path / "cmd",
+            )
+        assert str(info.value) == f"measured command exited 1: {' '.join(argv)}: b | c | qp 999 does not fit"
+
+    def test_interrupted_wait_kills_and_reaps_the_child(self, tmp_path):
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        started = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(Interrupted):
+                measure_process(
+                    [sys.executable, "-c", "import time; time.sleep(30)"],
+                    repetitions=1, powercap_root=tmp_path / "nope", pin_cpu=False,
+                )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_pinning_smoke(self, tmp_path):
         result = measure_process(

@@ -221,6 +221,24 @@ class TestExternalMetric:
         with pytest.raises(ExternalMetricError):
             external_metric(path, path, template)
 
+    def test_failure_quotes_the_end_of_stderr(self, metric_script, clip10_path):
+        path = clip10_path
+        template = metric_script("print('x' * 600, file=sys.stderr)\nprint('fatal: no model', file=sys.stderr)\nsys.exit(2)\n")
+        with pytest.raises(ExternalMetricError, match=r"^metric command exited 2: x{600} \| fatal: no model$"):
+            external_metric(path, path, template)
+
+    def test_output_that_is_not_utf8(self, metric_script, clip10_path):
+        path = clip10_path
+        template = metric_script("sys.stdout.buffer.write(b'\\xff banner\\n7.5\\n')\n")
+        assert external_metric(path, path, template) == 7.5
+
+    def test_logs_go_where_asked(self, metric_script, clip10_path, tmp_path):
+        path = clip10_path
+        template = metric_script("print('to err', file=sys.stderr)\nprint('6.0')\n")
+        assert external_metric(path, path, template, tmp_path / "metric") == 6.0
+        assert (tmp_path / "metric.stdout.log").read_text() == "6.0\n"
+        assert (tmp_path / "metric.stderr.log").read_text() == "to err\n"
+
     def test_unparsable_output(self, metric_script, clip10_path):
         path = clip10_path
         template = metric_script("print('no score here')\n")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from hdrbench.bitdepth import expand_plane
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
+from hdrbench.measure import MeasurementError
 from hdrbench.metrics import QualityRecord
 from hdrbench.pipeline import (
     PipelineError,
@@ -612,6 +613,20 @@ class TestExecution:
         with pytest.raises(PipelineError, match="decoder"):
             Runner(config).run()
 
+    def test_failing_encoder_quotes_its_reason(self, tmp_path):
+        config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(999,))
+        with pytest.raises(MeasurementError, match=r"^measured command exited 1: .* --qp 999: "
+                           r"mockcodec: qp 999 does not fit the header's signed byte \(-128\.\.127\)$"):
+            Runner(config).run()
+
+    def test_decoder_that_cannot_start_names_its_cell(self, tmp_path):
+        config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22,))
+        (variant,) = config.variants
+        broken = replace(variant, decoder_template="/no/such/decoder {INPUT} {OUTPUT}")
+        with pytest.raises(PipelineError, match=r"^decoder failed to start for clip/10-10/qp22: .*/no/such/decoder"):
+            Runner(replace(config, variants=(broken,))).run()
+        assert len(ResultStore.load(config.store_path)) == 0
+
     def test_interrupted_store_is_checkpointed(self, tmp_path):
         config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22, 27, 32, 37))
         runner = Runner(config)
@@ -782,6 +797,7 @@ class TestEightBitScoring:
         assert recon10.read_bytes() == expand_plane(recon8).astype("<u2").tobytes()
         assert args_log.read_text().splitlines()[1] == str(recon10)
         assert scored.quality.external_score == 5.0
+        assert (scored_dir / "metric.stdout.log").read_text() == "5.0\n"
 
         fields = ("psnr_y", "psnr_u", "psnr_v", "psnr_yuv")
         assert [getattr(scored.quality, f) for f in fields] == [
