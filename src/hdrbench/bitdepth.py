@@ -5,71 +5,103 @@ round-half-up; the inverse appends two zero bits (multiply by 4). The two
 are deliberately asymmetric: expand(tonemap(x)) == x does not hold, only
 |x - expand(tonemap(x))| <= 5.
 
-The forward map is a gather from a 1024-entry ``uint8`` table, computed
-once at import by the integer formula (x * 510 + 1023) // 2046, so it is
-exact by construction. A sample outside [0, 1023] has no table entry and
-raises BitDepthError instead of wrapping.
+The forward map is the integer formula (x * 510 + 1023) // 2046, computed
+as (x * 1021 + 2041) >> 12 in ``uint32`` arithmetic, which equals it on
+every code in [0, 1023] (the tests check all 1024) and vectorises where a
+division or a table gather does not. A sample outside [0, 1023], or a
+plane that does not hold integers, raises BitDepthError instead of
+wrapping or truncating.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .yuv import Frame, PlaneFormat, frame_count, iter_frames, write_frames
+from .yuv import PlaneFormat, frame_count, read_frames
 
 
 class BitDepthError(ValidationError):
     """A sample lies outside the range of its declared bit depth."""
 
 
-# Integer arithmetic keeps the table bit-exact across platforms. Exact
-# halves cannot occur, so the rounding mode never actually breaks ties, but
-# it is pinned anyway.
-_TONEMAP_LUT = ((np.arange(1024, dtype=np.uint32) * 510 + 1023) // 2046).astype(np.uint8)
-_TONEMAP_LUT.setflags(write=False)
-# Samples per gather: numpy copies each chunk's indices to intp, and a small
-# chunk keeps that copy in cache instead of allocating 8 bytes per sample.
-_GATHER_CHUNK = 1 << 16
+# Samples per arithmetic step: the uint32 intermediate of a chunk stays in
+# cache instead of costing 4 bytes per sample of the plane.
+_CHUNK = 1 << 16
 
 
-def tonemap_plane(plane: np.ndarray) -> np.ndarray:
-    """Map 10-bit samples to 8-bit: round-half-up of x * 255 / 1023."""
-    # A negative index would count back from the end of the table.
-    if plane.dtype.kind == "i" and plane.size and int(plane.min()) < 0:
-        raise BitDepthError(f"sample value {int(plane.min())} is below the 10-bit minimum 0")
-    out = np.empty(plane.shape, dtype=np.uint8)
-    src, dst = plane.reshape(-1), out.reshape(-1)
-    try:
-        for start in range(0, src.size, _GATHER_CHUNK):
-            stop = start + _GATHER_CHUNK
-            np.take(_TONEMAP_LUT, src[start:stop], out=dst[start:stop])
-    except IndexError:
+def _require_integers(plane: np.ndarray, depth: str) -> None:
+    # A float sample would be truncated by the integer arithmetic below.
+    if plane.dtype.kind not in "ui":
+        raise BitDepthError(f"{depth} samples must be integers, got {plane.dtype}")
+
+
+def _output(out: np.ndarray | None, plane: np.ndarray, dtype) -> np.ndarray:
+    """``out``, checked to take ``plane``'s converted samples, or a new array."""
+    if out is None:
+        return np.empty(plane.shape, dtype=dtype)
+    if out.dtype != dtype or out.shape != plane.shape or not out.flags.c_contiguous:
         raise BitDepthError(
-            f"sample value {int(plane.max())} exceeds the 10-bit maximum 1023"
-        ) from None
+            f"out must be a contiguous {np.dtype(dtype)} array of shape {plane.shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
     return out
 
 
-def expand_plane(plane: np.ndarray) -> np.ndarray:
-    """Map 8-bit samples to 10-bit by appending two zero bits (x * 4)."""
-    if plane.dtype != np.uint8:
-        if plane.size and not 0 <= int(plane.min()) <= int(plane.max()) <= 255:
-            raise BitDepthError(f"samples span [{plane.min()}, {plane.max()}], outside the 8-bit range")
-        plane = plane.astype(np.uint8)
-    return np.left_shift(plane, 2, dtype=np.uint16)
+def tonemap_plane(plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map 10-bit samples to 8-bit: round-half-up of x * 255 / 1023.
+
+    The result goes into ``out`` when given (a ``uint8`` array of the
+    plane's shape), else into a new array; either is returned.
+    """
+    _require_integers(plane, "10-bit")
+    dst = _output(out, plane, np.uint8)
+    src, flat = plane.reshape(-1), dst.reshape(-1)
+    signed = src.dtype.kind == "i"
+    wide = np.empty(min(src.size, _CHUNK), dtype=np.uint32)
+    for start in range(0, src.size, _CHUNK):
+        chunk = src[start : start + _CHUNK]
+        # Range-checked while the chunk is in cache: x * 1021 would wrap.
+        if int(chunk.max()) > 1023 or (signed and int(chunk.min()) < 0):
+            if signed and int(src.min()) < 0:
+                raise BitDepthError(f"sample value {int(src.min())} is below the 10-bit minimum 0")
+            raise BitDepthError(f"sample value {int(src.max())} exceeds the 10-bit maximum 1023")
+        tmp = wide[: chunk.size]
+        np.copyto(tmp, chunk, casting="unsafe")
+        tmp *= 1021
+        tmp += 2041
+        tmp >>= 12
+        np.copyto(flat[start : start + _CHUNK], tmp, casting="unsafe")
+    return dst
+
+
+def expand_plane(plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map 8-bit samples to 10-bit by appending two zero bits (x * 4).
+
+    The result goes into ``out`` when given (a ``uint16`` array of the
+    plane's shape), else into a new array; either is returned.
+    """
+    _require_integers(plane, "8-bit")
+    dst = _output(out, plane, np.uint16)
+    if plane.dtype != np.uint8 and plane.size and not 0 <= int(plane.min()) <= int(plane.max()) <= 255:
+        raise BitDepthError(f"samples span [{plane.min()}, {plane.max()}], outside the 8-bit range")
+    return np.left_shift(plane, 2, out=dst, dtype=np.uint16, casting="unsafe")
 
 
 def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneFormat) -> int:
     """Stream ``src`` (at ``fmt``) into ``dst`` at the other depth; return the frame count.
 
     A 10-bit ``fmt`` is tone-mapped to 8 bits, an 8-bit one is expanded to
-    10 bits, with the same mapping on Y, U and V. The input is checked for
-    whole frames, and refused when ``dst`` is the same file, before ``dst``
-    is opened: opening it would truncate an input not read yet.
+    10 bits, with the same mapping on Y, U and V, a whole frame per call
+    into one reused output buffer. The input is checked for whole frames,
+    and refused when ``dst`` is the same file, before ``dst`` is touched.
+    A conversion that fails (on a sample out of range, say) removes the
+    regular file it wrote, so no shorter clip that looks whole is left at
+    ``dst``.
     """
     frames = frame_count(src, fmt)
     if os.path.exists(dst) and os.path.samefile(src, dst):
@@ -78,9 +110,18 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
         op, out_fmt = tonemap_plane, fmt.with_bit_depth(8)
     else:
         op, out_fmt = expand_plane, fmt.with_bit_depth(10)
-    write_frames(
-        dst, (Frame(op(f.y), op(f.u), op(f.v), out_fmt) for f in iter_frames(src, fmt))
-    )
+    out = np.empty(fmt.frame_samples, dtype=out_fmt.dtype)
+    with open(dst, "wb") as fh:
+        try:
+            for raw in read_frames(src, fmt):
+                fh.write(op(raw, out=out))
+            # Inside the try: a write error on the buffered tail must not
+            # leave a shorter clip behind either.
+            fh.flush()
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.unlink(dst)
+            raise
     return frames
 
 
@@ -107,7 +148,7 @@ class NoiseReport:
 def quantization_noise_report() -> NoiseReport:
     """Sweep all 1024 input codes (uniform weighting) and report the noise."""
     codes = np.arange(1024, dtype=np.int64)
-    mapped = _TONEMAP_LUT.astype(np.int64)
+    mapped = tonemap_plane(codes).astype(np.int64)
     err_ideal = codes - (1023.0 / 255.0) * mapped
     err_shift = codes - 4 * mapped
     return NoiseReport(

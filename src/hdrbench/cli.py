@@ -16,6 +16,7 @@ import argparse
 import json
 import shlex
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -140,14 +141,17 @@ def _cmd_bd(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    result = measure_process(
-        shlex.split(args.cmd),
-        repetitions=args.reps,
-        rapl_domain=args.rapl_domain,
-        powercap_root=args.powercap_root,
-        pin_cpu=not args.no_pin,
-        trim_outliers=not args.no_trim,
-    )
+    # The command's output is kept only so that a failure can quote its tail.
+    with tempfile.TemporaryDirectory(prefix="hdrbench-measure-") as tmp:
+        result = measure_process(
+            shlex.split(args.cmd),
+            repetitions=args.reps,
+            rapl_domain=args.rapl_domain,
+            powercap_root=args.powercap_root,
+            pin_cpu=not args.no_pin,
+            trim_outliers=not args.no_trim,
+            logs=Path(tmp) / "command",
+        )
     payload = {
         "repetitions": len(result.samples),
         "retained": result.retained_count,

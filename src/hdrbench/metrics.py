@@ -27,7 +27,7 @@ from .bitdepth import expand_plane
 from .config import render_template
 from .errors import ExecutionError, ValidationError
 from .measure import Child
-from .yuv import PlaneFormat, frame_count, iter_frames
+from .yuv import PlaneFormat, frame_count, read_frames
 
 INFINITE_PSNR = float("inf")
 
@@ -105,7 +105,8 @@ def score_files(
 
     ``ref`` is read as 10-bit at ``fmt``'s geometry and ``test`` at
     ``fmt.bit_depth``. An 8-bit test is expanded to 10 bits frame by frame,
-    so every variant is scored in the 10-bit domain of the source.
+    so every variant is scored in the 10-bit domain of the source. Both
+    files stream through ``read_frames``, one reused buffer each.
     """
     ref_fmt = fmt.with_bit_depth(10)
     ref_frames, test_frames = frame_count(ref, ref_fmt), frame_count(test, fmt)
@@ -116,10 +117,13 @@ def score_files(
     if not ref_frames:
         raise PlaneMismatchError("cannot score an empty sequence")
 
+    # An 8-bit test frame is expanded into one buffer reused for every frame.
+    expanded = np.empty(ref_fmt.frame_samples, dtype=ref_fmt.dtype) if fmt.bit_depth == 8 else None
     per_plane = ([], [], [])
-    for ref_frame, test_frame in zip(iter_frames(ref, ref_fmt), iter_frames(test, fmt)):
-        for values, ref_plane, plane in zip(per_plane, ref_frame.planes(), test_frame.planes()):
-            test_plane = expand_plane(plane) if fmt.bit_depth == 8 else plane
+    for ref_raw, test_raw in zip(read_frames(ref, ref_fmt), read_frames(test, fmt)):
+        if expanded is not None:
+            test_raw = expand_plane(test_raw, out=expanded)
+        for values, ref_plane, test_plane in zip(per_plane, ref_fmt.planes(ref_raw), ref_fmt.planes(test_raw)):
             values.append(psnr_plane(ref_plane, test_plane, 10))
     return aggregate_frame_psnrs(*per_plane)
 

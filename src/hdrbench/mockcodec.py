@@ -35,7 +35,7 @@ import numpy as np
 
 from .bitdepth import expand_plane
 from .errors import ValidationError
-from .yuv import PlaneFormat, frame_count
+from .yuv import PlaneFormat, frame_count, read_frames
 
 MAGIC = b"MCK1"
 MODE_PACKED = 0
@@ -121,10 +121,10 @@ def unpack_indices(payload, count: int, bits: int) -> np.ndarray:
 
 def _read_samples(path: Path, fmt: PlaneFormat) -> tuple[np.ndarray, int]:
     frames = frame_count(path, fmt)
-    data = np.fromfile(path, dtype=fmt.dtype)
-    if data.size and int(data.max()) > fmt.max_value:
-        raise MockCodecError(f"{path}: sample exceeds {fmt.bit_depth}-bit range")
-    return data, frames
+    data = np.empty((frames, fmt.frame_samples), dtype=fmt.dtype)
+    for row, raw in zip(data, read_frames(path, fmt)):
+        row[:] = raw
+    return data.reshape(-1), frames
 
 
 def encode(input_path, output_path, fmt: PlaneFormat, qp: int, identity: bool = False) -> int:

@@ -3,7 +3,8 @@
 Files are headerless: plane order is Y, U, V per frame, 8-bit samples are
 single bytes, 10-bit samples are 16-bit little-endian words with the top
 six bits zero. All format metadata (dimensions and depth) comes from the
-caller, never from file content. Files are streamed one frame at a time.
+caller, never from file content. Files are streamed one frame at a time
+by ``read_frames``, the one place that reads and range-checks samples.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ class PlaneFormat:
     def with_bit_depth(self, bit_depth: int) -> "PlaneFormat":
         return PlaneFormat(self.width, self.height, bit_depth)
 
+    def planes(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Y, U and V as 2-D views of one frame's flat samples, in file order."""
+        ny, nc = self.luma_samples, self.chroma_samples
+        chroma = (self.chroma_height, self.chroma_width)
+        return (
+            samples[:ny].reshape(self.height, self.width),
+            samples[ny : ny + nc].reshape(chroma),
+            samples[ny + nc :].reshape(chroma),
+        )
+
 
 def _frozen(plane: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(plane)
@@ -143,13 +154,8 @@ class Frame:
 def _split_frame(raw: np.ndarray, fmt: PlaneFormat) -> Frame:
     """Frame over views of one range-checked raw frame, built without
     re-validating: the views are contiguous and shaped here by construction."""
-    ny, nc = fmt.luma_samples, fmt.chroma_samples
     frame = object.__new__(Frame)
-    for name, plane in (
-        ("y", raw[:ny].reshape(fmt.height, fmt.width)),
-        ("u", raw[ny : ny + nc].reshape(fmt.chroma_height, fmt.chroma_width)),
-        ("v", raw[ny + nc :].reshape(fmt.chroma_height, fmt.chroma_width)),
-    ):
+    for name, plane in zip("yuv", fmt.planes(raw)):
         plane.setflags(write=False)
         object.__setattr__(frame, name, plane)
     object.__setattr__(frame, "format", fmt)
@@ -170,25 +176,42 @@ def frame_count(path: str | os.PathLike, fmt: PlaneFormat) -> int:
     return size // fmt.frame_bytes
 
 
-def iter_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[Frame]:
-    """Yield frames one at a time; memory stays O(one frame).
+def read_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[np.ndarray]:
+    """Yield each frame's samples as one flat read-only array (Y, U, V).
 
-    Each frame's samples are range-checked once, by a single ``max`` scan;
-    8-bit files need none, because a byte cannot exceed 255.
+    Every frame is read into the same buffer, so memory stays one frame and
+    nothing is allocated per frame; the flip side is that a yielded array
+    holds its frame only until the next one is read. ``fmt.planes`` splits
+    it. Each frame is range-checked once, by a single ``max`` scan; 8-bit
+    files need none, because a byte cannot exceed 255.
     """
     n_frames = frame_count(path, fmt)
     samples = fmt.frame_samples
     check = _may_exceed(fmt.dtype, fmt)
+    raw = np.empty(samples, dtype=fmt.dtype)
+    frame = raw.view()
+    frame.setflags(write=False)
     with open(path, "rb") as fh:
         for index in range(n_frames):
-            raw = np.fromfile(fh, dtype=fmt.dtype, count=samples)
+            if fh.readinto(raw) != raw.nbytes:
+                raise FileSizeError(f"{path}: file ended inside frame {index}")
             if check and int(raw.max()) > fmt.max_value:
                 offender = int(np.flatnonzero(raw > fmt.max_value)[0])
                 raise SampleRangeError(
                     f"{path}: sample index {index * samples + offender} has value "
                     f"{int(raw[offender])} > {fmt.max_value} for declared {fmt.bit_depth}-bit depth"
                 )
-            yield _split_frame(raw, fmt)
+            yield frame
+
+
+def iter_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[Frame]:
+    """Yield frames one at a time; memory stays O(one frame).
+
+    Unlike ``read_frames``, each yielded frame owns a copy of its samples,
+    so it stays valid after the next one is read.
+    """
+    for raw in read_frames(path, fmt):
+        yield _split_frame(raw.copy(), fmt)
 
 
 def write_frames(path: str | os.PathLike, frames: Iterable[Frame]) -> None:

@@ -48,6 +48,15 @@ def write_clip(path, seed: int, fmt: PlaneFormat, frames: int = 3) -> tuple[Fram
     return clip
 
 
+def distinct_clip(path, fmt: PlaneFormat, frames: int = 4) -> tuple[tuple[Frame, ...], list[np.ndarray]]:
+    """Write a clip whose frames all differ, so that a reused buffer that
+    leaks shows; return its frames and each frame's flat samples."""
+    clip = write_clip(path, 21, fmt, frames=frames)
+    raws = [np.concatenate([p.ravel() for p in f.planes()]) for f in clip]
+    assert len({raw.tobytes() for raw in raws}) == frames
+    return clip, raws
+
+
 @pytest.fixture
 def fmt10() -> PlaneFormat:
     return PlaneFormat(64, 64, 10)

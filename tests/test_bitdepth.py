@@ -1,12 +1,15 @@
 """Bit-depth conversion invariants, checked exhaustively where cheap."""
 
+import errno
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hdrbench import yuv
+from hdrbench import bitdepth, yuv
 from hdrbench.bitdepth import (
     BitDepthError,
     NoiseReport,
@@ -16,10 +19,12 @@ from hdrbench.bitdepth import (
     tonemap_plane,
 )
 from hdrbench.errors import ValidationError
-from hdrbench.yuv import PlaneFormat
-from tests.conftest import write_clip
+from hdrbench.yuv import Frame, PlaneFormat, SampleRangeError
+from tests.conftest import distinct_clip, write_clip
 
 ALL_CODES = np.arange(1024, dtype=np.uint16)
+# Reference: the integer formula for every code, looked up by index.
+FORMULA_TABLE = ((np.arange(1024, dtype=np.uint32) * 510 + 1023) // 2046).astype(np.uint8)
 
 
 def reference_tonemap(x: int) -> int:
@@ -67,6 +72,37 @@ class TestTonemap:
         expected = ((plane.astype(np.int64) * 510 + 1023) // 2046).astype(np.uint8)
         assert np.array_equal(tonemap_plane(plane), expected)
 
+    def test_equals_the_integer_formula_across_a_chunk_boundary(self):
+        # Every code sits on both sides of the first chunk boundary.
+        chunk = bitdepth._CHUNK
+        plane = np.concatenate([np.resize(ALL_CODES, chunk - 512), ALL_CODES[::-1], ALL_CODES])
+        assert plane.size > chunk
+        assert np.array_equal(tonemap_plane(plane), FORMULA_TABLE[plane])
+
+    def test_signed_and_wide_planes_in_range(self):
+        for dtype in (np.int16, np.int32, np.int64, np.uint32):
+            assert np.array_equal(tonemap_plane(ALL_CODES.astype(dtype)), FORMULA_TABLE)
+
+    def test_non_integer_plane_raises(self):
+        with pytest.raises(BitDepthError, match="must be integers, got float64"):
+            tonemap_plane(np.array([1.5]))
+
+    def test_writes_into_out_and_returns_it(self):
+        plane = ALL_CODES.reshape(32, 32)
+        out = np.full((32, 32), 7, dtype=np.uint8)
+        assert tonemap_plane(plane, out=out) is out
+        assert np.array_equal(out.ravel(), FORMULA_TABLE)
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(1024, np.uint16), np.empty(1023, np.uint8), np.empty((32, 32), np.uint8),
+         np.empty(2048, np.uint8)[::2]],
+        ids=["dtype", "size", "shape", "strided"],
+    )
+    def test_out_of_the_wrong_dtype_or_shape_raises(self, out):
+        with pytest.raises(BitDepthError, match="out must be"):
+            tonemap_plane(ALL_CODES, out=out)
+
     def test_out_of_range_sample_raises_instead_of_wrapping(self):
         with pytest.raises(BitDepthError, match=r"2000 exceeds the 10-bit maximum 1023"):
             tonemap_plane(np.array([2000], dtype=np.uint16))
@@ -101,6 +137,25 @@ class TestExpand:
         for bad in (np.array([16384], dtype=np.uint16), np.array([-1], dtype=np.int16)):
             with pytest.raises(BitDepthError):
                 expand_plane(bad)
+
+    def test_non_integer_plane_raises_instead_of_truncating(self):
+        with pytest.raises(BitDepthError, match="must be integers, got float64"):
+            expand_plane(np.array([2.5]))
+
+    def test_writes_into_out_and_returns_it(self):
+        codes = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        out = np.zeros((16, 16), dtype=np.uint16)
+        assert expand_plane(codes, out=out) is out
+        assert np.array_equal(out, codes.astype(np.uint16) * 4)
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(256, np.uint8), np.empty(256, np.int32), np.empty(255, np.uint16), np.empty((16, 16), np.uint16)],
+        ids=["uint8", "int32", "size", "shape"],
+    )
+    def test_out_of_the_wrong_dtype_or_shape_raises(self, out):
+        with pytest.raises(BitDepthError, match="out must be"):
+            expand_plane(np.arange(256, dtype=np.uint8), out=out)
 
     def test_top_code_does_not_map_back_to_top(self):
         # 255 expands to 1020, which tone-maps to 254: the asymmetry is real.
@@ -147,6 +202,79 @@ class TestSequenceConversion:
             with pytest.raises(ValidationError, match="is the input"):
                 convert_file(src, dst, fmt10)
             assert src.read_bytes() == before
+
+
+def per_frame_reference(src, fmt: PlaneFormat) -> bytes:
+    """The converted file built per frame and per plane from fresh arrays,
+    so that it shares no buffer with convert_file."""
+    if fmt.bit_depth == 10:
+        op, out_fmt = (lambda plane: FORMULA_TABLE[plane]), fmt.with_bit_depth(8)
+    else:
+        op, out_fmt = (lambda plane: np.left_shift(plane, 2, dtype=np.uint16)), fmt.with_bit_depth(10)
+    frames = [Frame(*(op(p) for p in f.planes()), out_fmt) for f in yuv.iter_frames(src, fmt)]
+    return b"".join(p.astype(out_fmt.dtype).tobytes() for f in frames for p in f.planes())
+
+
+class TestStreamedConversion:
+    @pytest.mark.parametrize("depth", [10, 8])
+    def test_equals_a_per_frame_reference(self, tmp_path, depth):
+        fmt = PlaneFormat(32, 16, depth)
+        src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
+        distinct_clip(src, fmt, frames=5)
+        assert convert_file(src, dst, fmt) == 5
+        assert dst.read_bytes() == per_frame_reference(src, fmt)
+
+    def test_rewrites_an_existing_output(self, tmp_path):
+        fmt = PlaneFormat(32, 16, 10)
+        src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
+        distinct_clip(src, fmt, frames=2)
+        dst.write_bytes(b"x" * (10 * fmt.frame_bytes))
+        convert_file(src, dst, fmt)
+        assert dst.read_bytes() == per_frame_reference(src, fmt)
+
+    def test_writes_through_a_symlinked_output(self, tmp_path):
+        fmt = PlaneFormat(32, 16, 10)
+        src, target, link = tmp_path / "src.yuv", tmp_path / "target.yuv", tmp_path / "link.yuv"
+        distinct_clip(src, fmt, frames=2)
+        target.write_bytes(b"an older clip")
+        link.symlink_to(target)
+        convert_file(src, link, fmt)
+        assert link.is_symlink()
+        assert target.read_bytes() == per_frame_reference(src, fmt)
+
+    def test_write_error_on_the_buffered_tail_leaves_nothing_at_dst(self, tmp_path, monkeypatch):
+        # An 8-bit 8x8 frame is 96 bytes, so the whole clip stays in the
+        # writer's buffer until the final flush, which hits a full disk.
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_full(path, mode):
+            assert mode == "wb"
+            return io.BufferedWriter(FullDisk(path, "w"))
+
+        fmt = PlaneFormat(8, 8, 8)
+        src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
+        distinct_clip(src, fmt, frames=3)
+        monkeypatch.setattr(bitdepth, "open", open_full, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            convert_file(src, dst, fmt)
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_conversion_leaves_nothing_at_dst(self, tmp_path, existing):
+        # Frames 1 and 2 convert; a sample of frame 3 is out of range.
+        fmt = PlaneFormat(8, 8, 10)
+        words = np.zeros(3 * fmt.frame_samples, dtype="<u2")
+        words[2 * fmt.frame_samples + 5] = 1024
+        src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
+        words.tofile(src)
+        if existing:
+            dst.write_bytes(b"an older clip")
+        with pytest.raises(SampleRangeError):
+            convert_file(src, dst, fmt)
+        assert not dst.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src.yuv"]
 
 
 class TestNoiseReport:

@@ -1,6 +1,8 @@
 """Command-line interface behaviour and exit codes."""
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +138,28 @@ class TestConvert:
         assert rc == 1
         assert str(path) in capsys.readouterr().err
         assert path.read_bytes() == before
+
+
+class TestFormulaClipGolden:
+    def test_convert_both_ways_then_quality_match_the_golden(self, tmp_path, capsys):
+        # The same formula clip and golden as the console-script CI step.
+        golden = json.loads((Path(__file__).parent / "data" / "formula_clip_golden.json").read_text())
+        i = np.arange(3 * 3072)
+        ((i * 37 + i // 3072 * 211) % 1024).astype("<u2").tofile(tmp_path / "clip10.yuv")
+        geometry = ("--width", str(golden["width"]), "--height", str(golden["height"]))
+        eight, ten = tmp_path / "tonemapped8.yuv", tmp_path / "expanded10.yuv"
+        assert run_cli("convert", "--direction", "10to8", "--input", str(tmp_path / "clip10.yuv"),
+                       "--output", str(eight), *geometry) == 0
+        assert run_cli("convert", "--direction", "8to10", "--input", str(eight),
+                       "--output", str(ten), *geometry) == 0
+        capsys.readouterr()
+        assert run_cli("quality", "--ref", str(tmp_path / "clip10.yuv"), "--test", str(ten), *geometry) == 0
+        quality = json.loads(capsys.readouterr().out)
+        for path in (eight, ten):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == golden["sha256"][path.name]
+        assert quality.keys() == golden["quality"].keys()
+        for key, value in golden["quality"].items():
+            assert abs(quality[key] - value) <= 1e-9, key
 
 
 class TestQuality:
@@ -287,6 +311,11 @@ class TestMeasure:
 
     def test_failing_command_is_runtime_error(self, capsys):
         assert run_cli("measure", "--cmd", "false", "--reps", "1", "--no-pin") == 2
+
+    def test_failing_command_error_ends_in_its_reason(self, capsys):
+        cmd = f"{sys.executable} -c 'import sys; sys.exit(\"boom: bad qp\")'"
+        assert run_cli("measure", "--cmd", cmd, "--reps", "1", "--no-pin") == 2
+        assert capsys.readouterr().err.rstrip().endswith(": boom: bad qp")
 
     def test_missing_binary_is_runtime_error(self, capsys):
         assert run_cli("measure", "--cmd", "/no/such/tool", "--reps", "1", "--no-pin") == 2

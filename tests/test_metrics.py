@@ -26,7 +26,7 @@ from hdrbench.metrics import (
     score_files,
 )
 from hdrbench.yuv import Frame, PlaneFormat
-from tests.conftest import write_clip
+from tests.conftest import distinct_clip, write_clip
 
 
 class TestMse:
@@ -151,6 +151,21 @@ class TestSequenceQuality:
         assert score_files(ref_path, test8, fmt10.with_bit_depth(8)) == score_files(
             ref_path, test10, fmt10
         )
+
+    @pytest.mark.parametrize("depth", [10, 8])
+    def test_equals_a_per_frame_reference(self, tmp_path, depth):
+        # Reference: fresh frames, a fresh expansion per plane, one PSNR each.
+        fmt10, fmt = PlaneFormat(32, 16, 10), PlaneFormat(32, 16, depth)
+        ref_path, test_path = tmp_path / "ref.yuv", tmp_path / "test.yuv"
+        ref, _ = distinct_clip(ref_path, fmt10, frames=4)
+        test = write_clip(test_path, 22, fmt, frames=4)
+        per_plane = ([], [], [])
+        for ref_frame, test_frame in zip(ref, test):
+            for values, a, b in zip(per_plane, ref_frame.planes(), test_frame.planes()):
+                b = np.left_shift(b, 2, dtype=np.uint16) if depth == 8 else b.copy()
+                values.append(psnr_plane(a.copy(), b, 10))
+        assert len({v for values in per_plane for v in values}) == 12
+        assert score_files(ref_path, test_path, fmt) == aggregate_frame_psnrs(*per_plane)
 
     def test_rejects_eight_bit(self, tmp_path):
         # The reference is always read as 10-bit: three 8-bit frames are not

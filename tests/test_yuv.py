@@ -13,7 +13,7 @@ from hdrbench.yuv import (
     SampleRangeError,
     YuvFormatError,
 )
-from tests.conftest import make_frames, write_clip
+from tests.conftest import distinct_clip, make_frames, write_clip
 
 
 class TestPlaneFormat:
@@ -135,6 +135,52 @@ class TestFileRoundTrip:
         assert len(streamed) == 5
         for raw, frame in zip(bulk, streamed):
             assert np.array_equal(np.concatenate([p.ravel() for p in frame.planes()]), raw)
+
+
+class TestStreamingReader:
+    @pytest.mark.parametrize("depth", [8, 10])
+    def test_iter_frames_frames_stay_distinct(self, tmp_path, depth):
+        fmt = PlaneFormat(16, 8, depth)
+        path = tmp_path / "clip.yuv"
+        clip, _ = distinct_clip(path, fmt)
+        frames = tuple(yuv.iter_frames(path, fmt))
+        assert frames == clip
+        assert len({frame.y.tobytes() + frame.v.tobytes() for frame in frames}) == len(clip)
+
+    @pytest.mark.parametrize("depth", [8, 10])
+    def test_read_frames_reads_every_frame_into_one_read_only_buffer(self, tmp_path, depth):
+        fmt = PlaneFormat(16, 8, depth)
+        path = tmp_path / "clip.yuv"
+        _, raws = distinct_clip(path, fmt)
+        seen = []
+        for index, raw in enumerate(yuv.read_frames(path, fmt)):
+            assert raw.dtype == fmt.dtype and raw.shape == (fmt.frame_samples,)
+            assert np.array_equal(raw, raws[index])
+            with pytest.raises(ValueError):
+                raw[0] = 0
+            seen.append(raw)
+        assert len(seen) == len(raws)
+        # The buffer is reused: every yielded array now holds the last frame.
+        assert all(np.shares_memory(seen[0], raw) for raw in seen)
+        assert np.array_equal(seen[0], raws[-1])
+
+    def test_planes_split_a_flat_frame_in_file_order(self, tmp_path, fmt10):
+        path = tmp_path / "clip.yuv"
+        clip, _ = distinct_clip(path, fmt10, frames=2)
+        for frame, raw in zip(clip, yuv.read_frames(path, fmt10)):
+            planes = fmt10.planes(raw)
+            assert all(np.array_equal(a, b) for a, b in zip(planes, frame.planes()))
+            assert all(np.shares_memory(plane, raw) for plane in planes)
+
+    def test_file_cut_short_while_read_raises(self, tmp_path, fmt10):
+        path = tmp_path / "clip.yuv"
+        distinct_clip(path, fmt10, frames=3)
+        frames = yuv.read_frames(path, fmt10)
+        next(frames)
+        with open(path, "r+b") as fh:
+            fh.truncate(fmt10.frame_bytes + 10)
+        with pytest.raises(FileSizeError, match="ended inside frame 1"):
+            next(frames)
 
 
 @settings(max_examples=25, deadline=None)
