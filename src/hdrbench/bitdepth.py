@@ -6,15 +6,20 @@ are deliberately asymmetric: expand(tonemap(x)) == x does not hold, only
 |x - expand(tonemap(x))| <= 5.
 
 The forward map is the integer formula (x * 510 + 1023) // 2046, computed
-as (x * 1021 + 2041) >> 12 in ``uint32`` arithmetic, which equals it on
-every code in [0, 1023] (the tests check all 1024) and vectorises where a
-division or a table gather does not. A sample outside [0, 1023], or a
-plane that does not hold integers, raises BitDepthError instead of
-wrapping or truncating.
+as (x - ((3 * x) >> 10) + 1) >> 2 in ``uint16`` arithmetic, which equals it
+on every code in [0, 1023] (the tests check all 1024) and vectorises at two
+bytes a sample where a division, a table gather or a 32-bit product does
+not. A sample outside [0, 1023], or a plane that does not hold integers,
+raises BitDepthError instead of wrapping or truncating.
+
+``convert_file`` streams a file through ``yuv.read_pieces``: each piece,
+already range-checked by the reader, is converted into a whole-frame output
+buffer, which is written once per frame.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import stat
 from dataclasses import dataclass
@@ -22,16 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .yuv import PlaneFormat, frame_count, read_frames
+from .yuv import PlaneFormat, frame_count, read_pieces
 
 
 class BitDepthError(ValidationError):
     """A sample lies outside the range of its declared bit depth."""
-
-
-# Samples per arithmetic step: the uint32 intermediate of a chunk stays in
-# cache instead of costing 4 bytes per sample of the plane.
-_CHUNK = 1 << 16
 
 
 def _require_integers(plane: np.ndarray, depth: str) -> None:
@@ -52,6 +52,21 @@ def _output(out: np.ndarray | None, plane: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _tonemap(samples: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Tone-map ``uint16`` samples in [0, 1023] into the ``uint8`` array ``out``.
+
+    ``scratch`` is a ``uint16`` buffer of at least ``samples.size``; every
+    intermediate stays below 2**12, so nothing wraps.
+    """
+    tmp = scratch[: samples.size]
+    np.multiply(samples, 3, out=tmp)
+    tmp >>= 10
+    np.subtract(samples, tmp, out=tmp)
+    tmp += 1
+    tmp >>= 2
+    np.copyto(out, tmp, casting="unsafe")
+
+
 def tonemap_plane(plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map 10-bit samples to 8-bit: round-half-up of x * 255 / 1023.
 
@@ -60,22 +75,12 @@ def tonemap_plane(plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     """
     _require_integers(plane, "10-bit")
     dst = _output(out, plane, np.uint8)
-    src, flat = plane.reshape(-1), dst.reshape(-1)
-    signed = src.dtype.kind == "i"
-    wide = np.empty(min(src.size, _CHUNK), dtype=np.uint32)
-    for start in range(0, src.size, _CHUNK):
-        chunk = src[start : start + _CHUNK]
-        # Range-checked while the chunk is in cache: x * 1021 would wrap.
-        if int(chunk.max()) > 1023 or (signed and int(chunk.min()) < 0):
-            if signed and int(src.min()) < 0:
-                raise BitDepthError(f"sample value {int(src.min())} is below the 10-bit minimum 0")
-            raise BitDepthError(f"sample value {int(src.max())} exceeds the 10-bit maximum 1023")
-        tmp = wide[: chunk.size]
-        np.copyto(tmp, chunk, casting="unsafe")
-        tmp *= 1021
-        tmp += 2041
-        tmp >>= 12
-        np.copyto(flat[start : start + _CHUNK], tmp, casting="unsafe")
+    if plane.size and int(plane.min()) < 0:
+        raise BitDepthError(f"sample value {int(plane.min())} is below the 10-bit minimum 0")
+    if plane.size and int(plane.max()) > 1023:
+        raise BitDepthError(f"sample value {int(plane.max())} exceeds the 10-bit maximum 1023")
+    src = plane.reshape(-1).astype(np.uint16, copy=False)
+    _tonemap(src, dst.reshape(-1), np.empty_like(src))
     return dst
 
 
@@ -96,25 +101,30 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
     """Stream ``src`` (at ``fmt``) into ``dst`` at the other depth; return the frame count.
 
     A 10-bit ``fmt`` is tone-mapped to 8 bits, an 8-bit one is expanded to
-    10 bits, with the same mapping on Y, U and V, a whole frame per call
-    into one reused output buffer. The input is checked for whole frames,
-    and refused when ``dst`` is the same file, before ``dst`` is touched.
-    A conversion that fails (on a sample out of range, say) removes the
-    regular file it wrote, so no shorter clip that looks whole is left at
-    ``dst``.
+    10 bits, with the same mapping on Y, U and V. Each piece ``read_pieces``
+    yields is converted into one reused whole-frame buffer, which is written
+    once per frame. The input is checked for whole frames, and refused when
+    ``dst`` is the same file, before ``dst`` is touched. A conversion that
+    fails (on a sample out of range, say) removes the regular file it wrote,
+    so no shorter clip that looks whole is left at ``dst``.
     """
     frames = frame_count(src, fmt)
     if os.path.exists(dst) and os.path.samefile(src, dst):
         raise ValidationError(f"output {dst} is the input {src}; convert into another file")
     if fmt.bit_depth == 10:
-        op, out_fmt = tonemap_plane, fmt.with_bit_depth(8)
+        # The reader has range-checked every piece, so the kernel runs unchecked.
+        scratch = np.empty(fmt.piece_samples, dtype=np.uint16)
+        op, out_fmt = functools.partial(_tonemap, scratch=scratch), fmt.with_bit_depth(8)
     else:
         op, out_fmt = expand_plane, fmt.with_bit_depth(10)
     out = np.empty(fmt.frame_samples, dtype=out_fmt.dtype)
     with open(dst, "wb") as fh:
         try:
-            for raw in read_frames(src, fmt):
-                fh.write(op(raw, out=out))
+            for _, start, piece in read_pieces(src, fmt):
+                stop = start + piece.size
+                op(piece, out[start:stop])
+                if stop == fmt.frame_samples:
+                    fh.write(out)
             # Inside the try: a write error on the buffered tail must not
             # leave a shorter clip behind either.
             fh.flush()

@@ -2,11 +2,16 @@
 
 PSNR is computed per color component and combined with luma-weighted
 averaging: (6 * Y + U + V) / 8. Each plane's squared error is summed
-exactly in integers (an ``int32`` difference squared in place, accumulated
-in 64 bits), so the MSE is the correctly rounded SSE / n and no plane is
-copied to float64. Identical planes yield an infinite PSNR,
-represented by the float('inf') sentinel; it propagates through averaging
-and the weighted combination, and curve fitting rejects it downstream.
+exactly in integers, so the MSE is the correctly rounded SSE / n and no
+plane is copied to float64. ``score_files`` streams both files through
+``yuv.read_pieces`` in lockstep and sums each plane's SSE piece by piece:
+the difference of the ``int16`` views is squared into a reused ``int32``
+buffer, rows of 1024 squares are summed in ``uint32`` and the rows in
+``uint64``. No BLAS call is made, so no BLAS worker threads are started
+beside the codecs that hdrbench times. Identical planes yield an infinite
+PSNR, represented by the float('inf') sentinel; it propagates through
+averaging and the weighted combination, and curve fitting rejects it
+downstream.
 
 An external perceptual metric (e.g. HDR-VDP) is supported only through a
 command adapter: a template with {REF} and {TEST} placeholders whose
@@ -27,7 +32,7 @@ from .bitdepth import expand_plane
 from .config import render_template
 from .errors import ExecutionError, ValidationError
 from .measure import Child
-from .yuv import PlaneFormat, frame_count, read_frames
+from .yuv import PlaneFormat, frame_count, read_pieces
 
 INFINITE_PSNR = float("inf")
 
@@ -60,6 +65,29 @@ class QualityRecord:
             )
 
 
+# Squares of samples of at most 10 bits summed per row: a row of 1024 stays
+# below 1024 * 1023**2 < 2**30, so it is summed in uint32 without widening.
+_ROW = 1024
+
+
+def _sse_10bit(ref: np.ndarray, test: np.ndarray, diff: np.ndarray, square: np.ndarray) -> int:
+    """Exact sum of squared differences of two flat ``uint16`` pieces of samples in [0, 1023].
+
+    ``diff`` (``int16``) and ``square`` (``int32``) are scratch buffers of at
+    least the pieces' size.
+    """
+    n = ref.size
+    d, sq = diff[:n], square[:n]
+    # |d| <= 1023, so the int16 views subtract without wrapping.
+    np.subtract(ref.view(np.int16), test.view(np.int16), out=d)
+    np.copyto(sq, d)
+    np.multiply(sq, sq, out=sq)
+    squares = sq.view(np.uint32)
+    whole = n - n % _ROW
+    rows = squares[:whole].reshape(-1, _ROW).sum(axis=1, dtype=np.uint32)
+    return int(rows.sum(dtype=np.uint64)) + int(squares[whole:].sum(dtype=np.uint64))
+
+
 def _sse(ref: np.ndarray, test: np.ndarray) -> int:
     """Exact sum of squared differences of two sample planes of at most 16 bits."""
     # Squaring the difference's bits as uint32 works modulo 2**32, which is
@@ -82,13 +110,17 @@ def mse_plane(ref: np.ndarray, test: np.ndarray) -> float:
     return _sse(ref, test) / ref.size
 
 
-def psnr_plane(ref: np.ndarray, test: np.ndarray, bit_depth: int) -> float:
+def _psnr(mse: float, bit_depth: int) -> float:
     """10 * log10(peak^2 / MSE) with peak = 2^bit_depth - 1; inf when MSE is 0."""
-    mse = mse_plane(ref, test)
     if mse == 0.0:
         return INFINITE_PSNR
     peak = (1 << bit_depth) - 1
     return 10.0 * math.log10(peak * peak / mse)
+
+
+def psnr_plane(ref: np.ndarray, test: np.ndarray, bit_depth: int) -> float:
+    """10 * log10(peak^2 / MSE) with peak = 2^bit_depth - 1; inf when MSE is 0."""
+    return _psnr(mse_plane(ref, test), bit_depth)
 
 
 def psnr_yuv(y: float, u: float, v: float) -> float:
@@ -104,9 +136,10 @@ def score_files(
     """Per-frame plane PSNRs of two raw files, arithmetic mean across frames, then combined.
 
     ``ref`` is read as 10-bit at ``fmt``'s geometry and ``test`` at
-    ``fmt.bit_depth``. An 8-bit test is expanded to 10 bits frame by frame,
+    ``fmt.bit_depth``. An 8-bit test is expanded to 10 bits piece by piece,
     so every variant is scored in the 10-bit domain of the source. Both
-    files stream through ``read_frames``, one reused buffer each.
+    files stream through ``read_pieces`` in lockstep, and each plane's SSE
+    is summed exactly over its pieces.
     """
     ref_fmt = fmt.with_bit_depth(10)
     ref_frames, test_frames = frame_count(ref, ref_fmt), frame_count(test, fmt)
@@ -117,14 +150,23 @@ def score_files(
     if not ref_frames:
         raise PlaneMismatchError("cannot score an empty sequence")
 
-    # An 8-bit test frame is expanded into one buffer reused for every frame.
-    expanded = np.empty(ref_fmt.frame_samples, dtype=ref_fmt.dtype) if fmt.bit_depth == 8 else None
+    piece = ref_fmt.piece_samples
+    diff, square = np.empty(piece, dtype=np.int16), np.empty(piece, dtype=np.int32)
+    # An 8-bit test piece is expanded into one buffer reused for every piece.
+    expanded = np.empty(piece, dtype=ref_fmt.dtype) if fmt.bit_depth == 8 else None
+    sizes = (ref_fmt.luma_samples, ref_fmt.chroma_samples, ref_fmt.chroma_samples)
+    sse = [0, 0, 0]
     per_plane = ([], [], [])
-    for ref_raw, test_raw in zip(read_frames(ref, ref_fmt), read_frames(test, fmt)):
+    for (plane, start, ref_piece), (_, _, test_piece) in zip(
+        read_pieces(ref, ref_fmt), read_pieces(test, fmt)
+    ):
         if expanded is not None:
-            test_raw = expand_plane(test_raw, out=expanded)
-        for values, ref_plane, test_plane in zip(per_plane, ref_fmt.planes(ref_raw), ref_fmt.planes(test_raw)):
-            values.append(psnr_plane(ref_plane, test_plane, 10))
+            test_piece = expand_plane(test_piece, out=expanded[: test_piece.size])
+        sse[plane] += _sse_10bit(ref_piece, test_piece, diff, square)
+        if start + ref_piece.size == ref_fmt.frame_samples:
+            for values, total, n in zip(per_plane, sse, sizes):
+                values.append(_psnr(total / n, 10))
+            sse = [0, 0, 0]
     return aggregate_frame_psnrs(*per_plane)
 
 

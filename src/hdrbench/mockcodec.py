@@ -35,7 +35,7 @@ import numpy as np
 
 from .bitdepth import expand_plane
 from .errors import ValidationError
-from .yuv import PlaneFormat, frame_count, read_frames
+from .yuv import PlaneFormat, frame_count, read_pieces
 
 MAGIC = b"MCK1"
 MODE_PACKED = 0
@@ -121,10 +121,12 @@ def unpack_indices(payload, count: int, bits: int) -> np.ndarray:
 
 def _read_samples(path: Path, fmt: PlaneFormat) -> tuple[np.ndarray, int]:
     frames = frame_count(path, fmt)
-    data = np.empty((frames, fmt.frame_samples), dtype=fmt.dtype)
-    for row, raw in zip(data, read_frames(path, fmt)):
-        row[:] = raw
-    return data.reshape(-1), frames
+    data = np.empty(frames * fmt.frame_samples, dtype=fmt.dtype)
+    offset = 0
+    for _, _, piece in read_pieces(path, fmt):
+        data[offset : offset + piece.size] = piece
+        offset += piece.size
+    return data, frames
 
 
 def encode(input_path, output_path, fmt: PlaneFormat, qp: int, identity: bool = False) -> int:

@@ -248,9 +248,10 @@ class ResultStore:
 
     def _append(self, path: Path, persisted: int, size: int) -> None:
         # Serialise first, so a record that fails to serialise leaves the
-        # file untouched, then write it in one call.
-        new = itertools.islice(self.records.values(), persisted, None)
-        data = "".join(map(_store_line, new)).encode()
+        # file untouched, then write it in one call. The new records are the
+        # newest keys: walk back from the end, not past every saved one.
+        newest_first = itertools.islice(reversed(self._records.values()), len(self._records) - persisted)
+        data = "".join(reversed([_store_line(record) for record in newest_first])).encode()
         with open(path, "ab") as fh:
             fh.write(data)
             fh.flush()

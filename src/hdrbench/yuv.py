@@ -3,8 +3,12 @@
 Files are headerless: plane order is Y, U, V per frame, 8-bit samples are
 single bytes, 10-bit samples are 16-bit little-endian words with the top
 six bits zero. All format metadata (dimensions and depth) comes from the
-caller, never from file content. Files are streamed one frame at a time
-by ``read_frames``, the one place that reads and range-checks samples.
+caller, never from file content.
+
+``read_pieces`` is the one place that reads and range-checks samples. It
+streams a file in pieces of at most ``PIECE_SAMPLES`` samples, each within
+one plane, through one reused read-only buffer, and checks each piece once
+while it is in cache; whole frames (``iter_frames``) are assembled from it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ValidationError
+
+# Samples per piece of ``read_pieces``: a piece and the buffers its consumers
+# derive from it (a uint16 scratch, an int32 square) fit in a core's L2 cache.
+PIECE_SAMPLES = 1 << 18
 
 
 class YuvFormatError(ValidationError):
@@ -84,6 +92,11 @@ class PlaneFormat:
     def frame_bytes(self) -> int:
         # width * height * 1.5 * bytes_per_sample, exactly
         return self.frame_samples * self.bytes_per_sample
+
+    @property
+    def piece_samples(self) -> int:
+        """Size of the largest piece ``read_pieces`` yields: luma is the largest plane."""
+        return min(PIECE_SAMPLES, self.luma_samples)
 
     def with_bit_depth(self, bit_depth: int) -> "PlaneFormat":
         return PlaneFormat(self.width, self.height, bit_depth)
@@ -176,42 +189,60 @@ def frame_count(path: str | os.PathLike, fmt: PlaneFormat) -> int:
     return size // fmt.frame_bytes
 
 
-def read_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[np.ndarray]:
-    """Yield each frame's samples as one flat read-only array (Y, U, V).
+def read_pieces(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(plane, start, samples)`` for every piece of every frame, in file order.
 
-    Every frame is read into the same buffer, so memory stays one frame and
-    nothing is allocated per frame; the flip side is that a yielded array
-    holds its frame only until the next one is read. ``fmt.planes`` splits
-    it. Each frame is range-checked once, by a single ``max`` scan; 8-bit
-    files need none, because a byte cannot exceed 255.
+    A piece is a run of at most ``PIECE_SAMPLES`` samples of one plane
+    (``plane`` is 0, 1, 2 for Y, U, V); ``start`` is the index of its first
+    sample in the frame's flat Y, U, V samples, so a frame ends with the
+    piece whose ``start + samples.size`` is ``fmt.frame_samples``. Every
+    piece is read into the same buffer and yielded read-only: it holds its
+    samples only until the next piece is read, so a consumer uses it while
+    it is still in cache and memory stays one piece. Each piece is
+    range-checked once, by a single ``max`` scan; 8-bit files need none,
+    because a byte cannot exceed 255.
     """
     n_frames = frame_count(path, fmt)
     samples = fmt.frame_samples
     check = _may_exceed(fmt.dtype, fmt)
-    raw = np.empty(samples, dtype=fmt.dtype)
-    frame = raw.view()
-    frame.setflags(write=False)
+    buffer = np.empty(fmt.piece_samples, dtype=fmt.dtype)
+    # (plane, start, writable slice, read-only view) for each piece of a frame
+    layout = []
+    offset = 0
+    for plane, size in enumerate((fmt.luma_samples, fmt.chroma_samples, fmt.chroma_samples)):
+        for first in range(0, size, PIECE_SAMPLES):
+            raw = buffer[: min(PIECE_SAMPLES, size - first)]
+            piece = raw.view()
+            piece.setflags(write=False)
+            layout.append((plane, offset + first, raw, piece))
+        offset += size
     with open(path, "rb") as fh:
         for index in range(n_frames):
-            if fh.readinto(raw) != raw.nbytes:
-                raise FileSizeError(f"{path}: file ended inside frame {index}")
-            if check and int(raw.max()) > fmt.max_value:
-                offender = int(np.flatnonzero(raw > fmt.max_value)[0])
-                raise SampleRangeError(
-                    f"{path}: sample index {index * samples + offender} has value "
-                    f"{int(raw[offender])} > {fmt.max_value} for declared {fmt.bit_depth}-bit depth"
-                )
-            yield frame
+            for plane, start, raw, piece in layout:
+                if fh.readinto(raw) != raw.nbytes:
+                    raise FileSizeError(f"{path}: file ended inside frame {index}")
+                if check and int(raw.max()) > fmt.max_value:
+                    offender = int(np.flatnonzero(raw > fmt.max_value)[0])
+                    raise SampleRangeError(
+                        f"{path}: sample index {index * samples + start + offender} has value "
+                        f"{int(raw[offender])} > {fmt.max_value} for declared {fmt.bit_depth}-bit depth"
+                    )
+                yield plane, start, piece
 
 
 def iter_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[Frame]:
     """Yield frames one at a time; memory stays O(one frame).
 
-    Unlike ``read_frames``, each yielded frame owns a copy of its samples,
+    Each frame is assembled from ``read_pieces`` into samples of its own,
     so it stays valid after the next one is read.
     """
-    for raw in read_frames(path, fmt):
-        yield _split_frame(raw.copy(), fmt)
+    for _, start, piece in read_pieces(path, fmt):
+        if not start:
+            raw = np.empty(fmt.frame_samples, dtype=fmt.dtype)
+        stop = start + piece.size
+        raw[start:stop] = piece
+        if stop == fmt.frame_samples:
+            yield _split_frame(raw, fmt)
 
 
 def write_frames(path: str | os.PathLike, frames: Iterable[Frame]) -> None:

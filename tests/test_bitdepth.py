@@ -73,8 +73,9 @@ class TestTonemap:
         assert np.array_equal(tonemap_plane(plane), expected)
 
     def test_equals_the_integer_formula_across_a_chunk_boundary(self):
-        # Every code sits on both sides of the first chunk boundary.
-        chunk = bitdepth._CHUNK
+        # A plane longer than one piece: every code sits on both sides of
+        # the first piece boundary.
+        chunk = yuv.PIECE_SAMPLES
         plane = np.concatenate([np.resize(ALL_CODES, chunk - 512), ALL_CODES[::-1], ALL_CODES])
         assert plane.size > chunk
         assert np.array_equal(tonemap_plane(plane), FORMULA_TABLE[plane])

@@ -18,6 +18,7 @@ from hdrbench.metrics import (
     ExternalMetricError,
     PlaneMismatchError,
     QualityRecord,
+    _sse_10bit,
     aggregate_frame_psnrs,
     external_metric,
     mse_plane,
@@ -53,7 +54,7 @@ class TestMse:
         assert mse_plane(ref, test) == 1023.0**2
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), dtype=st.sampled_from([np.uint8, np.uint16]))
+    @given(data=st.data(), dtype=st.sampled_from([np.uint8, np.uint16, np.int16]))
     def test_sse_is_exact(self, data, dtype):
         # mse * n is not exact in floats (1 / 49 * 49 != 1), so compare the
         # MSE with the correctly rounded quotient of the exact Python-int SSE.
@@ -63,12 +64,38 @@ class TestMse:
         sse = sum((int(a) - int(b)) ** 2 for a, b in zip(ref.ravel(), test.ravel()))
         assert mse_plane(ref, test) == sse / ref.size
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16])
+    def test_extremes_are_exact(self, dtype):
+        # The widest difference of each dtype (65535 for uint16 and int16)
+        # on a plane of 3 rows of 1024 and a tail, with both signs.
+        low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+        ref = np.resize(np.array([low, high], dtype=dtype), (3, 1031))
+        test = np.resize(np.array([high, low], dtype=dtype), (3, 1031))
+        assert mse_plane(ref, test) == (int(high) - int(low)) ** 2
+        assert mse_plane(ref, ref) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ten_bit_piece_kernel_is_exact(self, data):
+        # Sizes cross 1024-sample rows and leave a tail; 0 and 1023 are drawn
+        # often, so rows near the largest sum of squares occur.
+        n = data.draw(st.integers(1, 3 * 1024 + 7))
+        codes = st.one_of(st.sampled_from([0, 1023]), st.integers(0, 1023))
+        ref = data.draw(hnp.arrays(np.uint16, n, elements=codes))
+        test = data.draw(hnp.arrays(np.uint16, n, elements=codes))
+        diff, square = np.empty(n + 5, np.int16), np.empty(n + 5, np.int32)
+        sse = int(((ref.astype(np.int64) - test.astype(np.int64)) ** 2).sum())
+        assert _sse_10bit(ref, test, diff, square) == sse
+        assert mse_plane(ref, test) == sse / n
+
     def test_worst_case_full_hd_plane_needs_a_64_bit_sum(self):
         # SSE = 1023**2 * 1920 * 1080 ~ 2.17e12 overflows any int32 accumulator.
         ref = np.zeros((1080, 1920), dtype=np.uint16)
         test = np.full((1080, 1920), 1023, dtype=np.uint16)
         assert mse_plane(ref, test) == 1023**2
         assert psnr_plane(ref, test, 10) == 0.0
+        diff, square = np.empty(ref.size, np.int16), np.empty(ref.size, np.int32)
+        assert _sse_10bit(ref.ravel(), test.ravel(), diff, square) == 1023**2 * ref.size
 
     def test_rejects_samples_wider_than_16_bits(self):
         with pytest.raises(PlaneMismatchError):

@@ -235,10 +235,11 @@ class TestStoreCheckpoints:
         before, inode = path.read_bytes(), path.stat().st_ino
         store = ResultStore.load(path)
         store.add(make_record(cache_key="k3", qp=27))
+        store.add(make_record(cache_key="k4", qp=32))
         store.save(path)
         after = path.read_bytes()
         assert path.stat().st_ino == inode
-        assert after.startswith(before) and after.count(b"\n") == 3
+        assert after.startswith(before) and after.count(b"\n") == 4
         assert after == full_rewrite(store, tmp_path / "ref.jsonl")
 
     def test_records_are_read_only(self):

@@ -148,26 +148,33 @@ class TestStreamingReader:
         assert len({frame.y.tobytes() + frame.v.tobytes() for frame in frames}) == len(clip)
 
     @pytest.mark.parametrize("depth", [8, 10])
-    def test_read_frames_reads_every_frame_into_one_read_only_buffer(self, tmp_path, depth):
+    def test_read_pieces_reads_every_piece_into_one_read_only_buffer(self, tmp_path, monkeypatch, depth):
+        # 40-sample pieces split the 128-sample luma plane into 40, 40, 40, 8
+        # and leave each 32-sample chroma plane whole.
+        monkeypatch.setattr(yuv, "PIECE_SAMPLES", 40)
         fmt = PlaneFormat(16, 8, depth)
         path = tmp_path / "clip.yuv"
         _, raws = distinct_clip(path, fmt)
+        layout = [(0, 0), (0, 40), (0, 80), (0, 120), (1, 128), (2, 160)]
         seen = []
-        for index, raw in enumerate(yuv.read_frames(path, fmt)):
-            assert raw.dtype == fmt.dtype and raw.shape == (fmt.frame_samples,)
-            assert np.array_equal(raw, raws[index])
+        for (plane, start, piece), (want_plane, want_start) in zip(
+            yuv.read_pieces(path, fmt), layout * len(raws), strict=True
+        ):
+            index, stop = len(seen) // len(layout), start + piece.size
+            assert (plane, start) == (want_plane, want_start)
+            assert piece.dtype == fmt.dtype and piece.size <= 40
+            assert np.array_equal(piece, raws[index][start:stop])
             with pytest.raises(ValueError):
-                raw[0] = 0
-            seen.append(raw)
-        assert len(seen) == len(raws)
-        # The buffer is reused: every yielded array now holds the last frame.
-        assert all(np.shares_memory(seen[0], raw) for raw in seen)
-        assert np.array_equal(seen[0], raws[-1])
+                piece[0] = 0
+            seen.append(piece)
+        # The buffer is reused: every yielded array now holds the last piece.
+        assert all(np.shares_memory(seen[0], piece) for piece in seen)
+        assert np.array_equal(seen[0][:32], raws[-1][160:])
 
     def test_planes_split_a_flat_frame_in_file_order(self, tmp_path, fmt10):
         path = tmp_path / "clip.yuv"
-        clip, _ = distinct_clip(path, fmt10, frames=2)
-        for frame, raw in zip(clip, yuv.read_frames(path, fmt10)):
+        clip, raws = distinct_clip(path, fmt10, frames=2)
+        for frame, raw in zip(clip, raws):
             planes = fmt10.planes(raw)
             assert all(np.array_equal(a, b) for a, b in zip(planes, frame.planes()))
             assert all(np.shares_memory(plane, raw) for plane in planes)
@@ -175,12 +182,14 @@ class TestStreamingReader:
     def test_file_cut_short_while_read_raises(self, tmp_path, fmt10):
         path = tmp_path / "clip.yuv"
         distinct_clip(path, fmt10, frames=3)
-        frames = yuv.read_frames(path, fmt10)
-        next(frames)
+        pieces = yuv.read_pieces(path, fmt10)
+        for _, start, piece in pieces:
+            if start + piece.size == fmt10.frame_samples:
+                break
         with open(path, "r+b") as fh:
             fh.truncate(fmt10.frame_bytes + 10)
         with pytest.raises(FileSizeError, match="ended inside frame 1"):
-            next(frames)
+            next(pieces)
 
 
 @settings(max_examples=25, deadline=None)
