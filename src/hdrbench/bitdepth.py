@@ -12,9 +12,10 @@ bytes a sample where a division, a table gather or a 32-bit product does
 not. A sample outside [0, 1023], or a plane that does not hold integers,
 raises BitDepthError instead of wrapping or truncating.
 
-``convert_file`` streams a file through ``yuv.read_pieces``: each piece,
-already range-checked by the reader, is converted into a whole-frame output
-buffer, which is written once per frame.
+``convert_file`` streams a file through ``yuv.read_pieces``, in one span of
+frames per usable CPU (``yuv.run_spans``): each piece, already range-checked
+by the reader, is converted into a piece-sized output buffer, which is
+written with ``os.pwrite`` at the piece's place in the output file.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import yuv
 from .errors import ValidationError
-from .yuv import PlaneFormat, frame_count, read_pieces
+from .yuv import PlaneFormat
 
 
 class BitDepthError(ValidationError):
@@ -97,39 +99,63 @@ def expand_plane(plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return np.left_shift(plane, 2, out=dst, dtype=np.uint16, casting="unsafe")
 
 
+def _write_all(fd: int, samples: np.ndarray, offset: int | None) -> None:
+    """Write every byte of ``samples`` at ``offset`` of ``fd``, or at its file
+    position when ``offset`` is None; a short write is resumed, not lost."""
+    data = memoryview(samples.view(np.uint8))
+    while data:
+        written = os.write(fd, data) if offset is None else os.pwrite(fd, data, offset)
+        data = data[written:]
+        if offset is not None:
+            offset += written
+
+
 def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneFormat) -> int:
     """Stream ``src`` (at ``fmt``) into ``dst`` at the other depth; return the frame count.
 
     A 10-bit ``fmt`` is tone-mapped to 8 bits, an 8-bit one is expanded to
-    10 bits, with the same mapping on Y, U and V. Each piece ``read_pieces``
-    yields is converted into one reused whole-frame buffer, which is written
-    once per frame. The input is checked for whole frames, and refused when
-    ``dst`` is the same file, before ``dst`` is touched. A conversion that
-    fails (on a sample out of range, say) removes the regular file it wrote,
-    so no shorter clip that looks whole is left at ``dst``.
+    10 bits, with the same mapping on Y, U and V. The frames are split into
+    one span per usable CPU (``yuv.run_spans``). Each span converts every
+    piece ``read_pieces`` yields into a piece-sized buffer and writes it at
+    its place in ``dst`` with ``os.pwrite``. A ``dst`` that cannot seek (a
+    pipe, say) gets one span, written in frame order. The input is checked
+    for whole frames, and refused when ``dst`` is the same file, before
+    ``dst`` is touched. A conversion that fails (on a sample out of range,
+    say) removes the regular file it wrote, once every span has stopped, so
+    no shorter clip that looks whole is left at ``dst``.
     """
-    frames = frame_count(src, fmt)
+    frames = yuv.frame_count(src, fmt)
     if os.path.exists(dst) and os.path.samefile(src, dst):
         raise ValidationError(f"output {dst} is the input {src}; convert into another file")
-    if fmt.bit_depth == 10:
-        # The reader has range-checked every piece, so the kernel runs unchecked.
-        scratch = np.empty(fmt.piece_samples, dtype=np.uint16)
-        op, out_fmt = functools.partial(_tonemap, scratch=scratch), fmt.with_bit_depth(8)
-    else:
-        op, out_fmt = expand_plane, fmt.with_bit_depth(10)
-    out = np.empty(fmt.frame_samples, dtype=out_fmt.dtype)
-    with open(dst, "wb") as fh:
+    out_fmt = fmt.with_bit_depth(8 if fmt.bit_depth == 10 else 10)
+    size = fmt.piece_samples
+
+    def buffers():
+        if fmt.bit_depth == 10:
+            # The reader has range-checked every piece, so the kernel runs unchecked.
+            op = functools.partial(_tonemap, scratch=np.empty(size, dtype=np.uint16))
+        else:
+            op = expand_plane
+        return np.empty(size, dtype=fmt.dtype), np.empty(size, dtype=out_fmt.dtype), op
+
+    with open(dst, "wb", buffering=0) as fh:
+        fd, seekable = fh.fileno(), fh.seekable()
+
+        def convert(span: range, buffers, stopped) -> None:
+            raw, out, op = buffers
+            offset = span.start * out_fmt.frame_bytes
+            for _, _, piece in yuv.read_pieces(src, fmt, span, raw):
+                if stopped():
+                    return
+                converted = out[: piece.size]
+                op(piece, converted)
+                _write_all(fd, converted, offset if seekable else None)
+                offset += converted.nbytes
+
         try:
-            for _, start, piece in read_pieces(src, fmt):
-                stop = start + piece.size
-                op(piece, out[start:stop])
-                if stop == fmt.frame_samples:
-                    fh.write(out)
-            # Inside the try: a write error on the buffered tail must not
-            # leave a shorter clip behind either.
-            fh.flush()
+            yuv.run_spans(frames, buffers, convert, parallel=seekable)
         except BaseException:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if stat.S_ISREG(os.fstat(fd).st_mode):
                 os.unlink(dst)
             raise
     return frames

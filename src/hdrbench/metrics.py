@@ -3,15 +3,18 @@
 PSNR is computed per color component and combined with luma-weighted
 averaging: (6 * Y + U + V) / 8. Each plane's squared error is summed
 exactly in integers, so the MSE is the correctly rounded SSE / n and no
-plane is copied to float64. ``score_files`` streams both files through
-``yuv.read_pieces`` in lockstep and sums each plane's SSE piece by piece:
-the difference of the ``int16`` views is squared into a reused ``int32``
-buffer, rows of 1024 squares are summed in ``uint32`` and the rows in
-``uint64``. No BLAS call is made, so no BLAS worker threads are started
-beside the codecs that hdrbench times. Identical planes yield an infinite
-PSNR, represented by the float('inf') sentinel; it propagates through
-averaging and the weighted combination, and curve fitting rejects it
-downstream.
+plane is copied to float64. ``score_files`` splits the frames into one
+span per usable CPU (``yuv.run_spans``); each span streams both files
+through ``yuv.read_pieces`` in lockstep and sums each plane's SSE piece by
+piece: the difference of the ``int16`` views is squared into an ``int32``
+buffer of the span's own, rows of 1024 squares are summed in ``uint32`` and
+the rows in ``uint64``. The spans' per-frame PSNRs are joined in frame
+order, so the means add them in the same order at any span count. Every
+span thread is joined before ``score_files`` returns, and no BLAS call is
+made, so no thread is left running beside the codecs that hdrbench times.
+Identical planes yield an infinite PSNR, represented by the float('inf')
+sentinel; it propagates through averaging and the weighted combination,
+and curve fitting rejects it downstream.
 
 An external perceptual metric (e.g. HDR-VDP) is supported only through a
 command adapter: a template with {REF} and {TEST} placeholders whose
@@ -28,11 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import yuv
 from .bitdepth import expand_plane
 from .config import render_template
 from .errors import ExecutionError, ValidationError
 from .measure import Child
-from .yuv import PlaneFormat, frame_count, read_pieces
+from .yuv import PlaneFormat
 
 INFINITE_PSNR = float("inf")
 
@@ -137,12 +141,13 @@ def score_files(
 
     ``ref`` is read as 10-bit at ``fmt``'s geometry and ``test`` at
     ``fmt.bit_depth``. An 8-bit test is expanded to 10 bits piece by piece,
-    so every variant is scored in the 10-bit domain of the source. Both
-    files stream through ``read_pieces`` in lockstep, and each plane's SSE
-    is summed exactly over its pieces.
+    so every variant is scored in the 10-bit domain of the source. The
+    frames are split into spans (``yuv.run_spans``); in each, both files
+    stream through ``read_pieces`` in lockstep, and each plane's SSE is
+    summed exactly over its pieces.
     """
     ref_fmt = fmt.with_bit_depth(10)
-    ref_frames, test_frames = frame_count(ref, ref_fmt), frame_count(test, fmt)
+    ref_frames, test_frames = yuv.frame_count(ref, ref_fmt), yuv.frame_count(test, fmt)
     if ref_frames != test_frames:
         raise PlaneMismatchError(
             f"frame counts differ: {ref} has {ref_frames}, {test} has {test_frames}"
@@ -150,24 +155,35 @@ def score_files(
     if not ref_frames:
         raise PlaneMismatchError("cannot score an empty sequence")
 
-    piece = ref_fmt.piece_samples
-    diff, square = np.empty(piece, dtype=np.int16), np.empty(piece, dtype=np.int32)
-    # An 8-bit test piece is expanded into one buffer reused for every piece.
-    expanded = np.empty(piece, dtype=ref_fmt.dtype) if fmt.bit_depth == 8 else None
+    size = ref_fmt.piece_samples
     sizes = (ref_fmt.luma_samples, ref_fmt.chroma_samples, ref_fmt.chroma_samples)
-    sse = [0, 0, 0]
-    per_plane = ([], [], [])
-    for (plane, start, ref_piece), (_, _, test_piece) in zip(
-        read_pieces(ref, ref_fmt), read_pieces(test, fmt)
-    ):
-        if expanded is not None:
-            test_piece = expand_plane(test_piece, out=expanded[: test_piece.size])
-        sse[plane] += _sse_10bit(ref_piece, test_piece, diff, square)
-        if start + ref_piece.size == ref_fmt.frame_samples:
-            for values, total, n in zip(per_plane, sse, sizes):
-                values.append(_psnr(total / n, 10))
-            sse = [0, 0, 0]
-    return aggregate_frame_psnrs(*per_plane)
+
+    def buffers():
+        # An 8-bit test piece is expanded into a buffer reused for every piece.
+        expanded = np.empty(size, dtype=ref_fmt.dtype) if fmt.bit_depth == 8 else None
+        return (np.empty(size, dtype=ref_fmt.dtype), np.empty(size, dtype=fmt.dtype),
+                np.empty(size, dtype=np.int16), np.empty(size, dtype=np.int32), expanded)
+
+    def score(span: range, buffers, stopped) -> tuple[list[float], list[float], list[float]]:
+        ref_buffer, test_buffer, diff, square, expanded = buffers
+        sse = [0, 0, 0]
+        per_plane = ([], [], [])
+        for (plane, start, ref_piece), (_, _, test_piece) in zip(
+            yuv.read_pieces(ref, ref_fmt, span, ref_buffer), yuv.read_pieces(test, fmt, span, test_buffer)
+        ):
+            if stopped():
+                break
+            if expanded is not None:
+                test_piece = expand_plane(test_piece, out=expanded[: test_piece.size])
+            sse[plane] += _sse_10bit(ref_piece, test_piece, diff, square)
+            if start + ref_piece.size == ref_fmt.frame_samples:
+                for values, total, n in zip(per_plane, sse, sizes):
+                    values.append(_psnr(total / n, 10))
+                sse = [0, 0, 0]
+        return per_plane
+
+    spans = yuv.run_spans(ref_frames, buffers, score)
+    return aggregate_frame_psnrs(*([v for part in plane for v in part] for plane in zip(*spans)))
 
 
 def aggregate_frame_psnrs(

@@ -308,14 +308,6 @@ class _EncodedCell:
     measurement: AggregatedMeasurement
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on: the decoders run at once."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def cell_cache_key(
     sequence_digest: str, variant: VariantConfig, qp: int, host: str
 ) -> str:
@@ -503,7 +495,7 @@ class Runner:
                 running.append((item, self._start_decoder(item)))
 
         try:
-            start(_usable_cpus())
+            start(yuv.usable_cpus())
             for _ in encoded:
                 item, decoder = running.popleft()
                 with decoder:

@@ -6,17 +6,21 @@ six bits zero. All format metadata (dimensions and depth) comes from the
 caller, never from file content.
 
 ``read_pieces`` is the one place that reads and range-checks samples. It
-streams a file in pieces of at most ``PIECE_SAMPLES`` samples, each within
-one plane, through one reused read-only buffer, and checks each piece once
-while it is in cache; whole frames (``iter_frames``) are assembled from it.
+streams a range of a file's frames in pieces of at most ``PIECE_SAMPLES``
+samples, each within one plane, through one read-only buffer that its
+caller owns, and checks each piece once while it is in cache; whole frames
+(``iter_frames``) are assembled from it. ``run_spans`` splits a clip's
+frames into contiguous spans, one per usable CPU, and runs a piece loop over
+each on a thread of its own: the file-to-file conversion and scoring use it.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -189,23 +193,40 @@ def frame_count(path: str | os.PathLike, fmt: PlaneFormat) -> int:
     return size // fmt.frame_bytes
 
 
-def read_pieces(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(plane, start, samples)`` for every piece of every frame, in file order.
+def read_pieces(
+    path: str | os.PathLike,
+    fmt: PlaneFormat,
+    frames: range | None = None,
+    buffer: np.ndarray | None = None,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(plane, start, samples)`` for every piece of ``frames``, in file order.
 
     A piece is a run of at most ``PIECE_SAMPLES`` samples of one plane
     (``plane`` is 0, 1, 2 for Y, U, V); ``start`` is the index of its first
     sample in the frame's flat Y, U, V samples, so a frame ends with the
-    piece whose ``start + samples.size`` is ``fmt.frame_samples``. Every
-    piece is read into the same buffer and yielded read-only: it holds its
+    piece whose ``start + samples.size`` is ``fmt.frame_samples``.
+    ``frames`` is a range of frame indices, the whole file when None; the
+    reader seeks to its first frame and trusts the caller's count. Every
+    piece is read into ``buffer`` (at least ``fmt.piece_samples`` of
+    ``fmt.dtype``; a new one when None) and yielded read-only: it holds its
     samples only until the next piece is read, so a consumer uses it while
     it is still in cache and memory stays one piece. Each piece is
     range-checked once, by a single ``max`` scan; 8-bit files need none,
-    because a byte cannot exceed 255.
+    because a byte cannot exceed 255. Errors name the frame and the sample
+    index in the whole file.
     """
-    n_frames = frame_count(path, fmt)
+    if frames is None:
+        frames = range(frame_count(path, fmt))
+    if buffer is None:
+        buffer = np.empty(fmt.piece_samples, dtype=fmt.dtype)
+    elif (buffer.ndim != 1 or not buffer.flags.c_contiguous or buffer.dtype != fmt.dtype
+          or buffer.size < fmt.piece_samples):
+        raise YuvFormatError(
+            f"read buffer must be a flat contiguous {fmt.dtype} array of at least {fmt.piece_samples} "
+            f"samples, got {buffer.dtype} {buffer.shape}"
+        )
     samples = fmt.frame_samples
     check = _may_exceed(fmt.dtype, fmt)
-    buffer = np.empty(fmt.piece_samples, dtype=fmt.dtype)
     # (plane, start, writable slice, read-only view) for each piece of a frame
     layout = []
     offset = 0
@@ -217,7 +238,8 @@ def read_pieces(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[tuple[int
             layout.append((plane, offset + first, raw, piece))
         offset += size
     with open(path, "rb") as fh:
-        for index in range(n_frames):
+        fh.seek(frames.start * fmt.frame_bytes)
+        for index in frames:
             for plane, start, raw, piece in layout:
                 if fh.readinto(raw) != raw.nbytes:
                     raise FileSizeError(f"{path}: file ended inside frame {index}")
@@ -256,3 +278,92 @@ def write_frames(path: str | os.PathLike, frames: Iterable[Frame]) -> None:
             for plane in frame.planes():
                 fh.write(np.ascontiguousarray(plane, dtype=frame.format.dtype))
 
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: the spans of ``run_spans``,
+    and the decoders the pipeline runs at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def run_spans(
+    frames: int,
+    buffers: Callable[[], object],
+    work: Callable[[range, object, Callable[[], bool]], object],
+    parallel: bool = True,
+) -> list:
+    """Run ``work`` over contiguous spans of ``range(frames)``; return its results in span order.
+
+    There are ``min(usable_cpus(), frames)`` spans, or at most one when
+    ``parallel`` is false. ``buffers()`` is called once per span, here in
+    the calling thread, so that no worker allocates a buffer (each would
+    grow a malloc arena of its own). Then ``work(span, buffers, stopped)``
+    runs the first span in the calling thread and every other span on a
+    thread of its own: numpy's kernels, ``readinto`` and ``os.pwrite``
+    release the GIL. ``work`` calls ``stopped()`` once per piece and
+    returns early when it is true: an earlier span has failed, or the
+    caller was interrupted.
+
+    Every thread is joined before this returns or raises, an interrupt of
+    the calling thread included, so no worker outlives the call. A span
+    stops at its first error and a later span's error does not stop an
+    earlier span, so the error raised, that of the first span that failed,
+    is the first one in file order.
+    """
+    count = min(usable_cpus() if parallel else 1, frames)
+    spans = [range(frames * k // count, frames * (k + 1) // count) for k in range(count)]
+    states = [buffers() for _ in spans]
+    results: list = [None] * count
+    errors: list[BaseException | None] = [None] * count
+    finished = [threading.Event() for _ in spans]
+    failed = [count]  # spans after this index stop; -1 stops every span
+    lock = threading.Lock()
+
+    def stop_after(k: int) -> None:
+        with lock:
+            failed[0] = min(failed[0], k)
+
+    def run(k: int) -> None:
+        try:
+            results[k] = work(spans[k], states[k], lambda: failed[0] < k)
+        except BaseException as exc:  # raised in the calling thread once all are joined
+            errors[k] = exc
+            stop_after(k)
+        finally:
+            finished[k].set()
+
+    def join_all() -> None:
+        # Each span's own event, not Thread.join alone: before Python 3.13 a
+        # join cut short by an interrupt marks the thread stopped while it
+        # runs. The wait is timed so that this thread retakes the GIL now and
+        # then: an interrupt that a span's thread received is raised here.
+        interrupt = None
+        for k, thread in enumerate(threads, start=1):
+            while thread.ident is not None:  # started
+                try:
+                    if finished[k].wait(0.05):
+                        thread.join()
+                        break
+                except BaseException as exc:  # the caller was interrupted: stop every span
+                    stop_after(-1)
+                    interrupt = interrupt or exc
+        if interrupt is not None:
+            raise interrupt
+
+    threads = [threading.Thread(target=run, args=(k,), name=f"hdrbench-span-{k}") for k in range(1, count)]
+    try:
+        for thread in threads:
+            thread.start()
+        if count:
+            run(0)
+    except BaseException:  # a thread failed to start, or the caller was interrupted
+        stop_after(-1)
+        raise
+    finally:
+        join_all()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results

@@ -1,7 +1,6 @@
 """Bit-depth conversion invariants, checked exhaustively where cheap."""
 
 import errno
-import io
 
 import numpy as np
 import pytest
@@ -244,20 +243,15 @@ class TestStreamedConversion:
         assert target.read_bytes() == per_frame_reference(src, fmt)
 
     def test_write_error_on_the_buffered_tail_leaves_nothing_at_dst(self, tmp_path, monkeypatch):
-        # An 8-bit 8x8 frame is 96 bytes, so the whole clip stays in the
-        # writer's buffer until the final flush, which hits a full disk.
-        class FullDisk(io.FileIO):
-            def write(self, data):
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        def open_full(path, mode):
-            assert mode == "wb"
-            return io.BufferedWriter(FullDisk(path, "w"))
+        # No writer buffers the output any more: every positional write of a
+        # piece hits a full disk.
+        def full_disk(fd, data, offset):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
         fmt = PlaneFormat(8, 8, 8)
         src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
         distinct_clip(src, fmt, frames=3)
-        monkeypatch.setattr(bitdepth, "open", open_full, raising=False)
+        monkeypatch.setattr(bitdepth.os, "pwrite", full_disk)
         with pytest.raises(OSError, match="No space left"):
             convert_file(src, dst, fmt)
         assert not dst.exists()

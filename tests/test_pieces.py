@@ -1,8 +1,15 @@
 """The piece-streamed paths: conversion, scoring and frame assembly equal
-whole-frame references bit for bit at any piece size, and the reader's
-errors reach both conversion and scoring unchanged."""
+whole-frame references bit for bit at any piece size, conversion and
+scoring give the same bytes and floats at any span count, and the reader's
+errors reach both unchanged, with every span thread joined."""
 
+import errno
+import itertools
 import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +17,7 @@ import pytest
 from hdrbench import mockcodec, yuv
 from hdrbench.bitdepth import convert_file, expand_plane, tonemap_plane
 from hdrbench.metrics import aggregate_frame_psnrs, psnr_plane, score_files
-from hdrbench.yuv import FileSizeError, Frame, PlaneFormat, SampleRangeError
+from hdrbench.yuv import FileSizeError, Frame, PlaneFormat, SampleRangeError, YuvFormatError
 
 # 66x34 gives 33x17 chroma planes (561 samples): no plane is a multiple of
 # a piece or of a 1024-sample row.
@@ -133,3 +140,245 @@ def test_file_cut_short_after_counting_its_frames(tmp_path, monkeypatch, piece, 
         else:
             score_files(ref, test, fmt)
     assert not dst.exists()
+
+
+# Span counts: one (the reference), two, three, and more spans than frames.
+CPUS = (1, 2, 3, 8)
+
+
+def spans_of(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(yuv, "usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("depth", [10, 8])
+@pytest.mark.parametrize("frames", [1, 2, 3, 4, 5])
+def test_conversion_is_the_same_at_any_span_count(tmp_path, monkeypatch, piece, depth, frames):
+    fmt = PlaneFormat(WIDTH, HEIGHT, depth)
+    src = tmp_path / "src.yuv"
+    noise_clip(src, 40 + frames, fmt, frames=frames)
+    outputs = []
+    for cpus in CPUS:
+        spans_of(monkeypatch, cpus)
+        dst = tmp_path / f"dst{cpus}.yuv"
+        before = threading.active_count()
+        assert convert_file(src, dst, fmt) == frames
+        assert threading.active_count() == before
+        outputs.append(dst.read_bytes())
+    assert len(outputs[0]) == frames * fmt.with_bit_depth(18 - depth).frame_bytes
+    assert outputs == [outputs[0]] * len(CPUS)
+
+
+@pytest.mark.parametrize("depth", [10, 8])
+@pytest.mark.parametrize("frames", [1, 2, 3, 4, 5])
+def test_scoring_is_the_same_at_any_span_count(tmp_path, monkeypatch, piece, depth, frames):
+    fmt10, fmt = PlaneFormat(WIDTH, HEIGHT, 10), PlaneFormat(WIDTH, HEIGHT, depth)
+    ref, test = tmp_path / "ref.yuv", tmp_path / "test.yuv"
+    noise_clip(ref, 50 + frames, fmt10, frames=frames)
+    noise_clip(test, 60 + frames, fmt, frames=frames)
+    records = []
+    for cpus in CPUS:
+        spans_of(monkeypatch, cpus)
+        before = threading.active_count()
+        records.append(score_files(ref, test, fmt))
+        assert threading.active_count() == before
+    # Exact equality of all four floats, not approximate.
+    assert records == [records[0]] * len(CPUS)
+
+
+@pytest.mark.parametrize(
+    "buffer",
+    [np.empty(2244, dtype="u1"), np.empty(1100, dtype="<u2"), np.empty((2, 2244), dtype="<u2"),
+     np.empty(4488, dtype="<u2")[::2]],
+    ids=["dtype", "short", "2-D", "strided"],
+)
+def test_a_read_buffer_that_cannot_take_a_piece_is_refused(tmp_path, buffer):
+    fmt = PlaneFormat(WIDTH, HEIGHT, 10)
+    path = tmp_path / "clip.yuv"
+    noise_clip(path, 47, fmt, frames=1)
+    with pytest.raises(YuvFormatError, match="read buffer must be"):
+        next(yuv.read_pieces(path, fmt, range(1), buffer))
+
+
+def test_spans_split_the_frames_contiguously_and_keep_their_order(monkeypatch):
+    for cpus, frames in itertools.product(CPUS, range(7)):
+        spans_of(monkeypatch, cpus)
+        spans = yuv.run_spans(frames, lambda: None, lambda span, buffers, stopped: span)
+        assert [f for span in spans for f in span] == list(range(frames))
+        assert len(spans) == min(cpus, frames) and all(spans)
+
+
+# The second frame's last V sample and the fourth frame's first Y sample:
+# with two spans of two frames each, the second span fails on its first
+# piece, long before the first span reaches its error.
+TWO_BAD_SAMPLES = [2 * WIDTH * HEIGHT * 3 // 2 - 1, 3 * WIDTH * HEIGHT * 3 // 2]
+
+
+@pytest.mark.parametrize("target", ["convert", "quality ref", "quality test"])
+def test_the_earlier_of_two_bad_samples_in_two_spans_is_reported(tmp_path, monkeypatch, piece, target):
+    spans_of(monkeypatch, 2)
+    fmt = PlaneFormat(WIDTH, HEIGHT, 10)
+    bad, good, dst = tmp_path / "bad.yuv", tmp_path / "good.yuv", tmp_path / "dst.yuv"
+    noise_clip(bad, 41, fmt, frames=4)
+    words = np.fromfile(bad, dtype=fmt.dtype)
+    words[TWO_BAD_SAMPLES] = 1024
+    words.tofile(bad)
+    noise_clip(good, 42, fmt, frames=4)
+    message = f"bad.yuv: sample index {TWO_BAD_SAMPLES[0]} has value 1024 > 1023 for declared 10-bit depth$"
+    before = threading.active_count()
+    with pytest.raises(SampleRangeError, match=message):
+        if target == "convert":
+            convert_file(bad, dst, fmt)
+        elif target == "quality ref":
+            score_files(bad, good, fmt)
+        else:
+            score_files(good, bad, fmt)
+    assert threading.active_count() == before
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("depth", [10, 8])
+def test_full_disk_in_the_last_span_leaves_nothing_at_dst(tmp_path, monkeypatch, piece, depth):
+    spans_of(monkeypatch, 3)
+    fmt = PlaneFormat(WIDTH, HEIGHT, depth)
+    src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
+    noise_clip(src, 43, fmt, frames=5)
+    # Five frames in three spans: 0, 1-2 and 3-4; the disk fills in frame 4.
+    full_from = 4 * fmt.with_bit_depth(18 - depth).frame_bytes
+    pwrite, offsets = os.pwrite, []
+
+    def filling_pwrite(fd, data, offset):
+        offsets.append(offset)
+        if offset >= full_from:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", filling_pwrite)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="No space left"):
+        convert_file(src, dst, fmt)
+    assert threading.active_count() == before
+    assert max(offsets) >= full_from
+    assert not dst.exists()
+
+
+def test_short_positional_writes_are_resumed(tmp_path, monkeypatch):
+    spans_of(monkeypatch, 2)
+    fmt = PlaneFormat(WIDTH, HEIGHT, 10)
+    src, whole, short = tmp_path / "src.yuv", tmp_path / "whole.yuv", tmp_path / "short.yuv"
+    noise_clip(src, 44, fmt, frames=3)
+    convert_file(src, whole, fmt)
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:5], offset))
+    convert_file(src, short, fmt)
+    assert short.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("depth", [10, 8])
+def test_conversion_into_a_pipe_stays_in_frame_order(tmp_path, monkeypatch, piece, depth):
+    spans_of(monkeypatch, 3)
+    fmt = PlaneFormat(WIDTH, HEIGHT, depth)
+    src, file_out = tmp_path / "src.yuv", tmp_path / "out.yuv"
+    noise_clip(src, 45, fmt, frames=5)
+    convert_file(src, file_out, fmt)
+    read_fd, write_fd = os.pipe()
+    received = []
+
+    def drain():
+        with open(read_fd, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    before = threading.active_count()
+    try:
+        with open(write_fd, "wb", closefd=True):
+            assert convert_file(src, f"/dev/fd/{write_fd}", fmt) == 5
+            assert threading.active_count() == before
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [file_out.read_bytes()]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="signals the main thread through pthread_kill")
+@pytest.mark.parametrize("when", ["in its own span", "while it waits"])
+def test_interrupt_of_the_caller_joins_every_span_and_leaves_nothing(tmp_path, monkeypatch, when):
+    # The caller is interrupted while it converts its own span, or once it
+    # waits for the second span; either way that span stops at its next piece.
+    spans_of(monkeypatch, 2)
+    monkeypatch.setattr(yuv, "PIECE_SAMPLES", 7)
+    fmt = PlaneFormat(WIDTH, HEIGHT, 10)
+    src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
+    noise_clip(src, 46, fmt, frames=4)
+    main = threading.main_thread()
+    assert threading.current_thread() is main
+    read, caller_done, worker_pieces = yuv.read_pieces, threading.Event(), []
+
+    def waiting(thread) -> bool:
+        frame = sys._current_frames().get(thread.ident)
+        return frame is not None and frame.f_code.co_name == "wait"
+
+    def reader(path, path_fmt, frames, buffer):
+        if threading.current_thread() is main:
+            for index, item in enumerate(read(path, path_fmt, frames, buffer)):
+                if when == "in its own span" and index == 100:
+                    raise KeyboardInterrupt
+                yield item
+            caller_done.set()
+            return
+        if when == "while it waits":
+            assert caller_done.wait(timeout=30)
+            deadline = time.monotonic() + 30
+            while not waiting(main) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            signal.pthread_kill(main.ident, signal.SIGINT)
+        for item in read(path, path_fmt, frames, buffer):
+            worker_pieces.append(item)
+            time.sleep(0.001)
+            yield item
+
+    monkeypatch.setattr(yuv, "read_pieces", reader)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        convert_file(src, dst, fmt)
+    assert threading.active_count() == before
+    # Two frames of 7-sample pieces are 966 pieces: the span stopped early.
+    assert len(worker_pieces) < 300
+    assert not dst.exists()
+
+
+def test_every_span_before_the_first_failure_runs_to_its_end(monkeypatch):
+    # Eight spans on any number of cores, switching threads often: the error
+    # raised is the first span's that failed, and no span before it stopped.
+    spans_of(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 10
+        for trial in itertools.count():
+            if time.monotonic() > deadline or trial == 200:
+                break
+            rng = np.random.default_rng(trial)
+            fail_at = {k: int(rng.integers(20)) for k in range(8) if rng.random() < 0.4}
+            finished = [False] * 8
+
+            def work(span, k, stopped):
+                for step in range(20):
+                    if stopped():
+                        return None
+                    if fail_at.get(k) == step:
+                        raise ValueError(k)
+                finished[k] = True
+                return k
+
+            before = threading.active_count()
+            if fail_at:
+                with pytest.raises(ValueError) as info:
+                    yuv.run_spans(8, itertools.count().__next__, work)
+                assert info.value.args == (min(fail_at),)
+                assert all(finished[: min(fail_at)])
+            else:
+                assert yuv.run_spans(8, itertools.count().__next__, work) == list(range(8))
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)

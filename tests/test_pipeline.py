@@ -8,6 +8,7 @@ import os
 import stat
 import sys
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdrbench import pipeline, yuv
 from hdrbench.bitdepth import expand_plane
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.measure import MeasurementError
@@ -569,6 +571,23 @@ class TestExecution:
         runner.run()
         inputs = list((config.work_dir / "inputs").iterdir())
         assert len(inputs) == 1  # one shared 8-bit rendition of the source
+
+    def test_no_span_thread_runs_during_a_timed_encode(self, tmp_path, monkeypatch):
+        # The 8-bit input is tone-mapped in two spans just before the first
+        # timed encode: both span threads are joined before it starts.
+        monkeypatch.setattr(yuv, "usable_cpus", lambda: 3)
+        config = make_run_config(tmp_path, variants=("8-8",), qp_ladder=(22, 27))
+        threads_at_encode, measure = [], pipeline.measure_process
+
+        def measure_counting_threads(*args, **kwargs):
+            threads_at_encode.append(threading.active_count())
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "measure_process", measure_counting_threads)
+        runner = Runner(config)
+        runner.run()
+        assert runner.executed_cells == 2
+        assert threads_at_encode == [1, 1]
 
     def test_simd_pair_bitstreams_identical(self, tmp_path):
         config = make_run_config(tmp_path, variants=("8-8", "8-8-nosimd"))
