@@ -42,18 +42,11 @@ def write_synth_clip(path: Path, seed: int, fmt: yuv.PlaneFormat, frames: int) -
         noisy = big + rng.normal(0.0, fmt.max_value / 120.0, size=(height, width))
         return np.clip(noisy, 0, fmt.max_value).astype(fmt.dtype)
 
-    yuv.write_frames(
-        path,
-        (
-            yuv.Frame(
-                plane(fmt.height, fmt.width),
-                plane(fmt.chroma_height, fmt.chroma_width),
-                plane(fmt.chroma_height, fmt.chroma_width),
-                fmt,
-            )
-            for _ in range(frames)
-        ),
-    )
+    shapes = [(fmt.height, fmt.width)] + 2 * [(fmt.chroma_height, fmt.chroma_width)]
+    with open(path, "wb") as fh:
+        for _ in range(frames):
+            for height, width in shapes:
+                plane(height, width).tofile(fh)
 
 
 def main(argv=None) -> int:

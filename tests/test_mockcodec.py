@@ -1,6 +1,7 @@
 """The deterministic stand-in codec used by pipeline and CLI tests."""
 
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -191,6 +192,15 @@ class TestEncodeDecode:
         wide = np.fromfile(out10, dtype="<u2")
         assert np.array_equal(wide, narrow << 2)
 
+    def test_identity_decode_expands_8_to_10(self, tmp_path):
+        fmt8 = PlaneFormat(32, 32, 8)
+        path, stream, out10 = tmp_path / "clip8.yuv", tmp_path / "s.bin", tmp_path / "out10.yuv"
+        write_clip(path, 3, fmt8, frames=2)
+        encode(path, stream, fmt8, qp=37, identity=True)
+        assert decode(stream, out10, output_depth=10) == fmt8.with_bit_depth(10)
+        narrow = np.fromfile(path, dtype=np.uint8).astype(np.uint16)
+        assert np.array_equal(np.fromfile(out10, dtype="<u2"), narrow << 2)
+
     def test_decode_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not a stream at all")
@@ -208,6 +218,7 @@ class TestEncodeDecode:
         stream.write_bytes(blob[:change] if change < 0 else blob + b"\x00" * change)
         with pytest.raises(MockCodecError, match="payload"):
             decode(stream, tmp_path / "out.yuv")
+        assert not (tmp_path / "out.yuv").exists()
 
     @pytest.mark.parametrize("bits", [0, 11])
     def test_decode_rejects_index_width_outside_depth(self, tmp_path, bits):
@@ -267,6 +278,28 @@ class TestCommandLine:
         assert capsys.readouterr().err.startswith(f"mockcodec: qp {qp} ")
         assert not stream.exists()
 
+    def test_failed_encode_leaves_no_file(self, tmp_path, capsys):
+        # The out-of-range sample sits in the last frame, so the packed
+        # indices of the first two are written before the reader meets it.
+        fmt = PlaneFormat(64, 64, 10)
+        path, stream = tmp_path / "clip.yuv", tmp_path / "s.bin"
+        write_clip(path, 21, fmt, frames=3)
+        samples = np.fromfile(path, dtype=fmt.dtype)
+        index = 2 * fmt.frame_samples + 100
+        samples[index] = 1024
+        samples.tofile(path)
+        rc = mockcodec.main(
+            [
+                "encode", "--input", str(path), "--output", str(stream),
+                "--width", "64", "--height", "64", "--bit-depth", "10", "--qp", "22",
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"mockcodec: {path}: sample index {index} has value 1024 > 1023 for declared 10-bit depth\n"
+        )
+        assert not stream.exists()
+
     def test_bad_input_exits_one(self, tmp_path):
         rc = mockcodec.main(
             [
@@ -278,14 +311,46 @@ class TestCommandLine:
         assert rc == 1
 
 
+def without_openblas_setting() -> dict[str, str]:
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
 class TestLeanStart:
     def test_codec_child_skips_unused_modules(self):
         # concurrent.futures alone costs a codec child milliseconds of start-up.
-        unused = ("hdrbench.curves", "hdrbench.metrics", "hdrbench.pipeline", "hdrbench.akima", "concurrent.futures")
+        unused = (
+            "hdrbench.curves", "hdrbench.metrics", "hdrbench.pipeline", "hdrbench.akima", "hdrbench.bitdepth",
+            "concurrent.futures",
+        )
         code = f"import hdrbench.mockcodec, sys; print([m for m in {unused!r} if m in sys.modules])"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("inherited,seen", [(None, "1"), ("4", "4")], ids=["unset", "caller's"])
+    def test_codec_run_as_main_starts_numpy_with_one_openblas_thread(self, tmp_path, inherited, seen):
+        # A sitecustomize hook prints the codec process's setting as it exits.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit, os, sys\n"
+            "atexit.register(lambda: print('threads', os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr))\n"
+        )
+        env = without_openblas_setting()
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), env.get("PYTHONPATH")]))
+        if inherited is not None:
+            env["OPENBLAS_NUM_THREADS"] = inherited
+        done = subprocess.run(
+            [sys.executable, "-m", "hdrbench.mockcodec", "--help"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1] == f"threads {seen}"
+
+    def test_importing_the_codec_leaves_the_environment_alone(self):
+        code = "import os, hdrbench.mockcodec; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=without_openblas_setting(), capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "None"
 
     def test_every_exported_name_resolves(self):
         for name in hdrbench.__all__:

@@ -1,5 +1,5 @@
-"""The piece-streamed paths: conversion, scoring and frame assembly equal
-whole-frame references bit for bit at any piece size, conversion and
+"""The piece-streamed paths: conversion, scoring, frame assembly and the mock
+codec equal whole-frame references bit for bit at any piece size, conversion and
 scoring give the same bytes and floats at any span count, and the reader's
 errors reach both unchanged, with every span thread joined."""
 
@@ -18,6 +18,7 @@ from hdrbench import mockcodec, yuv
 from hdrbench.bitdepth import convert_file, expand_plane, tonemap_plane
 from hdrbench.metrics import aggregate_frame_psnrs, psnr_plane, score_files
 from hdrbench.yuv import FileSizeError, Frame, PlaneFormat, SampleRangeError, YuvFormatError
+from tests.test_mockcodec import reference_pack
 
 # 66x34 gives 33x17 chroma planes (561 samples): no plane is a multiple of
 # a piece or of a 1024-sample row.
@@ -74,14 +75,28 @@ def test_scoring_equals_whole_plane_psnr(tmp_path, piece, depth):
 
 
 @pytest.mark.parametrize("depth", [10, 8])
-def test_frames_and_codec_input_are_assembled_from_pieces(tmp_path, piece, depth):
+def test_frames_and_codec_input_are_assembled_from_pieces(tmp_path, monkeypatch, piece, depth):
+    # At 7-sample pieces the encoder carries 1 to 7 indices from piece to
+    # piece; 5-group decode chunks end inside pieces, planes and frames. The
+    # clip's 10098 samples leave a last group of two.
     fmt = PlaneFormat(WIDTH, HEIGHT, depth)
-    path = tmp_path / "clip.yuv"
+    path, stream, recon = tmp_path / "clip.yuv", tmp_path / "s.bin", tmp_path / "r.yuv"
     clip = noise_clip(path, 34, fmt, frames=3)
     assert tuple(yuv.iter_frames(path, fmt)) == clip
-    samples, frames = mockcodec._read_samples(path, fmt)
-    assert frames == 3
-    assert np.array_equal(samples, np.fromfile(path, dtype=fmt.dtype))
+    samples = np.fromfile(path, dtype=fmt.dtype)
+    monkeypatch.setattr(mockcodec, "_CHUNK_GROUPS", 5)
+    for qp in (12, 22):
+        bits = mockcodec.bits_for_qp(qp, depth)
+        shift, step = depth - bits, 1 << (depth - bits)
+        header = mockcodec._HEADER.pack(mockcodec.MAGIC, mockcodec.MODE_PACKED, WIDTH, HEIGHT, depth, qp, bits, 3)
+        assert mockcodec.encode(path, stream, fmt, qp) == stream.stat().st_size
+        assert stream.read_bytes() == header + reference_pack(samples >> shift, bits)
+        assert mockcodec.decode(stream, recon) == fmt
+        expected = (samples >> shift) * step + step // 2
+        assert np.array_equal(np.fromfile(recon, dtype=fmt.dtype), expected)
+        if depth == 8:
+            assert mockcodec.decode(stream, recon, output_depth=10) == fmt.with_bit_depth(10)
+            assert np.array_equal(np.fromfile(recon, dtype="<u2"), expected.astype(np.uint16) << 2)
 
 
 def clip_with_bad_sample(path, fmt: PlaneFormat, index: int) -> None:
