@@ -29,7 +29,6 @@ _EXPORTS = {
     "psnr_yuv": "metrics",
     "quantization_noise_report": "bitdepth",
     "score_files": "metrics",
-    "write_frames": "yuv",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

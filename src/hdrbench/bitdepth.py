@@ -9,8 +9,9 @@ The forward map is the integer formula (x * 510 + 1023) // 2046, computed
 as (x - ((3 * x) >> 10) + 1) >> 2 in ``uint16`` arithmetic, which equals it
 on every code in [0, 1023] (the tests check all 1024) and vectorises at two
 bytes a sample where a division, a table gather or a 32-bit product does
-not. A sample outside [0, 1023], or a plane that does not hold integers,
-raises BitDepthError instead of wrapping or truncating.
+not. Neither kernel checks its input: ``yuv.read_pieces``, the only source
+of their samples, range-checks every piece and raises ``SampleRangeError``
+with the offending sample's index in the file.
 
 ``convert_file`` streams a file through ``yuv.read_pieces``, in one span of
 frames per usable CPU (``yuv.run_spans``): each piece, already range-checked
@@ -32,28 +33,6 @@ from .errors import ValidationError
 from .yuv import PlaneFormat
 
 
-class BitDepthError(ValidationError):
-    """A sample lies outside the range of its declared bit depth."""
-
-
-def _require_integers(plane: np.ndarray, depth: str) -> None:
-    # A float sample would be truncated by the integer arithmetic below.
-    if plane.dtype.kind not in "ui":
-        raise BitDepthError(f"{depth} samples must be integers, got {plane.dtype}")
-
-
-def _output(out: np.ndarray | None, plane: np.ndarray, dtype) -> np.ndarray:
-    """``out``, checked to take ``plane``'s converted samples, or a new array."""
-    if out is None:
-        return np.empty(plane.shape, dtype=dtype)
-    if out.dtype != dtype or out.shape != plane.shape or not out.flags.c_contiguous:
-        raise BitDepthError(
-            f"out must be a contiguous {np.dtype(dtype)} array of shape {plane.shape}, "
-            f"got {out.dtype} {out.shape}"
-        )
-    return out
-
-
 def _tonemap(samples: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Tone-map ``uint16`` samples in [0, 1023] into the ``uint8`` array ``out``.
 
@@ -69,34 +48,10 @@ def _tonemap(samples: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     np.copyto(out, tmp, casting="unsafe")
 
 
-def tonemap_plane(plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Map 10-bit samples to 8-bit: round-half-up of x * 255 / 1023.
-
-    The result goes into ``out`` when given (a ``uint8`` array of the
-    plane's shape), else into a new array; either is returned.
-    """
-    _require_integers(plane, "10-bit")
-    dst = _output(out, plane, np.uint8)
-    if plane.size and int(plane.min()) < 0:
-        raise BitDepthError(f"sample value {int(plane.min())} is below the 10-bit minimum 0")
-    if plane.size and int(plane.max()) > 1023:
-        raise BitDepthError(f"sample value {int(plane.max())} exceeds the 10-bit maximum 1023")
-    src = plane.reshape(-1).astype(np.uint16, copy=False)
-    _tonemap(src, dst.reshape(-1), np.empty_like(src))
-    return dst
-
-
-def expand_plane(plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Map 8-bit samples to 10-bit by appending two zero bits (x * 4).
-
-    The result goes into ``out`` when given (a ``uint16`` array of the
-    plane's shape), else into a new array; either is returned.
-    """
-    _require_integers(plane, "8-bit")
-    dst = _output(out, plane, np.uint16)
-    if plane.dtype != np.uint8 and plane.size and not 0 <= int(plane.min()) <= int(plane.max()) <= 255:
-        raise BitDepthError(f"samples span [{plane.min()}, {plane.max()}], outside the 8-bit range")
-    return np.left_shift(plane, 2, out=dst, dtype=np.uint16, casting="unsafe")
+def expand_plane(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Map ``uint8`` samples to 10-bit by appending two zero bits (x * 4),
+    into the ``uint16`` array ``out`` of the same shape; return ``out``."""
+    return np.left_shift(plane, 2, out=out, dtype=np.uint16)
 
 
 def _write_all(fd: int, samples: np.ndarray, offset: int | None) -> None:
@@ -132,7 +87,6 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
 
     def buffers():
         if fmt.bit_depth == 10:
-            # The reader has range-checked every piece, so the kernel runs unchecked.
             op = functools.partial(_tonemap, scratch=np.empty(size, dtype=np.uint16))
         else:
             op = expand_plane
@@ -183,8 +137,10 @@ class NoiseReport:
 
 def quantization_noise_report() -> NoiseReport:
     """Sweep all 1024 input codes (uniform weighting) and report the noise."""
-    codes = np.arange(1024, dtype=np.int64)
-    mapped = tonemap_plane(codes).astype(np.int64)
+    codes = np.arange(1024, dtype=np.uint16)
+    mapped = np.empty(1024, dtype=np.uint8)
+    _tonemap(codes, mapped, np.empty_like(codes))
+    mapped = mapped.astype(np.int64)
     err_ideal = codes - (1023.0 / 255.0) * mapped
     err_shift = codes - 4 * mapped
     return NoiseReport(

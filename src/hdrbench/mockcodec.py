@@ -150,29 +150,6 @@ class _Groups:
             _split(lo, bits, out[:, 4:])
 
 
-def pack_indices(indices: np.ndarray, bits: int) -> bytes:
-    """Pack unsigned indices below ``2**bits`` MSB first, ``ceil(n * bits / 8)`` bytes."""
-    count = indices.size
-    groups = -(-count // 8)
-    padded = np.zeros(groups * 8, dtype=indices.dtype)
-    padded[:count] = indices.reshape(-1)
-    return _Groups(bits, groups).pack(padded.reshape(groups, 8))[: -(-count * bits // 8)].tobytes()
-
-
-def unpack_indices(payload, count: int, bits: int) -> np.ndarray:
-    """Inverse of ``pack_indices``: ``count`` indices as a uint16 array.
-
-    ``payload`` must be exactly ``ceil(count * bits / 8)`` bytes.
-    """
-    groups = -(-count // 8)
-    codec = _Groups(bits, groups)
-    size = -(-count * bits // 8)
-    codec.bytes[:size] = np.frombuffer(payload, dtype=np.uint8)
-    out = np.empty((groups, 8), dtype=np.uint16)
-    codec.unpack(groups, out)
-    return out.reshape(-1)[:count]
-
-
 def _write(path, chunks) -> int:
     """Write every buffer of ``chunks`` to ``path``; return the file's size.
 

@@ -424,11 +424,6 @@ class Runner:
                     return None
         return None
 
-    def execute_cell(self, cell: PlanCell) -> RunRecord:
-        """Encode, decode and score one cell: a group of one (see ``run``)."""
-        with contextlib.closing(self._decode_and_score([self._encode(cell)])) as records:
-            return next(records)
-
     def _encode(self, cell: PlanCell) -> _EncodedCell:
         """The timed half of a cell: prepare its input and measure its encoder."""
         config = self.config

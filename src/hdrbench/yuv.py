@@ -8,10 +8,12 @@ caller, never from file content.
 ``read_pieces`` is the one place that reads and range-checks samples. It
 streams a range of a file's frames in pieces of at most ``PIECE_SAMPLES``
 samples, each within one plane, through one read-only buffer that its
-caller owns, and checks each piece once while it is in cache; whole frames
-(``iter_frames``) are assembled from it. ``run_spans`` splits a clip's
-frames into contiguous spans, one per usable CPU, and runs a piece loop over
-each on a thread of its own: the file-to-file conversion and scoring use it.
+caller owns, and checks each piece once while it is in cache.
+``run_spans`` splits a clip's frames into contiguous spans, one per usable
+CPU, and runs a piece loop over each on a thread of its own: the
+file-to-file conversion and scoring use it. No shipped path reads whole
+frames; ``iter_frames`` assembles them from the pieces, and remains as a
+reader for the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -116,67 +118,17 @@ class PlaneFormat:
         )
 
 
-def _frozen(plane: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(plane)
-    out.setflags(write=False)
-    return out
-
-
-def _may_exceed(dtype: np.dtype, fmt: "PlaneFormat") -> bool:
-    """False when no value of ``dtype`` can exceed the depth (u1 at 8 or 10 bits)."""
-    return not (dtype.kind == "u" and dtype.itemsize * 8 <= fmt.bit_depth)
-
-
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """One planar 4:2:0 frame; planes are read-only 2-D arrays."""
+    """One planar 4:2:0 frame: its Y, U and V planes as 2-D arrays, at ``format``."""
 
     y: np.ndarray
     u: np.ndarray
     v: np.ndarray
     format: PlaneFormat
 
-    def __post_init__(self):
-        fmt = self.format
-        object.__setattr__(self, "y", _frozen(self.y))
-        object.__setattr__(self, "u", _frozen(self.u))
-        object.__setattr__(self, "v", _frozen(self.v))
-        if self.y.shape != (fmt.height, fmt.width):
-            raise YuvFormatError(f"luma shape {self.y.shape} != {(fmt.height, fmt.width)}")
-        for name, plane in (("u", self.u), ("v", self.v)):
-            if plane.shape != (fmt.chroma_height, fmt.chroma_width):
-                raise YuvFormatError(
-                    f"{name} plane shape {plane.shape} != {(fmt.chroma_height, fmt.chroma_width)}"
-                )
-        for plane in (self.y, self.u, self.v):
-            if _may_exceed(plane.dtype, fmt) and plane.size and int(plane.max()) > fmt.max_value:
-                raise SampleRangeError(
-                    f"sample value {int(plane.max())} exceeds {fmt.bit_depth}-bit maximum {fmt.max_value}"
-                )
-
     def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.y, self.u, self.v
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (
-            self.format == other.format
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.u, other.u)
-            and np.array_equal(self.v, other.v)
-        )
-
-
-def _split_frame(raw: np.ndarray, fmt: PlaneFormat) -> Frame:
-    """Frame over views of one range-checked raw frame, built without
-    re-validating: the views are contiguous and shaped here by construction."""
-    frame = object.__new__(Frame)
-    for name, plane in zip("yuv", fmt.planes(raw)):
-        plane.setflags(write=False)
-        object.__setattr__(frame, name, plane)
-    object.__setattr__(frame, "format", fmt)
-    return frame
 
 
 def frame_count(path: str | os.PathLike, fmt: PlaneFormat) -> int:
@@ -226,7 +178,7 @@ def read_pieces(
             f"samples, got {buffer.dtype} {buffer.shape}"
         )
     samples = fmt.frame_samples
-    check = _may_exceed(fmt.dtype, fmt)
+    check = fmt.dtype.itemsize * 8 > fmt.bit_depth  # a byte cannot exceed 255
     # (plane, start, writable slice, read-only view) for each piece of a frame
     layout = []
     offset = 0
@@ -255,8 +207,8 @@ def read_pieces(
 def iter_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[Frame]:
     """Yield frames one at a time; memory stays O(one frame).
 
-    Each frame is assembled from ``read_pieces`` into samples of its own,
-    so it stays valid after the next one is read.
+    Each frame is assembled from ``read_pieces`` into a read-only buffer of
+    its own, so it stays valid after the next one is read.
     """
     for _, start, piece in read_pieces(path, fmt):
         if not start:
@@ -264,19 +216,8 @@ def iter_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[Frame]:
         stop = start + piece.size
         raw[start:stop] = piece
         if stop == fmt.frame_samples:
-            yield _split_frame(raw, fmt)
-
-
-def write_frames(path: str | os.PathLike, frames: Iterable[Frame]) -> None:
-    """Write frames in file order; byte-exact inverse of iter_frames.
-
-    Planes already contiguous in the file's dtype are written from their
-    own buffers, without an intermediate bytes copy.
-    """
-    with open(path, "wb") as fh:
-        for frame in frames:
-            for plane in frame.planes():
-                fh.write(np.ascontiguousarray(plane, dtype=frame.format.dtype))
+            raw.setflags(write=False)
+            yield Frame(*fmt.planes(raw), fmt)
 
 
 def usable_cpus() -> int:

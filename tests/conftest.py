@@ -5,7 +5,6 @@ import sys
 import numpy as np
 import pytest
 
-from hdrbench import yuv
 from hdrbench.yuv import Frame, PlaneFormat
 
 MOCK_ENCODE = (
@@ -41,10 +40,20 @@ def make_frames(seed: int, fmt: PlaneFormat, frames: int = 3) -> tuple[Frame, ..
     return tuple(make_frame(rng, fmt) for _ in range(frames))
 
 
+def save_frames(path, frames) -> None:
+    """Write ``frames`` as one raw file: every plane of every frame, in order."""
+    np.concatenate([p.ravel() for f in frames for p in f.planes()]).tofile(path)
+
+
+def frame_bytes(frames) -> list[bytes]:
+    """Each frame's planes as one bytes string: frames compare by their bytes."""
+    return [b"".join(p.tobytes() for p in f.planes()) for f in frames]
+
+
 def write_clip(path, seed: int, fmt: PlaneFormat, frames: int = 3) -> tuple[Frame, ...]:
     """Write ``make_frames(seed, fmt, frames)`` to ``path``; return the frames."""
     clip = make_frames(seed, fmt, frames)
-    yuv.write_frames(path, clip)
+    save_frames(path, clip)
     return clip
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hdrbench.bitdepth import expand_plane, quantization_noise_report, tonemap_plane
+from hdrbench.bitdepth import convert_file, quantization_noise_report
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.curves import Curve, OperatingPoint, bd_delta, find_intersections, rcd
 from hdrbench.measure import EnergyCounterSnapshot, MeasurementSample, aggregate, energy_delta
@@ -232,20 +232,27 @@ def test_criterion_7_end_to_end_mock_study(announce, tmp_path):
     )
 
 
-def test_criterion_8_bit_depth_invariants(announce):
+def test_criterion_8_bit_depth_invariants(announce, tmp_path):
+    # The shipped conversion, 10->8 then 8->10, on a 32x32 frame whose luma
+    # holds every 10-bit code once, in order.
+    fmt = PlaneFormat(32, 32, 10)
     codes = np.arange(1024, dtype=np.uint16)
-    mapped = tonemap_plane(codes)
-    expanded = expand_plane(mapped)
+    clip10, clip8, back10 = tmp_path / "clip10.yuv", tmp_path / "clip8.yuv", tmp_path / "back10.yuv"
+    np.concatenate([codes, codes[::-4], codes[1::4]]).astype("<u2").tofile(clip10)
+    convert_file(clip10, clip8, fmt)
+    convert_file(clip8, back10, fmt.with_bit_depth(8))
+    samples8 = np.fromfile(clip8, dtype=np.uint8)
+    samples10 = np.fromfile(back10, dtype="<u2")
+    mapped, expanded = samples8[:1024], samples10[:1024]
     monotone = bool(np.all(np.diff(mapped.astype(np.int32)) >= 0))
     surjective = set(mapped.tolist()) == set(range(256))
-    times_four = bool(
-        np.array_equal(
-            expand_plane(np.arange(256, dtype=np.uint8)),
-            np.arange(256, dtype=np.uint16) * 4,
-        )
-    )
+    times_four = bool(np.array_equal(samples10, samples8.astype(np.uint16) * 4))
     bound = int(np.max(np.abs(codes.astype(np.int32) - expanded.astype(np.int32))))
-    ok = monotone and surjective and times_four and bound <= 5
+    report = quantization_noise_report()
+    noise_pinned = (report.mse_ideal_inverse, report.mse_shift_inverse, report.max_abs_error_shift) == (
+        1.339866727941177, 4.1640625, 4
+    )
+    ok = monotone and surjective and times_four and bound <= 5 and noise_pinned
     announce(
         "criterion 8: bit-depth invariants over all 1024 codes",
         ok,

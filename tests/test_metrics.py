@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hdrbench import yuv
-from hdrbench.bitdepth import expand_plane
 from hdrbench.errors import ValidationError
 from hdrbench.metrics import (
     INFINITE_PSNR,
@@ -27,7 +25,7 @@ from hdrbench.metrics import (
     score_files,
 )
 from hdrbench.yuv import Frame, PlaneFormat
-from tests.conftest import distinct_clip, write_clip
+from tests.conftest import distinct_clip, save_frames, write_clip
 
 
 class TestMse:
@@ -159,7 +157,7 @@ class TestSequenceQuality:
             jitter = rng.integers(0, 3, size=frame.y.shape).astype(np.uint16)
             y = np.clip(frame.y.astype(np.int32) + jitter, 0, 1023).astype(np.uint16)
             noisy_frames.append(Frame(y, frame.u, frame.v, fmt10))
-        yuv.write_frames(test_path, noisy_frames)
+        save_frames(test_path, noisy_frames)
         record = score_files(ref_path, test_path, fmt10)
         per_frame = [psnr_plane(r.y, t.y, 10) for r, t in zip(ref, noisy_frames)]
         assert record.psnr_y == pytest.approx(sum(per_frame) / 3, rel=1e-12)
@@ -171,10 +169,7 @@ class TestSequenceQuality:
         ref_path, test8, test10 = tmp_path / "ref.yuv", tmp_path / "t8.yuv", tmp_path / "t10.yuv"
         write_clip(ref_path, 4, fmt10, frames=2)
         frames8 = write_clip(test8, 5, fmt10.with_bit_depth(8), frames=2)
-        yuv.write_frames(
-            test10,
-            (Frame(*(expand_plane(p) for p in f.planes()), fmt10) for f in frames8),
-        )
+        save_frames(test10, (Frame(*(p.astype("<u2") * 4 for p in f.planes()), fmt10) for f in frames8))
         assert score_files(ref_path, test8, fmt10.with_bit_depth(8)) == score_files(
             ref_path, test10, fmt10
         )

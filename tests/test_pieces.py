@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from hdrbench import mockcodec, yuv
-from hdrbench.bitdepth import convert_file, expand_plane, tonemap_plane
+from hdrbench.bitdepth import convert_file
 from hdrbench.metrics import aggregate_frame_psnrs, psnr_plane, score_files
 from hdrbench.yuv import FileSizeError, Frame, PlaneFormat, SampleRangeError, YuvFormatError
+from tests.conftest import frame_bytes, save_frames
 from tests.test_mockcodec import reference_pack
 
 # 66x34 gives 33x17 chroma planes (561 samples): no plane is a multiple of
@@ -39,7 +40,7 @@ def noise_clip(path, seed: int, fmt: PlaneFormat, frames: int = 3) -> tuple[Fram
         Frame(*(rng.integers(0, fmt.max_value + 1, shape).astype(fmt.dtype) for shape in shapes), fmt)
         for _ in range(frames)
     )
-    yuv.write_frames(path, clip)
+    save_frames(path, clip)
     return clip
 
 
@@ -49,13 +50,21 @@ def whole_frames(path, fmt: PlaneFormat) -> list[tuple[np.ndarray, np.ndarray, n
     return [fmt.planes(raw) for raw in data]
 
 
+def formula(plane: np.ndarray) -> np.ndarray:
+    """The depth map of a whole plane in 64-bit integers: round-half-up of
+    x * 255 / 1023 for 10-bit samples, x * 4 for 8-bit ones."""
+    wide = plane.astype(np.int64)
+    if plane.dtype == np.uint8:
+        return (wide * 4).astype("<u2")
+    return ((wide * 510 + 1023) // 2046).astype(np.uint8)
+
+
 @pytest.mark.parametrize("depth", [10, 8])
 def test_conversion_equals_whole_plane_kernels(tmp_path, piece, depth):
     fmt = PlaneFormat(WIDTH, HEIGHT, depth)
     src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
     noise_clip(src, 31, fmt, frames=3)
-    op = tonemap_plane if depth == 10 else expand_plane
-    expected = b"".join(op(plane).tobytes() for planes in whole_frames(src, fmt) for plane in planes)
+    expected = b"".join(formula(plane).tobytes() for planes in whole_frames(src, fmt) for plane in planes)
     assert convert_file(src, dst, fmt) == 3
     assert dst.read_bytes() == expected
 
@@ -69,7 +78,7 @@ def test_scoring_equals_whole_plane_psnr(tmp_path, piece, depth):
     per_plane = ([], [], [])
     for ref_planes, test_planes in zip(whole_frames(ref, fmt10), whole_frames(test, fmt)):
         for values, a, b in zip(per_plane, ref_planes, test_planes):
-            values.append(psnr_plane(a, expand_plane(b) if depth == 8 else b, 10))
+            values.append(psnr_plane(a, formula(b) if depth == 8 else b, 10))
     assert len({v for values in per_plane for v in values}) == 9
     assert score_files(ref, test, fmt) == aggregate_frame_psnrs(*per_plane)
 
@@ -82,7 +91,7 @@ def test_frames_and_codec_input_are_assembled_from_pieces(tmp_path, monkeypatch,
     fmt = PlaneFormat(WIDTH, HEIGHT, depth)
     path, stream, recon = tmp_path / "clip.yuv", tmp_path / "s.bin", tmp_path / "r.yuv"
     clip = noise_clip(path, 34, fmt, frames=3)
-    assert tuple(yuv.iter_frames(path, fmt)) == clip
+    assert frame_bytes(yuv.iter_frames(path, fmt)) == frame_bytes(clip)
     samples = np.fromfile(path, dtype=fmt.dtype)
     monkeypatch.setattr(mockcodec, "_CHUNK_GROUPS", 5)
     for qp in (12, 22):

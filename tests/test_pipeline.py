@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdrbench import pipeline, yuv
-from hdrbench.bitdepth import expand_plane
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.measure import MeasurementError
 from hdrbench.metrics import QualityRecord
@@ -648,11 +647,18 @@ class TestExecution:
         assert len(ResultStore.load(config.store_path)) == 0
 
     def test_interrupted_store_is_checkpointed(self, tmp_path):
+        # A run stopped right after its first checkpoint keeps that cell's
+        # record, and only that one, for the resumed run to reuse.
         config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22, 27, 32, 37))
-        runner = Runner(config)
-        cells = runner.plan()
-        runner.store.add(runner.execute_cell(cells[0]))
-        runner.store.save(config.store_path)
+
+        def interrupt(index, total, cell, status):
+            if status == "measured":
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            Runner(config).run(progress=interrupt)
+        assert len(config.store_path.read_text().splitlines()) == 1
+        assert len(ResultStore.load(config.store_path)) == 1
         resumed = Runner(make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22, 27, 32, 37)))
         resumed.run()
         assert resumed.reused_cells == 1
@@ -814,7 +820,7 @@ class TestEightBitScoring:
         )
         recon10 = scored_dir / "recon_10bit.yuv"
         recon8 = np.fromfile(scored_dir / "recon_8bit.yuv", dtype=np.uint8)
-        assert recon10.read_bytes() == expand_plane(recon8).astype("<u2").tobytes()
+        assert recon10.read_bytes() == (recon8.astype("<u2") * 4).tobytes()
         assert args_log.read_text().splitlines()[1] == str(recon10)
         assert scored.quality.external_score == 5.0
         assert (scored_dir / "metric.stdout.log").read_text() == "5.0\n"
