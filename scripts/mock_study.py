@@ -97,7 +97,7 @@ def main(argv=None) -> int:
     print(
         f"\n{total} cells: {runner.executed_cells} measured, "
         f"{runner.reused_cells} reused, {runner.encoder_invocations} encoder "
-        f"invocation(s) in {elapsed:.1f} s\n"
+        f"invocation(s), {runner.decoder_invocations} decoder invocation(s) in {elapsed:.1f} s\n"
     )
 
     table = build_table(store)

@@ -56,7 +56,9 @@ class VariantConfig:
     """One encoding route: which depth the encoder sees and runs at.
 
     ``8-8`` and ``8-8-nosimd`` must differ only in ``simd_enabled``; their
-    bitstreams are expected to be byte-identical.
+    bitstreams are expected to be byte-identical. A run decodes and scores
+    each distinct bitstream and decoder command once, so with one decoder
+    template the ``8-8-nosimd`` cells take their ``8-8`` twins' scores.
     """
 
     name: str

@@ -28,7 +28,8 @@ fails part-way removes its output.
 With ``--identity`` the input bytes are stored verbatim (lossless, for
 sanity runs). ``--no-simd`` is accepted and ignored so that variant
 templates which toggle vector instructions produce byte-identical streams,
-as a real scalar/SIMD encoder pair would.
+as a real scalar/SIMD encoder pair would; the pipeline then runs one
+decoder for the pair's two cells at each QP.
 
 Invoke as ``python -m hdrbench.mockcodec encode|decode ...``. Run that
 way, the codec sets ``OPENBLAS_NUM_THREADS=1`` before it imports numpy,

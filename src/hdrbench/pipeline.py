@@ -3,8 +3,10 @@
 One *cell* is (sequence, variant, QP). Executing a cell tonemaps the input
 if the variant wants 8-bit, runs the encoder under measurement, decodes,
 re-expands 8-bit reconstructions to 10-bit, and scores quality against the
-untouched 10-bit source. Records land in a JSONL store keyed by a content
-hash so repeated runs reuse finished cells instead of re-encoding.
+untouched 10-bit source; a cell whose bitstream and decoder command repeat
+an earlier cell's of the run takes that cell's scores instead. Records land
+in a JSONL store keyed by a content hash so repeated runs reuse finished
+cells instead of re-encoding.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import ExecutionError, ValidationError
 from .measure import AggregatedMeasurement, Child, measure_process
 # psnr_plane is unused here; perfbench's tracer test reads pipeline.psnr_plane.
 from .metrics import QualityRecord, external_metric, psnr_plane, score_files
-from .yuv import PlaneFormat
 
 STORE_SCHEMA = 1
 _HASH_CHUNK = 1 << 20
@@ -341,10 +342,13 @@ class Runner:
         self.config = config
         self.store = ResultStore.load(config.store_path)
         self.encoder_invocations = 0
+        self.decoder_invocations = 0
         self.executed_cells = 0
         self.reused_cells = 0
         self._sequence_digests: dict[str, str] = {}
         self._prepared_inputs: dict[tuple[str, int], Path] = {}
+        # The quality of each decode this run scored, by its _decode_key.
+        self._scored: dict[tuple, QualityRecord] = {}
 
     # -- planning ----------------------------------------------------------
 
@@ -435,9 +439,12 @@ class Runner:
         cell_dir.mkdir(parents=True, exist_ok=True)
         bitstream = cell_dir / "bitstream.bin"
         recon = cell_dir / f"recon_{variant.internal_depth}bit.yuv"
-        # A codec that exits 0 without writing must not inherit an earlier run's file.
-        bitstream.unlink(missing_ok=True)
-        recon.unlink(missing_ok=True)
+        # No output of an earlier run may pass for this run's: not the file of
+        # a codec that exits 0 without writing, nor the decode and metric
+        # outputs of a cell that now reuses another cell's decode.
+        for pattern in ("bitstream.bin", "recon_*bit.yuv", "decoder.*.log", "metric.*.log"):
+            for stale in cell_dir.glob(pattern):
+                stale.unlink(missing_ok=True)
 
         enc_argv = render_template(
             variant.encoder_template,
@@ -472,58 +479,104 @@ class Runner:
         except OSError as exc:
             decoder.close()
             raise PipelineError(f"decoder failed to start for {encoded.where}: {exc}") from exc
+        self.decoder_invocations += 1
         return decoder
+
+    def _decode_key(self, encoded: _EncodedCell, digest: str) -> tuple:
+        """What a cell's reconstruction and scores follow from: its sequence,
+        internal depth, decoder command (paths left as placeholders) and
+        bitstream digest."""
+        cell = encoded.cell
+        depth = cell.variant.internal_depth
+        argv = render_template(
+            cell.variant.decoder_template,
+            self._substitutions(cell.sequence, "{INPUT}", "{OUTPUT}", cell.qp, depth),
+        )
+        return cell.sequence.name, depth, tuple(argv), digest
 
     def _decode_and_score(self, encoded: list[_EncodedCell]):
         """The untimed half of encoded cells: yield their records in order.
 
-        Up to one decoder per CPU runs ahead of the cell being scored; hashing
-        and scoring stay on this thread. Closing the generator early (the
-        caller stopped, or anything raised) kills and reaps every decoder
-        still running, so none outlives it into a timed encode.
+        Each bitstream is hashed before its decoder would start. One decoder
+        runs per distinct bitstream and decoder command: a cell whose
+        ``_decode_key`` an earlier cell of this run decoded starts no decoder
+        and no external metric, and its record takes that cell's quality.
+        So ``8-8-nosimd``, whose bitstreams are ``8-8``'s, reuses its twin's
+        scores when the twin was decoded in this run; a cached twin's record
+        holds no decoder command to match. Up to one decoder per CPU runs
+        ahead of the cell being scored; hashing and scoring stay on this
+        thread. Closing the generator early (the caller stopped, or anything
+        raised) kills and reaps every decoder still running, so none
+        outlives it into a timed encode.
         """
-        running: collections.deque[tuple[_EncodedCell, Child]] = collections.deque()
+        running: collections.deque[tuple[_EncodedCell, str, tuple, Child | None]] = collections.deque()
         waiting = iter(encoded)
+        started = set()  # the keys of the decoders this call started
 
         def start(count: int) -> None:
-            for item in itertools.islice(waiting, count):
-                running.append((item, self._start_decoder(item)))
+            """Hash waiting cells until ``count`` more decoders run or none wait."""
+            while count:
+                item = next(waiting, None)
+                if item is None:
+                    return
+                digest = file_sha256(item.bitstream)
+                key = self._decode_key(item, digest)
+                decoder = None
+                if key not in self._scored and key not in started:
+                    started.add(key)
+                    decoder = self._start_decoder(item)
+                    count -= 1
+                running.append((item, digest, key, decoder))
 
         try:
             start(yuv.usable_cpus())
             for _ in encoded:
-                item, decoder = running.popleft()
-                with decoder:
-                    returncode, _ = decoder.wait()
-                if returncode != 0:
-                    raise PipelineError("decoder " + decoder.failure(returncode, f" for {item.where}"))
-                start(1)
-                yield self._record(item)
+                item, digest, key, decoder = running.popleft()
+                if decoder is not None:
+                    with decoder:
+                        returncode, _ = decoder.wait()
+                    if returncode != 0:
+                        raise PipelineError("decoder " + decoder.failure(returncode, f" for {item.where}"))
+                    start(1)
+                    self._scored[key] = self._score(item)
+                yield self._record(item, digest, self._scored[key])
         finally:
-            for _, decoder in running:
-                decoder.close()
+            for _, _, _, decoder in running:
+                if decoder is not None:
+                    decoder.close()
 
-    def _record(self, encoded: _EncodedCell) -> RunRecord:
-        """Check a decoded cell's outputs, hash and score them: its record."""
-        config = self.config
-        cell, cell_dir, measurement = encoded.cell, encoded.cell_dir, encoded.measurement
-        spec, variant, qp = cell.sequence, cell.variant, cell.qp
-        where = encoded.where
-        recon = encoded.recon
+    def _score(self, encoded: _EncodedCell) -> QualityRecord:
+        """Check a decoded cell's reconstruction and score it at 10-bit.
+
+        PSNR is taken against the source. Only an external metric, which
+        reads files, gets an 8-bit reconstruction written out expanded, as
+        ``recon_10bit.yuv``.
+        """
+        spec, where, recon = encoded.cell.sequence, encoded.where, encoded.recon
         if not recon.is_file():
             raise PipelineError(f"decoder produced no reconstruction for {where}")
         source_frames = yuv.frame_count(spec.path, spec.fmt)
-        recon_fmt = spec.fmt.with_bit_depth(variant.internal_depth)
+        recon_fmt = spec.fmt.with_bit_depth(encoded.cell.variant.internal_depth)
         recon_frames = yuv.frame_count(recon, recon_fmt)
         if recon_frames != source_frames:
             raise PipelineError(
                 f"decoder returned {recon_frames} frames, source has {source_frames} ({where})"
             )
-        bitstream_bytes = encoded.bitstream.stat().st_size
-        bitstream_digest = file_sha256(encoded.bitstream)
+        quality = score_files(spec.path, recon, recon_fmt)
+        if self.config.metric_command:
+            recon10 = recon
+            if recon_fmt.bit_depth == 8:
+                recon10 = encoded.cell_dir / "recon_10bit.yuv"
+                bitdepth.convert_file(recon, recon10, recon_fmt)
+            score = external_metric(spec.path, recon10, self.config.metric_command, encoded.cell_dir / "metric")
+            quality = replace(quality, external_score=score)
+        return quality
 
-        quality = self._score(spec, recon, recon_fmt, cell_dir)
-
+    def _record(self, encoded: _EncodedCell, digest: str, quality: QualityRecord) -> RunRecord:
+        """A scored cell's record: its own measurement, bitstream and logs, and ``quality``."""
+        config = self.config
+        cell, cell_dir, measurement = encoded.cell, encoded.cell_dir, encoded.measurement
+        spec, variant, qp = cell.sequence, cell.variant, cell.qp
         warnings = list(measurement.warnings)
         reported = self._parse_reported_rate(cell_dir / "encoder.stderr.log", cell_dir / "encoder.stdout.log")
         record = RunRecord(
@@ -536,10 +589,10 @@ class Runner:
             height=spec.fmt.height,
             input_depth=variant.input_depth,
             internal_depth=variant.internal_depth,
-            frames=source_frames,
+            frames=yuv.frame_count(spec.path, spec.fmt),
             frame_rate=spec.frame_rate,
-            bitstream_bytes=bitstream_bytes,
-            bitstream_sha256=bitstream_digest,
+            bitstream_bytes=encoded.bitstream.stat().st_size,
+            bitstream_sha256=digest,
             wall_time=measurement.mean_wall_time,
             cpu_time=measurement.mean_cpu_time,
             energy_joules=measurement.mean_energy_joules,
@@ -565,24 +618,6 @@ class Runner:
                 )
         return record
 
-    def _score(
-        self, spec: SequenceSpec, recon: Path, recon_fmt: PlaneFormat, cell_dir: Path
-    ) -> QualityRecord:
-        """PSNR of the reconstruction file against the source, at 10-bit.
-
-        Only an external metric, which reads files, gets an 8-bit
-        reconstruction written out expanded, as ``recon_10bit.yuv``.
-        """
-        quality = score_files(spec.path, recon, recon_fmt)
-        if self.config.metric_command:
-            recon10 = recon
-            if recon_fmt.bit_depth == 8:
-                recon10 = cell_dir / "recon_10bit.yuv"
-                bitdepth.convert_file(recon, recon10, recon_fmt)
-            score = external_metric(spec.path, recon10, self.config.metric_command, cell_dir / "metric")
-            quality = replace(quality, external_score=score)
-        return quality
-
     def run(self, progress=None) -> ResultStore:
         """Execute every planned cell; a cell with a stored record is reused
         unless the config's ``cache`` is ``"fresh"``.
@@ -590,10 +625,14 @@ class Runner:
         Cells run in groups: the consecutive planned cells of one (sequence,
         variant), one QP ladder. First the group's uncached cells are encoded
         and timed one after another, with no other child of this process
-        alive. Then their decoders run, up to one per CPU, while this thread
-        walks the group in plan order: it checks, hashes and scores each
-        decoded cell, and checkpoints its record by appending it to the
-        store file (see ``ResultStore.save``). So ``progress`` calls arrive
+        alive. Then their bitstreams are hashed and their decoders run, up to
+        one per CPU, while this thread walks the group in plan order: it
+        checks and scores each decoded cell, and checkpoints its record by
+        appending it to the store file (see ``ResultStore.save``). One
+        decoder runs per distinct bitstream and decoder command of the run:
+        a cell that repeats an earlier decoded cell's (see
+        ``_decode_and_score``) takes that cell's quality, so ``8-8-nosimd``
+        reuses ``8-8``'s decodes. So ``progress`` calls arrive
         in bursts after each group's encodes, and an interrupted run loses
         the measured but not yet checkpointed encodes of one group, up to
         one QP ladder. Any exception kills and reaps the group's decoders

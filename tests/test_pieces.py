@@ -338,9 +338,14 @@ def test_interrupt_of_the_caller_joins_every_span_and_leaves_nothing(tmp_path, m
     assert threading.current_thread() is main
     read, caller_done, worker_pieces = yuv.read_pieces, threading.Event(), []
 
-    def waiting(thread) -> bool:
+    def joining(thread) -> bool:
+        """Whether ``thread`` is inside ``run_spans``' ``join_all``, at any depth."""
         frame = sys._current_frames().get(thread.ident)
-        return frame is not None and frame.f_code.co_name == "wait"
+        while frame is not None:
+            if frame.f_code.co_name == "join_all" and frame.f_code.co_filename == yuv.__file__:
+                return True
+            frame = frame.f_back
+        return False
 
     def reader(path, path_fmt, frames, buffer):
         if threading.current_thread() is main:
@@ -353,7 +358,9 @@ def test_interrupt_of_the_caller_joins_every_span_and_leaves_nothing(tmp_path, m
         if when == "while it waits":
             assert caller_done.wait(timeout=30)
             deadline = time.monotonic() + 30
-            while not waiting(main) and time.monotonic() < deadline:
+            while not joining(main):
+                if time.monotonic() > deadline:
+                    pytest.fail("the caller did not reach run_spans' join_all within 30 s")
                 time.sleep(0.001)
             signal.pthread_kill(main.ident, signal.SIGINT)
         for item in read(path, path_fmt, frames, buffer):

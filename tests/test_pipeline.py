@@ -589,11 +589,19 @@ class TestExecution:
         assert threads_at_encode == [1, 1]
 
     def test_simd_pair_bitstreams_identical(self, tmp_path):
+        # So the nosimd cells take their twins' decodes: one decoder per QP,
+        # and PSNR fields equal at every QP, which the mock codec spreads.
         config = make_run_config(tmp_path, variants=("8-8", "8-8-nosimd"))
-        store = Runner(config).run()
-        by = {(r.variant, r.qp): r.bitstream_sha256 for r in store.records.values()}
+        runner = Runner(config)
+        store = runner.run()
+        by = {(r.variant, r.qp): r for r in store.records.values()}
+        fields = ("psnr_y", "psnr_u", "psnr_v", "psnr_yuv")
         for qp in LADDER:
-            assert by[("8-8", qp)] == by[("8-8-nosimd", qp)]
+            simd, nosimd = by[("8-8", qp)], by[("8-8-nosimd", qp)]
+            assert simd.bitstream_sha256 == nosimd.bitstream_sha256
+            assert [getattr(nosimd.quality, f) for f in fields] == [getattr(simd.quality, f) for f in fields]
+        assert len({by[("8-8", qp)].quality.psnr_yuv for qp in LADDER}) == len(LADDER)
+        assert runner.decoder_invocations == len(LADDER)
 
     def test_encoder_without_output_fails(self, tmp_path):
         config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22,))
@@ -679,9 +687,10 @@ class TestExecution:
 
 
 # A codec of a few stdlib lines: copies INPUT to OUTPUT after PAUSE seconds
-# (0.05 at QP QUICK) and logs its monotonic (start, end). As the decoder, at
-# the QP that the file FAIL names if it exists, it prints four lines to
-# STREAM instead and exits 3.
+# (0.05 at QP QUICK) and logs its role, QP and monotonic (start, end). As the
+# decoder, at the QP that the file FAIL names if it exists, it prints four
+# lines to STREAM instead and exits 3. As ``enc-flip`` it encodes and then
+# inverts the stream's last byte.
 FAKE_CODEC = """\
 import os, shutil, sys, time
 start = time.monotonic()
@@ -691,6 +700,12 @@ if role == "dec" and os.path.exists(fail) and open(fail).read() == qp:
     sys.exit(3)
 time.sleep(0.05 if qp == quick else float(pause))
 shutil.copyfile(src, dst)
+if role == "enc-flip":
+    with open(dst, "r+b") as fh:
+        fh.seek(-1, 2)
+        last = fh.read(1)[0]
+        fh.seek(-1, 2)
+        fh.write(bytes([255 - last]))
 with open(log, "a") as fh:
     fh.write(f"{role} {qp} {start} {time.monotonic()}\\n")
 """
@@ -701,42 +716,45 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
+def fake_template(tmp_path, role, pause, qp="{QP}", fail_stream="stderr"):
+    """A FAKE_CODEC command in ``tmp_path``: ``qp`` is the QP it is given and logs."""
+    script, log, fail = tmp_path / "fake_codec.py", tmp_path / "intervals.log", tmp_path / "fail_qp"
+    script.write_text(FAKE_CODEC)
+    return (f"{sys.executable} -S {script} {role} {{INPUT}} {{OUTPUT}} {qp} {log} {fail} "
+            f"{fail_stream} {pause} {max(LADDER)}")
+
+
+def fake_config(tmp_path, variants=("10-10",), fail_stream="stderr", pause=0.3):
+    """The run config, its interval log, and the file that makes a decoder QP fail.
+
+    Encoders take 0.02 s; the first cell's decoder 0.05 s and the others ``pause``.
+    """
+    config = make_run_config(tmp_path, variants=variants)
+    fakes = tuple(
+        replace(v, encoder_template=fake_template(tmp_path, "enc", 0.02, fail_stream=fail_stream),
+                decoder_template=fake_template(tmp_path, "dec", pause, fail_stream=fail_stream))
+        for v in config.variants
+    )
+    return replace(config, variants=fakes), tmp_path / "intervals.log", tmp_path / "fail_qp"
+
+
+def intervals(log: Path, role: str) -> list[tuple[int, float, float]]:
+    """(QP, start, end) of the runs of ``role`` that finished, in finishing order."""
+    rows = [line.split() for line in log.read_text().splitlines()]
+    return [(int(qp), float(start), float(end)) for name, qp, start, end in rows if name == role]
+
+
 class TestTwoPhaseExecution:
     """Each (sequence, variant) group's encodes run alone; its decoders then
     run up to one per CPU, and none outlives the group."""
 
-    def fake_config(self, tmp_path, variants=("10-10",), fail_stream="stderr", pause=0.3):
-        """The run config, its interval log, and the file that makes a decoder QP fail.
-
-        Encoders take 0.02 s; the first cell's decoder 0.05 s and the others ``pause``.
-        """
-        script, log, fail = tmp_path / "fake_codec.py", tmp_path / "intervals.log", tmp_path / "fail_qp"
-        script.write_text(FAKE_CODEC)
-
-        def template(role, pause):
-            return (f"{sys.executable} -S {script} {role} {{INPUT}} {{OUTPUT}} {{QP}} {log} {fail} "
-                    f"{fail_stream} {pause} {max(LADDER)}")
-
-        config = make_run_config(tmp_path, variants=variants)
-        fakes = tuple(
-            replace(v, encoder_template=template("enc", 0.02), decoder_template=template("dec", pause))
-            for v in config.variants
-        )
-        return replace(config, variants=fakes), log, fail
-
-    @staticmethod
-    def intervals(log: Path, role: str) -> list[tuple[int, float, float]]:
-        """(QP, start, end) of the runs of ``role`` that finished, in finishing order."""
-        rows = [line.split() for line in log.read_text().splitlines()]
-        return [(int(qp), float(start), float(end)) for name, qp, start, end in rows if name == role]
-
     def test_no_decoder_runs_during_a_timed_encode(self, tmp_path):
-        config, log, _ = self.fake_config(tmp_path, variants=("10-10", "8-8"))
+        config, log, _ = fake_config(tmp_path, variants=("10-10", "8-8"))
         runner = Runner(config)
         runner.run()
         assert runner.executed_cells == 8
-        encodes = [(start, end) for _, start, end in self.intervals(log, "enc")]
-        decodes = [(start, end) for _, start, end in self.intervals(log, "dec")]
+        encodes = [(start, end) for _, start, end in intervals(log, "enc")]
+        decodes = [(start, end) for _, start, end in intervals(log, "dec")]
         assert len(encodes) == len(decodes) == 8
         for dec_start, dec_end in decodes:
             for enc_start, enc_end in encodes:
@@ -751,14 +769,14 @@ class TestTwoPhaseExecution:
     @pytest.mark.parametrize("fail_stream", ["stderr", "stdout"])
     def test_failing_decoder_leaves_the_cells_before_it_and_no_child(self, tmp_path, fail_stream):
         assert_no_child_process()
-        config, log, fail = self.fake_config(tmp_path, fail_stream=fail_stream, pause=1.0)
+        config, log, fail = fake_config(tmp_path, fail_stream=fail_stream, pause=1.0)
         fail.write_text("27")
         keys = [cell.cache_key for cell in Runner(config).plan()]  # QP 37, 32, 27, 22
         with pytest.raises(PipelineError, match=r"^decoder exited 3 for clip/10-10/qp27: second \| third \| last$"):
             Runner(config).run()
         assert_no_child_process()
         # With two CPUs QP 22's decoder was running: it was killed, not waited for.
-        assert [qp for qp, _, _ in self.intervals(log, "dec")] == [37, 32]
+        assert [qp for qp, _, _ in intervals(log, "dec")] == [37, 32]
         assert list(ResultStore.load(config.store_path).records) == keys[:2]
         assert (config.work_dir / "clip" / "10-10" / "qp27" / f"decoder.{fail_stream}.log").stat().st_size > 0
 
@@ -771,7 +789,7 @@ class TestTwoPhaseExecution:
 
     def test_exception_from_progress_kills_the_decoders_in_flight(self, tmp_path):
         assert_no_child_process()
-        config, log, _ = self.fake_config(tmp_path, pause=1.0)
+        config, log, _ = fake_config(tmp_path, pause=1.0)
 
         class Stop(Exception):
             pass
@@ -787,8 +805,116 @@ class TestTwoPhaseExecution:
             assert_no_child_process()
         else:
             pytest.fail("the exception from progress did not propagate")
-        assert [qp for qp, _, _ in self.intervals(log, "dec")] == [37]
+        assert [qp for qp, _, _ in intervals(log, "dec")] == [37]
         assert len(ResultStore.load(config.store_path)) == 1
+
+
+class TestDecodeReuse:
+    """One decoder, and one external metric, per distinct (sequence, internal
+    depth, decoder command, bitstream) of a run; a cell that repeats one
+    takes the quality of the cell that decoded it."""
+
+    @staticmethod
+    def twins(store):
+        by = {(r.variant, r.qp): r for r in store.records.values()}
+        return [(by[("8-8", qp)], by[("8-8-nosimd", qp)]) for qp in LADDER]
+
+    @staticmethod
+    def decoder_logs(config, variant):
+        return sorted((config.work_dir / "clip" / variant).glob("qp*/decoder.*.log"))
+
+    def test_the_no_simd_twin_takes_the_simd_decode(self, tmp_path):
+        config, log, _ = fake_config(tmp_path, variants=("8-8", "8-8-nosimd"))
+        runner = Runner(config)
+        store = runner.run()
+        assert_no_child_process()
+        assert sorted(qp for qp, _, _ in intervals(log, "dec")) == sorted(LADDER)
+        assert runner.decoder_invocations == len(LADDER)
+        assert (runner.executed_cells, runner.encoder_invocations) == (8, 8)
+        for simd, nosimd in self.twins(store):
+            assert nosimd.bitstream_sha256 == simd.bitstream_sha256
+            assert nosimd.quality == simd.quality
+            assert nosimd.samples != simd.samples  # each keeps its own timing
+        assert len(self.decoder_logs(config, "8-8")) == 2 * len(LADDER)
+        assert self.decoder_logs(config, "8-8-nosimd") == []
+        for cell_dir in (config.work_dir / "clip" / "8-8-nosimd").iterdir():
+            assert sorted(p.name for p in cell_dir.iterdir()) == [
+                "bitstream.bin", "encoder.stderr.log", "encoder.stdout.log"
+            ]
+
+    @pytest.mark.parametrize("differs", ["bitstream", "decoder command"])
+    def test_a_twin_that_differs_decodes_its_own(self, tmp_path, differs):
+        config, log, _ = fake_config(tmp_path, variants=("8-8", "8-8-nosimd"))
+        simd, nosimd = config.variants
+        if differs == "bitstream":
+            nosimd = replace(nosimd, encoder_template=fake_template(tmp_path, "enc-flip", 0.02))
+        else:
+            nosimd = replace(nosimd, decoder_template=fake_template(tmp_path, "dec", 0.25))
+        runner = Runner(replace(config, variants=(simd, nosimd)))
+        store = runner.run()
+        assert_no_child_process()
+        assert runner.decoder_invocations == len(intervals(log, "dec")) == 2 * len(LADDER)
+        assert len(self.decoder_logs(config, "8-8-nosimd")) == 2 * len(LADDER)
+        for simd_record, nosimd_record in self.twins(store):
+            same_stream = simd_record.bitstream_sha256 == nosimd_record.bitstream_sha256
+            assert same_stream == (differs != "bitstream")
+            # A flipped last byte is one chroma sample: V PSNR moves.
+            assert (simd_record.quality == nosimd_record.quality) == same_stream
+
+    def test_a_cached_twin_is_no_source(self, tmp_path):
+        config, log, _ = fake_config(tmp_path, variants=("8-8", "8-8-nosimd"))
+        simd, _ = config.variants
+        Runner(replace(config, variants=(simd,))).run()
+        runner = Runner(config)
+        store = runner.run()
+        assert_no_child_process()
+        assert (runner.reused_cells, runner.executed_cells) == (4, 4)
+        assert runner.decoder_invocations == len(LADDER)
+        assert len(intervals(log, "dec")) == 2 * len(LADDER)
+        assert len(self.decoder_logs(config, "8-8-nosimd")) == 2 * len(LADDER)
+        for simd_record, nosimd_record in self.twins(store):
+            assert nosimd_record.quality == simd_record.quality
+
+    def test_a_duplicate_within_a_group_is_reused(self, tmp_path):
+        # The fake encoder ignores the QP, and this decoder command does not
+        # name it: the group's four cells are one bitstream and one decode.
+        config, log, _ = fake_config(tmp_path)
+        (variant,) = config.variants
+        variant = replace(variant, decoder_template=fake_template(tmp_path, "dec", 0.05, qp="0"))
+        runner = Runner(replace(config, variants=(variant,)))
+        store = runner.run()
+        assert_no_child_process()
+        assert [qp for qp, _, _ in intervals(log, "dec")] == [0]
+        assert runner.decoder_invocations == 1 and runner.executed_cells == 4
+        records = list(store.records.values())
+        assert len({r.bitstream_sha256 for r in records}) == 1
+        assert all(r.quality == records[0].quality for r in records)
+        cell_dirs = sorted((config.work_dir / "clip" / "10-10").iterdir())
+        # QP 37 comes first in plan order: its cell is the one decoded.
+        assert [(d / "recon_10bit.yuv").is_file() for d in cell_dirs] == [False, False, False, True]
+        assert [d.name for d in cell_dirs if (d / "decoder.stderr.log").exists()] == ["qp37"]
+
+    def test_the_external_metric_runs_once_per_distinct_decode(self, tmp_path):
+        calls = tmp_path / "metric_calls.txt"
+        script = tmp_path / "metric.py"
+        script.write_text(f"open({str(calls)!r}, 'a').write(__import__('sys').argv[2] + '\\n')\nprint('5.0')\n")
+        config, _, _ = fake_config(tmp_path, variants=("8-8", "8-8-nosimd"))
+        config = replace(config, metric_command=f"{sys.executable} -S {script} {{REF}} {{TEST}}")
+        # First the nosimd cells alone, which decode and score their own.
+        Runner(replace(config, variants=config.variants[1:])).run()
+        assert len(calls.read_text().splitlines()) == len(LADDER)
+        runner = Runner(replace(config, cache="fresh"))
+        store = runner.run()
+        assert_no_child_process()
+        tested = calls.read_text().splitlines()[len(LADDER):]
+        assert len(tested) == len(LADDER)
+        assert all("/8-8/" in path for path in tested)
+        assert {r.quality.external_score for r in store.records.values()} == {5.0}
+        # The reused cells keep nothing of their own earlier decode.
+        for cell_dir in (config.work_dir / "clip" / "8-8-nosimd").iterdir():
+            assert sorted(p.name for p in cell_dir.iterdir()) == [
+                "bitstream.bin", "encoder.stderr.log", "encoder.stdout.log"
+            ]
 
 
 class TestEightBitScoring:
