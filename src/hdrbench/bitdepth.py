@@ -16,14 +16,15 @@ with the offending sample's index in the file.
 ``convert_file`` streams a file through ``yuv.read_pieces``, in one span of
 frames per usable CPU (``yuv.run_spans``): each piece, already range-checked
 by the reader, is converted into a piece-sized output buffer, which is
-written with ``os.pwrite`` at the piece's place in the output file.
+written with ``os.pwrite`` at the piece's place in the output file. The
+output is opened through ``yuv.open_output``, which refuses the input as
+output and removes a failed conversion's file.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,6 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
     no shorter clip that looks whole is left at ``dst``.
     """
     frames = yuv.frame_count(src, fmt)
-    if os.path.exists(dst) and os.path.samefile(src, dst):
-        raise ValidationError(f"output {dst} is the input {src}; convert into another file")
     out_fmt = fmt.with_bit_depth(8 if fmt.bit_depth == 10 else 10)
     size = fmt.piece_samples
 
@@ -92,7 +91,7 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
             op = expand_plane
         return np.empty(size, dtype=fmt.dtype), np.empty(size, dtype=out_fmt.dtype), op
 
-    with open(dst, "wb", buffering=0) as fh:
+    with yuv.open_output(dst, src) as fh:
         fd, seekable = fh.fileno(), fh.seekable()
 
         def convert(span: range, buffers, stopped) -> None:
@@ -106,12 +105,7 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
                 _write_all(fd, converted, offset if seekable else None)
                 offset += converted.nbytes
 
-        try:
-            yuv.run_spans(frames, buffers, convert, parallel=seekable)
-        except BaseException:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.unlink(dst)
-            raise
+        yuv.run_spans(frames, buffers, convert, parallel=seekable)
     return frames
 
 

@@ -258,14 +258,6 @@ def read_curve_csv(path: str | os.PathLike) -> Curve:
     return Curve.from_points(points, monotone_cost=False)
 
 
-def write_curve_csv(curve: Curve, path: str | os.PathLike) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["qp", "quality", "cost"])
-        for p in curve.points:
-            writer.writerow([p.qp, repr(p.quality), repr(p.cost)])
-
-
 def export_comparison_csv(curve_a: Curve, curve_b: Curve, path: str | os.PathLike) -> None:
     """Write interpolated costs and the RCD at 201 evenly spaced qualities
     over the overlap, for plotting.

@@ -13,8 +13,7 @@ on groups of eight: each group is assembled in 64-bit words with shifts
 and ORs (two words of four indices each above 8 bits), and its bytes are
 written big-endian. The last group is zero-padded and the payload cut to
 ``ceil(samples * bits / 8)`` bytes. Decode refuses a payload of any other
-length, as it refuses an identity payload that is not exactly the frames'
-bytes.
+length, and a header of any other mode.
 
 Both directions stream, so memory stays O(one piece) at any clip length.
 Encode shifts each piece of ``yuv.read_pieces`` into one reused index
@@ -22,14 +21,15 @@ buffer, behind the indices the previous piece left past its last whole
 group, and writes each piece's groups as they are packed. Decode checks the
 header, the index width, the payload's length against the file size and
 the output depth before it opens the output, then unpacks fixed chunks of
-groups through reused buffers and dequantizes them in place. A run that
-fails part-way removes its output.
+groups through reused buffers and dequantizes them in place. Both open
+their output through ``yuv.open_output``: an output that is the input is
+refused before either file is touched, and a run that fails part-way
+removes its output.
 
-With ``--identity`` the input bytes are stored verbatim (lossless, for
-sanity runs). ``--no-simd`` is accepted and ignored so that variant
-templates which toggle vector instructions produce byte-identical streams,
-as a real scalar/SIMD encoder pair would; the pipeline then runs one
-decoder for the pair's two cells at each QP.
+``--no-simd`` is accepted and ignored so that variant templates which
+toggle vector instructions produce byte-identical streams, as a real
+scalar/SIMD encoder pair would; the pipeline then runs one decoder for the
+pair's two cells at each QP.
 
 Invoke as ``python -m hdrbench.mockcodec encode|decode ...``. Run that
 way, the codec sets ``OPENBLAS_NUM_THREADS=1`` before it imports numpy,
@@ -40,11 +40,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import stat
 import struct
 import sys
-from pathlib import Path
-from typing import Iterator
 
 if __name__ == "__main__":
     # The codec makes no BLAS call, and an unpinned child would otherwise
@@ -54,15 +51,13 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402 (after the thread setting above)
 
 from .errors import ValidationError  # noqa: E402
-from .yuv import PlaneFormat, frame_count, read_pieces  # noqa: E402
+from .yuv import PlaneFormat, frame_count, open_output, read_pieces  # noqa: E402
 
 MAGIC = b"MCK1"
 MODE_PACKED = 0
-MODE_IDENTITY = 1
 _HEADER = struct.Struct("<4sBIIBbBI")  # magic, mode, w, h, depth, qp, bits, frames
 # Groups of eight indices that decode unpacks at a time (one read piece's samples).
 _CHUNK_GROUPS = 1 << 15
-_COPY_BYTES = 1 << 20  # identity payload bytes copied at a time
 
 
 class MockCodecError(ValidationError):
@@ -151,44 +146,17 @@ class _Groups:
             _split(lo, bits, out[:, 4:])
 
 
-def _write(path, chunks) -> int:
-    """Write every buffer of ``chunks`` to ``path``; return the file's size.
-
-    If anything fails part-way, a regular file is removed again, so a failed
-    run leaves no output.
-    """
-    with open(path, "wb") as fh:
-        try:
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-            return fh.tell()
-        except BaseException:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                os.unlink(path)
-            raise
-
-
-def _read_into(fh, buffer: np.ndarray, path) -> np.ndarray:
+def _read_into(fh, buffer: np.ndarray, path) -> None:
     if fh.readinto(buffer) != buffer.nbytes:
         raise MockCodecError(f"{path}: payload ended early")
-    return buffer
 
 
-def _identity_stream(path: Path, header: bytes) -> Iterator:
-    yield header
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_COPY_BYTES):
-            yield chunk
-
-
-def _packed_stream(path: Path, fmt: PlaneFormat, frames: int, bits: int, header: bytes) -> Iterator:
-    """Yield ``header``, then the packed indices of ``path``, piece by piece.
+def _write_packed(out, path, fmt: PlaneFormat, frames: int, bits: int) -> None:
+    """Write the packed indices of ``path`` to ``out``, piece by piece.
 
     Each piece is shifted into ``indices`` behind the (at most seven)
     indices carried past the previous piece's last whole group.
     """
-    yield header
     shift = fmt.bit_depth - bits
     codec = _Groups(bits, fmt.piece_samples // 8 + 1)
     indices = np.empty(fmt.piece_samples + 8, dtype=fmt.dtype)
@@ -198,41 +166,28 @@ def _packed_stream(path: Path, fmt: PlaneFormat, frames: int, bits: int, header:
         np.right_shift(piece, shift, out=indices[carried:end])
         whole = end - end % 8
         if whole:
-            yield codec.pack(indices[:whole].reshape(-1, 8))
+            out.write(codec.pack(indices[:whole].reshape(-1, 8)))
         carried = end - whole
         indices[:carried] = indices[whole:end]
     if carried:
         indices[carried:8] = 0
-        yield codec.pack(indices[:8].reshape(1, 8))[: -(-carried * bits // 8)]
+        out.write(codec.pack(indices[:8].reshape(1, 8))[: -(-carried * bits // 8)])
 
 
-def encode(input_path, output_path, fmt: PlaneFormat, qp: int, identity: bool = False) -> int:
+def encode(input_path, output_path, fmt: PlaneFormat, qp: int) -> int:
     """Write the mock bitstream; returns its size in bytes."""
     if not -128 <= qp <= 127:
         raise MockCodecError(f"qp {qp} does not fit the header's signed byte (-128..127)")
-    in_path = Path(input_path)
-    frames = frame_count(in_path, fmt)
-    if identity:
-        header = _HEADER.pack(MAGIC, MODE_IDENTITY, fmt.width, fmt.height, fmt.bit_depth, qp, 0, frames)
-        return _write(output_path, _identity_stream(in_path, header))
+    frames = frame_count(input_path, fmt)
     bits = bits_for_qp(qp, fmt.bit_depth)
-    header = _HEADER.pack(MAGIC, MODE_PACKED, fmt.width, fmt.height, fmt.bit_depth, qp, bits, frames)
-    return _write(output_path, _packed_stream(in_path, fmt, frames, bits, header))
+    with open_output(output_path, input_path) as out:
+        out.write(_HEADER.pack(MAGIC, MODE_PACKED, fmt.width, fmt.height, fmt.bit_depth, qp, bits, frames))
+        _write_packed(out, input_path, fmt, frames, bits)
+        return out.tell()
 
 
-def _identity_samples(fh, path, fmt: PlaneFormat, total: int, out_fmt: PlaneFormat) -> Iterator:
-    raw = np.empty(8 * _CHUNK_GROUPS, dtype=fmt.dtype)
-    wide = np.empty(raw.size, dtype=out_fmt.dtype)
-    for first in range(0, total, raw.size):
-        samples = _read_into(fh, raw[: min(raw.size, total - first)], path)
-        if out_fmt.bit_depth == fmt.bit_depth:
-            yield samples
-        else:
-            yield np.left_shift(samples, 2, out=wide[: samples.size], dtype=out_fmt.dtype)
-
-
-def _packed_samples(fh, path, fmt: PlaneFormat, total: int, bits: int, out_fmt: PlaneFormat) -> Iterator:
-    """Yield the reconstruction at ``out_fmt``'s depth, one chunk of groups at a time.
+def _write_samples(fh, out, path, fmt: PlaneFormat, total: int, bits: int, out_fmt: PlaneFormat) -> None:
+    """Write the reconstruction to ``out`` at ``out_fmt``'s depth, one chunk of groups at a time.
 
     Index ``i`` becomes ``i * step + step // 2`` with ``step = 2**(depth - bits)``,
     times 4 for an 8-bit stream written at 10 bits: one shift and one OR, in place.
@@ -241,16 +196,16 @@ def _packed_samples(fh, path, fmt: PlaneFormat, total: int, bits: int, out_fmt: 
     shift = fmt.bit_depth - bits + widen
     offset = ((1 << (fmt.bit_depth - bits)) >> 1) << widen
     codec = _Groups(bits, _CHUNK_GROUPS)
-    out = np.empty((_CHUNK_GROUPS, 8), dtype=out_fmt.dtype)
-    for first in range(0, total, out.size):
-        count = min(out.size, total - first)
+    recon = np.empty((_CHUNK_GROUPS, 8), dtype=out_fmt.dtype)
+    for first in range(0, total, recon.size):
+        count = min(recon.size, total - first)
         groups, size = -(-count // 8), -(-count * bits // 8)
         _read_into(fh, codec.bytes[:size], path)
-        codec.unpack(groups, out[:groups])
-        samples = out.reshape(-1)[:count]
+        codec.unpack(groups, recon[:groups])
+        samples = recon.reshape(-1)[:count]
         samples <<= shift
         samples |= offset
-        yield samples
+        out.write(samples)
 
 
 def decode(input_path, output_path, output_depth: int | None = None) -> PlaneFormat:
@@ -259,7 +214,8 @@ def decode(input_path, output_path, output_depth: int | None = None) -> PlaneFor
     ``output_depth=10`` on an 8-bit stream rescales the reconstruction by
     appending two zero bits, mirroring an encoder that carries 8-bit input
     at a 10-bit internal depth. The header, the payload's length and the
-    output depth are all checked before the output is opened.
+    output depth are all checked, and an output that is the input refused,
+    before the output is opened.
     """
     with open(input_path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -270,17 +226,13 @@ def decode(input_path, output_path, output_depth: int | None = None) -> PlaneFor
         payload = os.fstat(fh.fileno()).st_size - _HEADER.size
         total = frames * fmt.frame_samples
 
-        if mode == MODE_IDENTITY:
-            if payload != total * fmt.bytes_per_sample:
-                raise MockCodecError(f"{input_path}: identity payload size mismatch")
-        elif mode == MODE_PACKED:
-            if not 1 <= bits <= depth:
-                raise MockCodecError(f"{input_path}: {bits}-bit indices in a {depth}-bit stream")
-            expected = -(-total * bits // 8)
-            if payload != expected:
-                raise MockCodecError(f"{input_path}: packed payload is {payload} bytes, expected {expected}")
-        else:
+        if mode != MODE_PACKED:
             raise MockCodecError(f"{input_path}: unknown mode {mode}")
+        if not 1 <= bits <= depth:
+            raise MockCodecError(f"{input_path}: {bits}-bit indices in a {depth}-bit stream")
+        expected = -(-total * bits // 8)
+        if payload != expected:
+            raise MockCodecError(f"{input_path}: packed payload is {payload} bytes, expected {expected}")
 
         out_fmt = fmt
         if output_depth is not None and output_depth != depth:
@@ -288,11 +240,8 @@ def decode(input_path, output_path, output_depth: int | None = None) -> PlaneFor
                 raise MockCodecError(f"cannot convert decode output {depth} -> {output_depth} bit")
             out_fmt = fmt.with_bit_depth(10)
 
-        if mode == MODE_IDENTITY:
-            samples = _identity_samples(fh, input_path, fmt, total, out_fmt)
-        else:
-            samples = _packed_samples(fh, input_path, fmt, total, bits, out_fmt)
-        _write(output_path, samples)
+        with open_output(output_path, input_path) as out:
+            _write_samples(fh, out, input_path, fmt, total, bits, out_fmt)
     return out_fmt
 
 
@@ -307,9 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--height", type=int, required=True)
     enc.add_argument("--bit-depth", type=int, required=True, choices=(8, 10))
     enc.add_argument("--qp", type=int, required=True)
-    enc.add_argument("--identity", action="store_true")
     enc.add_argument("--no-simd", action="store_true", help="accepted and ignored")
-    enc.add_argument("--fps", type=float, default=None, help="accepted and ignored")
 
     dec = sub.add_parser("decode")
     dec.add_argument("--input", required=True)
@@ -323,7 +270,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "encode":
             fmt = PlaneFormat(args.width, args.height, args.bit_depth)
-            encode(args.input, args.output, fmt, args.qp, identity=args.identity)
+            encode(args.input, args.output, fmt, args.qp)
         else:
             decode(args.input, args.output, output_depth=args.output_depth)
     except (ValidationError, OSError) as exc:

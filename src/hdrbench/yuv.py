@@ -14,11 +14,18 @@ CPU, and runs a piece loop over each on a thread of its own: the
 file-to-file conversion and scoring use it. No shipped path reads whole
 frames; ``iter_frames`` assembles them from the pieces, and remains as a
 reader for the tests and the benchmark.
+
+``open_output`` is the one output policy for files streamed from an input
+(depth conversion, mock encode and decode): it refuses an output that is
+the input before opening it, and removes the regular file that a failed
+write leaves behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import stat
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,10 +74,6 @@ class PlaneFormat:
         return (1 << self.bit_depth) - 1
 
     @property
-    def bytes_per_sample(self) -> int:
-        return 1 if self.bit_depth == 8 else 2
-
-    @property
     def dtype(self) -> np.dtype:
         return np.dtype("u1") if self.bit_depth == 8 else np.dtype("<u2")
 
@@ -96,8 +99,8 @@ class PlaneFormat:
 
     @property
     def frame_bytes(self) -> int:
-        # width * height * 1.5 * bytes_per_sample, exactly
-        return self.frame_samples * self.bytes_per_sample
+        # width * height * 1.5 * bytes per sample, exactly
+        return self.frame_samples * self.dtype.itemsize
 
     @property
     def piece_samples(self) -> int:
@@ -159,8 +162,9 @@ def read_pieces(
     piece whose ``start + samples.size`` is ``fmt.frame_samples``.
     ``frames`` is a range of frame indices, the whole file when None; the
     reader seeks to its first frame and trusts the caller's count. Every
-    piece is read into ``buffer`` (at least ``fmt.piece_samples`` of
-    ``fmt.dtype``; a new one when None) and yielded read-only: it holds its
+    piece is read into ``buffer`` (a flat array of at least
+    ``fmt.piece_samples`` of ``fmt.dtype``, unchecked; a new one when None)
+    and yielded read-only: it holds its
     samples only until the next piece is read, so a consumer uses it while
     it is still in cache and memory stays one piece. Each piece is
     range-checked once, by a single ``max`` scan; 8-bit files need none,
@@ -171,12 +175,6 @@ def read_pieces(
         frames = range(frame_count(path, fmt))
     if buffer is None:
         buffer = np.empty(fmt.piece_samples, dtype=fmt.dtype)
-    elif (buffer.ndim != 1 or not buffer.flags.c_contiguous or buffer.dtype != fmt.dtype
-          or buffer.size < fmt.piece_samples):
-        raise YuvFormatError(
-            f"read buffer must be a flat contiguous {fmt.dtype} array of at least {fmt.piece_samples} "
-            f"samples, got {buffer.dtype} {buffer.shape}"
-        )
     samples = fmt.frame_samples
     check = fmt.dtype.itemsize * 8 > fmt.bit_depth  # a byte cannot exceed 255
     # (plane, start, writable slice, read-only view) for each piece of a frame
@@ -218,6 +216,27 @@ def iter_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[Frame]:
         if stop == fmt.frame_samples:
             raw.setflags(write=False)
             yield Frame(*fmt.planes(raw), fmt)
+
+
+@contextlib.contextmanager
+def open_output(dst: str | os.PathLike, src: str | os.PathLike) -> Iterator:
+    """Open ``dst`` for writing a file streamed from ``src``; yield the file.
+
+    A ``dst`` that is ``src`` (the same path, or a link to it) is refused
+    before it is opened, which would truncate the input. If the body fails,
+    a regular file at ``dst`` is removed again, so a failed run leaves no
+    output that looks whole; a pipe or device is left as it is.
+    """
+    if os.path.exists(dst) and os.path.samefile(src, dst):
+        raise ValidationError(f"output {dst} is the input {src}; write into another file")
+    with open(dst, "wb") as fh:
+        try:
+            yield fh
+            fh.flush()
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.unlink(dst)
+            raise
 
 
 def usable_cpus() -> int:

@@ -1,5 +1,6 @@
 """Command-line interface behaviour and exit codes."""
 
+import csv
 import hashlib
 import json
 import sys
@@ -10,7 +11,6 @@ import pytest
 
 import hdrbench.cli as cli
 from hdrbench import yuv
-from hdrbench.curves import Curve, OperatingPoint, write_curve_csv
 from hdrbench.pipeline import ResultStore
 from hdrbench.yuv import PlaneFormat
 from tests.conftest import write_clip
@@ -223,16 +223,16 @@ class TestQuality:
 class TestBd:
     @pytest.fixture
     def curve_files(self, tmp_path):
-        def curve(factor):
-            points = [
-                OperatingPoint(50 - q, float(q), factor * 2 ** ((q - 30) / 4))
-                for q in (30, 34, 38, 42, 46)
-            ]
-            return Curve.from_points(points)
+        def write_curve(path, factor):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["qp", "quality", "cost"])
+                for q in (30, 34, 38, 42, 46):
+                    writer.writerow([50 - q, repr(float(q)), repr(factor * 2 ** ((q - 30) / 4))])
 
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_curve_csv(curve(1.0), a)
-        write_curve_csv(curve(2.0), b)
+        write_curve(a, 1.0)
+        write_curve(b, 2.0)
         return a, b
 
     def test_bd_json(self, curve_files, capsys):

@@ -140,14 +140,6 @@ class TestEncodeDecode:
         decode(stream, out)
         assert frame_bytes(yuv.iter_frames(out, fmt10)) == frame_bytes(frames)
 
-    def test_identity_mode_is_bit_exact(self, tmp_path, clip, fmt10):
-        path, _ = clip
-        stream = tmp_path / "s.bin"
-        out = tmp_path / "out.yuv"
-        encode(path, stream, fmt10, qp=37, identity=True)
-        decode(stream, out)
-        assert out.read_bytes() == path.read_bytes()
-
     def test_stream_size_decreases_with_qp(self, tmp_path, clip, fmt10):
         path, _ = clip
         sizes = []
@@ -202,28 +194,20 @@ class TestEncodeDecode:
         wide = np.fromfile(out10, dtype="<u2")
         assert np.array_equal(wide, narrow << 2)
 
-    def test_identity_decode_expands_8_to_10(self, tmp_path):
-        fmt8 = PlaneFormat(32, 32, 8)
-        path, stream, out10 = tmp_path / "clip8.yuv", tmp_path / "s.bin", tmp_path / "out10.yuv"
-        write_clip(path, 3, fmt8, frames=2)
-        encode(path, stream, fmt8, qp=37, identity=True)
-        assert decode(stream, out10, output_depth=10) == fmt8.with_bit_depth(10)
-        narrow = np.fromfile(path, dtype=np.uint8).astype(np.uint16)
-        assert np.array_equal(np.fromfile(out10, dtype="<u2"), narrow << 2)
-
     def test_decode_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not a stream at all")
         with pytest.raises(MockCodecError):
             decode(bad, tmp_path / "out.yuv")
 
-    @pytest.mark.parametrize("identity", [False, True], ids=["packed", "identity"])
-    @pytest.mark.parametrize("change", [-100, -1, 1, 7], ids=["cut100", "cut1", "extra1", "extra7"])
-    def test_decode_rejects_payload_of_wrong_length(self, tmp_path, identity, change):
+    @pytest.mark.parametrize(
+        "change", [-100, -1, 1, 7], ids=["cut100-packed", "cut1-packed", "extra1-packed", "extra7-packed"]
+    )
+    def test_decode_rejects_payload_of_wrong_length(self, tmp_path, change):
         fmt = PlaneFormat(16, 16, 10)
         path, stream = tmp_path / "clip.yuv", tmp_path / "s.bin"
         write_clip(path, 4, fmt, frames=1)
-        encode(path, stream, fmt, qp=22, identity=identity)
+        encode(path, stream, fmt, qp=22)
         blob = stream.read_bytes()
         stream.write_bytes(blob[:change] if change < 0 else blob + b"\x00" * change)
         with pytest.raises(MockCodecError, match="payload"):
@@ -237,6 +221,16 @@ class TestEncodeDecode:
         stream.write_bytes(header + bytes(8))
         with pytest.raises(MockCodecError, match="indices"):
             decode(stream, tmp_path / "out.yuv")
+
+    def test_decode_refuses_a_header_of_another_mode(self, tmp_path):
+        # A stream of any other mode is refused, even one whose payload is
+        # exactly the bytes of its one 2x2 10-bit frame.
+        stream, out = tmp_path / "s.bin", tmp_path / "out.yuv"
+        header = mockcodec._HEADER.pack(mockcodec.MAGIC, 1, 2, 2, 10, 37, 0, 1)
+        stream.write_bytes(header + bytes(12))
+        with pytest.raises(MockCodecError, match="unknown mode 1"):
+            decode(stream, out)
+        assert not out.exists()
 
     def test_decode_rejects_downscale(self, tmp_path, clip, fmt10):
         path, _ = clip
@@ -310,6 +304,38 @@ class TestCommandLine:
         )
         assert not stream.exists()
 
+    @pytest.mark.parametrize("flag", [["--identity"], ["--fps", "50"]], ids=["identity", "fps"])
+    def test_retired_encode_flags_are_usage_errors(self, tmp_path, clip, capsys, flag):
+        path, _ = clip
+        argv = [
+            "encode", "--input", str(path), "--output", str(tmp_path / "s.bin"),
+            "--width", "64", "--height", "64", "--bit-depth", "10", "--qp", "22", *flag,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            mockcodec.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "s.bin").exists()
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_output_onto_input_is_refused_and_the_input_kept(self, tmp_path, clip, capsys, command):
+        path, _ = clip
+        if command == "encode":
+            options = ["--width", "64", "--height", "64", "--bit-depth", "10", "--qp", "22"]
+        else:
+            options = []
+            encode(path, tmp_path / "s.bin", PlaneFormat(64, 64, 10), qp=22)
+            path = tmp_path / "s.bin"
+        before = path.read_bytes()
+        alias = tmp_path / "alias"
+        alias.symlink_to(path)
+        for output in (path, alias):
+            rc = mockcodec.main([command, "--input", str(path), "--output", str(output), *options])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("mockcodec: output ") and f"is the input {path}" in err
+            assert path.read_bytes() == before
+
     def test_bad_input_exits_one(self, tmp_path):
         rc = mockcodec.main(
             [
@@ -362,13 +388,14 @@ class TestLeanStart:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "None"
 
-    def test_every_exported_name_resolves(self):
-        for name in hdrbench.__all__:
-            assert getattr(hdrbench, name) is not None
-        from hdrbench import bd_delta
-        from hdrbench.curves import bd_delta as defined
-
-        assert bd_delta is defined
+    def test_importing_the_package_imports_none_of_its_modules(self):
+        code = (
+            "import hdrbench, sys; "
+            "print([m for m in sys.modules if m.startswith('hdrbench.')], hdrbench.__version__)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[] 0.1.0"
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -17,7 +17,7 @@ import pytest
 from hdrbench import mockcodec, yuv
 from hdrbench.bitdepth import convert_file
 from hdrbench.metrics import aggregate_frame_psnrs, psnr_plane, score_files
-from hdrbench.yuv import FileSizeError, Frame, PlaneFormat, SampleRangeError, YuvFormatError
+from hdrbench.yuv import FileSizeError, Frame, PlaneFormat, SampleRangeError
 from tests.conftest import frame_bytes, save_frames
 from tests.test_mockcodec import reference_pack
 
@@ -207,20 +207,6 @@ def test_scoring_is_the_same_at_any_span_count(tmp_path, monkeypatch, piece, dep
         assert threading.active_count() == before
     # Exact equality of all four floats, not approximate.
     assert records == [records[0]] * len(CPUS)
-
-
-@pytest.mark.parametrize(
-    "buffer",
-    [np.empty(2244, dtype="u1"), np.empty(1100, dtype="<u2"), np.empty((2, 2244), dtype="<u2"),
-     np.empty(4488, dtype="<u2")[::2]],
-    ids=["dtype", "short", "2-D", "strided"],
-)
-def test_a_read_buffer_that_cannot_take_a_piece_is_refused(tmp_path, buffer):
-    fmt = PlaneFormat(WIDTH, HEIGHT, 10)
-    path = tmp_path / "clip.yuv"
-    noise_clip(path, 47, fmt, frames=1)
-    with pytest.raises(YuvFormatError, match="read buffer must be"):
-        next(yuv.read_pieces(path, fmt, range(1), buffer))
 
 
 def test_spans_split_the_frames_contiguously_and_keep_their_order(monkeypatch):

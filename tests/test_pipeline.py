@@ -440,7 +440,7 @@ class TestCacheKey:
         base = cell_cache_key("digest", self.variant(), 22, "hostA")
         assert cell_cache_key("digest", self.variant(), 27, "hostA") != base
         assert cell_cache_key("other", self.variant(), 22, "hostA") != base
-        changed = self.variant(template=MOCK_ENCODE + " --identity")
+        changed = self.variant(template=MOCK_ENCODE + " --no-simd")
         assert cell_cache_key("digest", changed, 22, "hostA") != base
 
     def test_digests_hash_whole_files(self, tmp_path):

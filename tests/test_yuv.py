@@ -14,7 +14,7 @@ class TestPlaneFormat:
     def test_properties_10bit(self):
         fmt = PlaneFormat(64, 48, 10)
         assert fmt.max_value == 1023
-        assert fmt.bytes_per_sample == 2
+        assert fmt.dtype.itemsize == 2
         assert fmt.dtype == np.dtype("<u2")
         assert fmt.chroma_width == 32 and fmt.chroma_height == 24
         assert fmt.frame_samples == 64 * 48 * 3 // 2
@@ -23,7 +23,7 @@ class TestPlaneFormat:
     def test_properties_8bit(self):
         fmt = PlaneFormat(64, 48, 8)
         assert fmt.max_value == 255
-        assert fmt.bytes_per_sample == 1
+        assert fmt.dtype.itemsize == 1
         assert fmt.dtype == np.dtype(np.uint8)
         assert fmt.frame_bytes == 64 * 48 * 3 // 2
 
