@@ -6,7 +6,7 @@ Generates synthetic 10-bit 4:2:0 clips, runs the full variant/QP grid through
 one work directory, so a second invocation reuses the result store and runs
 no codec at all.
 
-    python3 scripts/mock_study.py --out /tmp/mock_study --csv table.csv
+    python3 scripts/mock_study.py --output /tmp/mock_study --csv table.csv
 """
 
 import argparse
@@ -51,7 +51,7 @@ def write_synth_clip(path: Path, seed: int, fmt: yuv.PlaneFormat, frames: int) -
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=Path("mock_study_out"),
+    parser.add_argument("--output", type=Path, default=Path("mock_study_out"),
                         help="work directory (clips, bitstreams, result store)")
     parser.add_argument("--sequences", type=int, default=2, help="number of synthetic clips")
     parser.add_argument("--frames", type=int, default=2, help="frames per clip")
@@ -62,11 +62,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     fmt = yuv.PlaneFormat(args.size, args.size, 10)
-    args.out.mkdir(parents=True, exist_ok=True)
+    args.output.mkdir(parents=True, exist_ok=True)
     specs = []
     for index in range(args.sequences):
         name = f"clip{index + 1}"
-        path = args.out / f"{name}.yuv"
+        path = args.output / f"{name}.yuv"
         if not path.exists():
             write_synth_clip(path, 1000 + index, fmt, args.frames)
         specs.append(SequenceSpec(name, path, fmt, 50.0))
@@ -80,8 +80,8 @@ def main(argv=None) -> int:
         variants=variants,
         repetitions=args.repetitions,
         host_label="mockhost",
-        store_path=args.out / "results.jsonl",
-        work_dir=args.out / "work",
+        store_path=args.output / "results.jsonl",
+        work_dir=args.output / "work",
         cache="fresh" if args.fresh else "reuse",
     )
 

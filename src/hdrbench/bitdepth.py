@@ -1,4 +1,4 @@
-"""Linear 10-bit/8-bit sample depth conversion and its quantization noise.
+"""Linear 10-bit/8-bit sample depth conversion.
 
 The forward map rescales the integer range [0, 1023] onto [0, 255] with
 round-half-up; the inverse appends two zero bits (multiply by 4). The two
@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import yuv
-from .errors import ValidationError
 from .yuv import PlaneFormat
 
 
@@ -107,38 +105,3 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
 
         yuv.run_spans(frames, buffers, convert, parallel=seekable)
     return frames
-
-
-@dataclass(frozen=True)
-class NoiseReport:
-    """Round-trip error statistics over all 1024 10-bit codes.
-
-    mse_ideal_inverse measures against the real-valued rescale by 1023/255;
-    mse_shift_inverse against the << 2 expansion actually used. The shift
-    inverse adds a deterministic bias, so it is never the smaller of the two.
-    """
-
-    mse_ideal_inverse: float
-    mse_shift_inverse: float
-    max_abs_error_shift: int
-
-    def __post_init__(self):
-        if min(self.mse_ideal_inverse, self.mse_shift_inverse, self.max_abs_error_shift) < 0:
-            raise ValidationError("noise statistics must be non-negative")
-        if self.mse_shift_inverse < self.mse_ideal_inverse:
-            raise ValidationError("shift-inverse MSE cannot beat the ideal inverse")
-
-
-def quantization_noise_report() -> NoiseReport:
-    """Sweep all 1024 input codes (uniform weighting) and report the noise."""
-    codes = np.arange(1024, dtype=np.uint16)
-    mapped = np.empty(1024, dtype=np.uint8)
-    _tonemap(codes, mapped, np.empty_like(codes))
-    mapped = mapped.astype(np.int64)
-    err_ideal = codes - (1023.0 / 255.0) * mapped
-    err_shift = codes - 4 * mapped
-    return NoiseReport(
-        mse_ideal_inverse=float(np.mean(err_ideal**2)),
-        mse_shift_inverse=float(np.mean(err_shift.astype(np.float64) ** 2)),
-        max_abs_error_shift=int(np.max(np.abs(err_shift))),
-    )

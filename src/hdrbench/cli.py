@@ -55,8 +55,8 @@ def _build_parser() -> _Parser:
         return sub.add_parser(name, help=help_text, description=help_text)
 
     p = add("convert", "Convert raw 4:2:0 YUV between 10-bit and 8-bit.")
-    p.add_argument("--input", "--in", dest="input", required=True, type=Path)
-    p.add_argument("--output", "--out", dest="output", required=True, type=Path)
+    p.add_argument("--input", required=True, type=Path)
+    p.add_argument("--output", required=True, type=Path)
     p.add_argument("--direction", required=True, choices=("10to8", "8to10"))
     p.add_argument("--width", required=True, type=int)
     p.add_argument("--height", required=True, type=int)
@@ -73,8 +73,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--curve-b", required=True, type=Path, help="contender curve")
     p.add_argument("--rcd-grid", type=int, default=0, metavar="N",
                    help="sample the relative curve difference at N points")
-    p.add_argument("--no-intersections", dest="intersections", action="store_false",
-                   help="leave the curve crossings and ceil(QP) out of the output")
     p.add_argument("--export", type=Path, metavar="CSV",
                    help="write interpolated curves and RCD for plotting")
 
@@ -83,8 +81,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--rapl-domain")
     p.add_argument("--powercap-root", type=Path)
-    p.add_argument("--no-pin", action="store_true")
-    p.add_argument("--no-trim", action="store_true")
 
     p = add("run", "Execute the full benchmark described by a JSON config.")
     p.add_argument("--config", required=True, type=Path)
@@ -128,10 +124,9 @@ def _cmd_bd(args) -> int:
     payload = {
         "bd_percent": result.bd_percent,
         "overlap": list(result.overlap),
+        "intersections": list(result.intersections),
+        "ceil_qp": result.ceil_qp,
     }
-    if args.intersections:
-        payload["intersections"] = list(result.intersections)
-        payload["ceil_qp"] = result.ceil_qp
     if args.rcd_grid:
         payload["rcd"] = [list(pair) for pair in result.rcd_samples]
     if args.export:
@@ -148,8 +143,6 @@ def _cmd_measure(args) -> int:
             repetitions=args.reps,
             rapl_domain=args.rapl_domain,
             powercap_root=args.powercap_root,
-            pin_cpu=not args.no_pin,
-            trim_outliers=not args.no_trim,
             logs=Path(tmp) / "command",
         )
     payload = {

@@ -106,8 +106,6 @@ class RunConfig:
     store_path: Path = Path("results.jsonl")
     work_dir: Path = Path("work")
     cache: str = "reuse"  # or "fresh"
-    trim_outliers: bool = True
-    pin_cpu: bool = True
     metric_command: str | None = None
     reported_rate_regex: str | None = None
 

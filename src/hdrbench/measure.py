@@ -3,10 +3,11 @@
 Energy comes from the powercap sysfs counters (``energy_uj`` and
 ``max_energy_range_uj`` under one RAPL domain directory); hosts without
 them simply get no energy figures. Repetitions run strictly sequentially
-behind a process-wide lock, the measured child is pinned to one logical
-CPU where the platform allows it, and by default one minimum and one
-maximum sample per metric are discarded before averaging. Quiescing the
-host is the operator's job; the tool only guarantees sequential execution.
+behind a process-wide lock, every measured child is pinned to one logical
+CPU where the platform allows it (a warning says where it does not), and
+by default one minimum and one maximum sample per metric are discarded
+before averaging. Quiescing the host is the operator's job; the tool only
+guarantees sequential execution.
 Every child process of the package, timed or not, runs through ``Child``.
 """
 
@@ -146,7 +147,7 @@ def aggregate(samples: Seq[MeasurementSample], trim: bool = True) -> AggregatedM
     )
 
 
-def _pin_cpu(pid: int) -> str | None:
+def _pin_to_one_cpu(pid: int) -> str | None:
     if not hasattr(os, "sched_setaffinity"):
         return "cpu pinning unsupported on this platform"
     try:
@@ -210,7 +211,6 @@ class Child:
 def _run_once(
     argv: Seq[str],
     rapl_domain: Path | None,
-    pin: bool,
     logs: str | os.PathLike | None,
     warnings: list[str],
 ) -> MeasurementSample:
@@ -221,10 +221,9 @@ def _run_once(
             child.start()
         except OSError as exc:
             raise MeasurementError(f"command failed to start: {argv[0]}: {exc}") from exc
-        if pin:
-            note = _pin_cpu(child._proc.pid)
-            if note and note not in warnings:
-                warnings.append(note)
+        note = _pin_to_one_cpu(child._proc.pid)
+        if note and note not in warnings:
+            warnings.append(note)
         returncode, rusage = child.wait()
         cpu_time = rusage.ru_utime + rusage.ru_stime
         wall_time = time.perf_counter() - start
@@ -240,7 +239,6 @@ def measure_process(
     repetitions: int = 5,
     rapl_domain: str | os.PathLike | None = None,
     powercap_root: str | os.PathLike | None = None,
-    pin_cpu: bool = True,
     trim_outliers: bool = True,
     logs: str | os.PathLike | None = None,
 ) -> AggregatedMeasurement:
@@ -269,6 +267,6 @@ def measure_process(
     samples = []
     with _MEASUREMENT_LOCK:
         for _ in range(repetitions):
-            samples.append(_run_once(command, domain, pin_cpu, logs, warnings))
+            samples.append(_run_once(command, domain, logs, warnings))
     agg = aggregate(samples, trim=trim_outliers)
     return replace(agg, warnings=tuple(warnings)) if warnings else agg

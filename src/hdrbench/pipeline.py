@@ -455,8 +455,6 @@ class Runner:
             repetitions=config.repetitions,
             rapl_domain=config.rapl_domain,
             powercap_root=config.powercap_root,
-            pin_cpu=config.pin_cpu,
-            trim_outliers=config.trim_outliers,
             logs=cell_dir / "encoder",
         )
         self.encoder_invocations += config.repetitions

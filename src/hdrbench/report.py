@@ -131,14 +131,15 @@ class ReportTable:
     rate_variants: tuple[str, ...]
 
     def averages(self) -> SequenceRow:
-        """Mean of every BD column; crossing quality and QP stay blank."""
+        """Mean of every BD column that every row has; a column some row
+        lacks (a host that ran only some sequences) stays blank, as do the
+        crossing quality and QP, so no average covers fewer sequences than
+        its neighbours."""
 
         def mean_over(key_of) -> dict[str, float]:
-            sums: dict[str, list[float]] = {}
-            for row in self.rows:
-                for key, value in key_of(row).items():
-                    sums.setdefault(key, []).append(value)
-            return {k: sum(v) / len(v) for k, v in sums.items()}
+            columns = [key_of(row) for row in self.rows]
+            shared = set(columns[0]).intersection(*columns[1:])
+            return {k: sum(c[k] for c in columns) / len(columns) for k in shared}
 
         return SequenceRow(
             sequence="Average",

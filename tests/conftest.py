@@ -1,10 +1,14 @@
-"""Shared fixtures: synthetic clips and mock-codec command templates."""
+"""Shared fixtures: synthetic clips, mock-codec command templates and the
+quantization-noise sweep of the 10->8 tonemap."""
 
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from hdrbench.bitdepth import _tonemap
+from hdrbench.errors import ValidationError
 from hdrbench.yuv import Frame, PlaneFormat
 
 MOCK_ENCODE = (
@@ -92,3 +96,39 @@ def rapl_tree(tmp_path):
     (domain / "energy_uj").write_text("500000\n")
     (domain / "max_energy_range_uj").write_text("1000000\n")
     return tmp_path / "powercap"
+
+
+@dataclass(frozen=True)
+class NoiseReport:
+    """Round-trip error statistics over all 1024 10-bit codes.
+
+    mse_ideal_inverse measures against the real-valued rescale by 1023/255;
+    mse_shift_inverse against the << 2 expansion actually used. The shift
+    inverse adds a deterministic bias, so it is never the smaller of the two.
+    """
+
+    mse_ideal_inverse: float
+    mse_shift_inverse: float
+    max_abs_error_shift: int
+
+    def __post_init__(self):
+        if min(self.mse_ideal_inverse, self.mse_shift_inverse, self.max_abs_error_shift) < 0:
+            raise ValidationError("noise statistics must be non-negative")
+        if self.mse_shift_inverse < self.mse_ideal_inverse:
+            raise ValidationError("shift-inverse MSE cannot beat the ideal inverse")
+
+
+def quantization_noise_report() -> NoiseReport:
+    """Sweep all 1024 input codes (uniform weighting) through the shipped
+    tonemap kernel and report the noise."""
+    codes = np.arange(1024, dtype=np.uint16)
+    mapped = np.empty(1024, dtype=np.uint8)
+    _tonemap(codes, mapped, np.empty_like(codes))
+    mapped = mapped.astype(np.int64)
+    err_ideal = codes - (1023.0 / 255.0) * mapped
+    err_shift = codes - 4 * mapped
+    return NoiseReport(
+        mse_ideal_inverse=float(np.mean(err_ideal**2)),
+        mse_shift_inverse=float(np.mean(err_shift.astype(np.float64) ** 2)),
+        max_abs_error_shift=int(np.max(np.abs(err_shift))),
+    )

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hdrbench.bitdepth import convert_file, quantization_noise_report
+from hdrbench.bitdepth import convert_file
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.curves import Curve, OperatingPoint, bd_delta, find_intersections, rcd
 from hdrbench.measure import EnergyCounterSnapshot, MeasurementSample, aggregate, energy_delta
@@ -19,7 +19,7 @@ from hdrbench.metrics import psnr_yuv
 from hdrbench.pipeline import Runner
 from hdrbench.report import ReportTable, SequenceRow, build_table, render_text
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import MOCK_DECODE, MOCK_ENCODE, write_clip
+from tests.conftest import MOCK_DECODE, MOCK_ENCODE, quantization_noise_report, write_clip
 from tests.test_akima import reference_akima
 from hdrbench.akima import AkimaSpline
 
@@ -202,7 +202,6 @@ def test_criterion_7_end_to_end_mock_study(announce, tmp_path):
         store_path=tmp_path / "results.jsonl",
         work_dir=tmp_path / "work",
         powercap_root=tmp_path / "no-powercap",
-        pin_cpu=False,
     )
     runner = Runner(config)
     store = runner.run()

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hdrbench import bitdepth, yuv
-from hdrbench.bitdepth import NoiseReport, convert_file, expand_plane, quantization_noise_report
+from hdrbench.bitdepth import convert_file, expand_plane
 from hdrbench.errors import ValidationError
 from hdrbench.yuv import PlaneFormat, SampleRangeError
-from tests.conftest import distinct_clip, write_clip
+from tests.conftest import NoiseReport, distinct_clip, quantization_noise_report, write_clip
 
 ALL_CODES = np.arange(1024, dtype=np.uint16)
 # Reference: the integer formula for every code, looked up by index.

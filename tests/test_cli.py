@@ -96,6 +96,7 @@ class TestConvert:
         assert rc == 1
 
     def test_short_flag_aliases(self, tmp_path, clip10, capsys):
+        # argparse takes the unique prefixes --in and --out for --input and --output.
         path, _ = clip10
         rc = run_cli(
             "convert", "--in", str(path), "--out", str(tmp_path / "o.yuv"),
@@ -256,12 +257,13 @@ class TestBd:
         assert out.is_file()
 
     def test_intersection_flags(self, curve_files, capsys):
+        # The crossings and ceil(QP) are always printed; no flag leaves them out.
         a, b = curve_files
-        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b)) == 0
-        assert "intersections" in json.loads(capsys.readouterr().out)
-        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--no-intersections") == 0
+        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--rcd-grid", "3") == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "intersections" not in payload and "ceil_qp" not in payload
+        assert payload["intersections"] == [] and payload["ceil_qp"] is None
+        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--no-intersections") == 1
+        assert "unrecognized arguments: --no-intersections" in capsys.readouterr().err
 
     def test_unwritable_export_is_io_error(self, curve_files, tmp_path, capsys):
         a, b = curve_files
@@ -292,14 +294,14 @@ class TestBd:
 
 class TestMeasure:
     def test_json_output(self, capsys):
-        assert run_cli("measure", "--cmd", "sleep 0.01", "--reps", "2", "--no-pin") == 0
+        assert run_cli("measure", "--cmd", "sleep 0.01", "--reps", "2") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["repetitions"] == 2
         assert payload["mean_wall_time_s"] > 0.0
 
     def test_energy_from_a_powercap_tree(self, rapl_tree, capsys):
         assert run_cli(
-            "measure", "--cmd", "true", "--reps", "1", "--no-pin",
+            "measure", "--cmd", "true", "--reps", "1",
             "--powercap-root", str(rapl_tree), "--rapl-domain", "intel-rapl:0",
         ) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -309,15 +311,15 @@ class TestMeasure:
         assert payload["warnings"] == []
 
     def test_failing_command_is_runtime_error(self, capsys):
-        assert run_cli("measure", "--cmd", "false", "--reps", "1", "--no-pin") == 2
+        assert run_cli("measure", "--cmd", "false", "--reps", "1") == 2
 
     def test_failing_command_error_ends_in_its_reason(self, capsys):
         cmd = f"{sys.executable} -c 'import sys; sys.exit(\"boom: bad qp\")'"
-        assert run_cli("measure", "--cmd", cmd, "--reps", "1", "--no-pin") == 2
+        assert run_cli("measure", "--cmd", cmd, "--reps", "1") == 2
         assert capsys.readouterr().err.rstrip().endswith(": boom: bad qp")
 
     def test_missing_binary_is_runtime_error(self, capsys):
-        assert run_cli("measure", "--cmd", "/no/such/tool", "--reps", "1", "--no-pin") == 2
+        assert run_cli("measure", "--cmd", "/no/such/tool", "--reps", "1") == 2
 
 
 class TestRunAndReport:

@@ -183,14 +183,13 @@ class TestLoadConfig:
     def test_keys_set_map_to_fields(self, tmp_path):
         config = load_config(write_config(
             tmp_path, qp_ladder=[22, 27], repetitions=3, rapl_domain="package-0",
-            powercap_root="/sys/class/powercap", work_dir="w", cache="fresh", trim_outliers=False,
-            pin_cpu=False, metric_command="m {REF} {TEST}", reported_rate_regex="([0-9.]+) kbps",
+            powercap_root="/sys/class/powercap", work_dir="w", cache="fresh",
+            metric_command="m {REF} {TEST}", reported_rate_regex="([0-9.]+) kbps",
         ))
         assert config.qp_ladder == (22, 27) and config.repetitions == 3
         assert config.rapl_domain == "package-0" and config.cache == "fresh"
         assert str(config.powercap_root) == "/sys/class/powercap"
         assert config.work_dir == tmp_path / "w"
-        assert not config.trim_outliers and not config.pin_cpu
         assert config.metric_command == "m {REF} {TEST}"
         assert config.reported_rate_regex == "([0-9.]+) kbps"
 
@@ -199,9 +198,14 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, stores="x"))
         assert str(info.value).endswith(
             "unknown key(s) ['stores']; allowed: ['cache', 'host_label', 'metric_command', "
-            "'pin_cpu', 'powercap_root', 'qp_ladder', 'rapl_domain', 'repetitions', "
-            "'reported_rate_regex', 'sequences', 'store', 'trim_outliers', 'variants', 'work_dir']"
+            "'powercap_root', 'qp_ladder', 'rapl_domain', 'repetitions', "
+            "'reported_rate_regex', 'sequences', 'store', 'variants', 'work_dir']"
         )
+        # Every encode is pinned to one CPU and trimmed: no key switches either.
+        for key, value in (("trim_outliers", True), ("trim_outliers", False), ("pin_cpu", True),
+                           ("pin_cpu", False), ("pin_cpu", "no")):
+            with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]; allowed: "):
+                load_config(write_config(tmp_path, **{key: value}))
         data = config_dict(tmp_path)
         data["variants"][0]["simd"] = False
         path = tmp_path / "run.json"
@@ -216,8 +220,8 @@ class TestLoadConfig:
     @pytest.mark.parametrize("key, value", [
         ("repetitions", "5"), ("repetitions", 5.0), ("repetitions", True), ("qp_ladder", 22),
         ("qp_ladder", ["22"]), ("host_label", 7), ("rapl_domain", 0), ("store", 5),
-        ("work_dir", None), ("powercap_root", []), ("cache", None), ("trim_outliers", 1),
-        ("pin_cpu", "no"), ("metric_command", ["m", "{REF}", "{TEST}"]),
+        ("work_dir", None), ("powercap_root", []), ("cache", None), ("qp_ladder", [22, None]),
+        ("metric_command", False), ("metric_command", ["m", "{REF}", "{TEST}"]),
         ("reported_rate_regex", 1), ("sequences", {}), ("sequences", [5]), ("variants", "8-8"),
     ])
     def test_value_of_the_wrong_json_type_is_rejected(self, tmp_path, key, value):

@@ -105,9 +105,7 @@ class TestAggregate:
 
 class TestMeasureProcess:
     def test_busy_command(self, tmp_path):
-        result = measure_process(
-            BUSY, repetitions=2, powercap_root=tmp_path / "nope", pin_cpu=False
-        )
+        result = measure_process(BUSY, repetitions=2, powercap_root=tmp_path / "nope")
         assert isinstance(result, AggregatedMeasurement)
         assert len(result.samples) == 2
         assert result.mean_cpu_time > 0.0
@@ -120,16 +118,12 @@ class TestMeasureProcess:
             [sys.executable, "-c", "import time; time.sleep(0.2)"],
             repetitions=1,
             powercap_root=tmp_path / "nope",
-            pin_cpu=False,
         )
         assert result.mean_wall_time >= 0.2
         assert result.mean_cpu_time < 0.15
 
     def test_energy_from_fixture_tree(self, rapl_tree):
-        result = measure_process(
-            BUSY, repetitions=1, rapl_domain="intel-rapl:0", powercap_root=rapl_tree,
-            pin_cpu=False,
-        )
+        result = measure_process(BUSY, repetitions=1, rapl_domain="intel-rapl:0", powercap_root=rapl_tree)
         # The fixture counter never advances, so the delta is exactly zero.
         assert result.mean_energy_joules == 0.0
         assert result.warnings == ()
@@ -140,20 +134,16 @@ class TestMeasureProcess:
                 [sys.executable, "-c", "import sys; sys.exit(3)"],
                 repetitions=1,
                 powercap_root=tmp_path / "nope",
-                pin_cpu=False,
             )
 
     def test_missing_binary(self, tmp_path):
         with pytest.raises(MeasurementError):
-            measure_process(
-                ["/no/such/binary"], repetitions=1, powercap_root=tmp_path / "nope",
-                pin_cpu=False,
-            )
+            measure_process(["/no/such/binary"], repetitions=1, powercap_root=tmp_path / "nope")
 
     def test_no_powercap_root_reads_the_default_root(self):
         # Whether or not this machine has RAPL, None and no argument agree.
-        omitted = measure_process(["true"], repetitions=1, pin_cpu=False)
-        explicit = measure_process(["true"], repetitions=1, powercap_root=None, pin_cpu=False)
+        omitted = measure_process(["true"], repetitions=1)
+        explicit = measure_process(["true"], repetitions=1, powercap_root=None)
         assert explicit.warnings == omitted.warnings
         assert (explicit.mean_energy_joules is None) == (omitted.mean_energy_joules is None)
 
@@ -168,7 +158,6 @@ class TestMeasureProcess:
             [sys.executable, "-c", "import sys; print('to out'); print('to err', file=sys.stderr)"],
             repetitions=2,
             powercap_root=tmp_path / "nope",
-            pin_cpu=False,
             logs=tmp_path / "cmd",
         )
         assert out.read_text().strip() == "to out"
@@ -179,7 +168,7 @@ class TestMeasureProcess:
         argv = [sys.executable, "-c", script]
         with pytest.raises(MeasurementError) as info:
             measure_process(
-                argv, repetitions=1, powercap_root=tmp_path / "nope", pin_cpu=False,
+                argv, repetitions=1, powercap_root=tmp_path / "nope",
                 logs=tmp_path / "cmd",
             )
         assert str(info.value) == f"measured command exited 1: {' '.join(argv)}: b | c | qp 999 does not fit"
@@ -198,7 +187,7 @@ class TestMeasureProcess:
             with pytest.raises(Interrupted):
                 measure_process(
                     [sys.executable, "-c", "import time; time.sleep(30)"],
-                    repetitions=1, powercap_root=tmp_path / "nope", pin_cpu=False,
+                    repetitions=1, powercap_root=tmp_path / "nope",
                 )
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -207,8 +196,24 @@ class TestMeasureProcess:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
     def test_pinning_smoke(self, tmp_path):
+        # The child reads its affinity after interpreter start-up, long after
+        # the parent pinned it.
+        code = "import os; x = sum(i * i for i in range(400_000)); print(len(os.sched_getaffinity(0)))"
         result = measure_process(
-            BUSY, repetitions=1, powercap_root=tmp_path / "nope", pin_cpu=True
+            [sys.executable, "-c", code], repetitions=2, powercap_root=tmp_path / "nope",
+            logs=tmp_path / "cmd",
         )
         assert result.mean_cpu_time > 0.0
+        assert (tmp_path / "cmd.stdout.log").read_text().strip() == "1"
+        assert not [w for w in result.warnings if w.startswith("cpu pinning")]
+
+    def test_a_failed_pin_warns_once_and_still_measures(self, tmp_path, monkeypatch):
+        def refuse(pid, cpus):
+            raise PermissionError("not allowed")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        result = measure_process(BUSY, repetitions=2, powercap_root=tmp_path / "nope")
+        assert len(result.samples) == 2
+        assert [w for w in result.warnings if w.startswith("cpu pinning")] == ["cpu pinning failed: not allowed"]

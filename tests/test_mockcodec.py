@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hdrbench
 from hdrbench import mockcodec, yuv
 from hdrbench.metrics import psnr_plane
 from hdrbench.mockcodec import MockCodecError, bits_for_qp, decode, encode
@@ -396,7 +395,3 @@ class TestLeanStart:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[] 0.1.0"
-
-    def test_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            hdrbench.no_such_name

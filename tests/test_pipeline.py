@@ -106,7 +106,6 @@ def make_run_config(tmp_path, variants=("10-10", "8-8"), sequences=("clip",), **
         # Point at an empty powercap root so energy is deterministically
         # absent regardless of the machine the tests run on.
         powercap_root=tmp_path / "no-powercap",
-        pin_cpu=False,
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
@@ -611,7 +610,6 @@ class TestExecution:
         config = RunConfig(
             sequences=config.sequences, variants=(broken,), qp_ladder=(22,),
             repetitions=1, store_path=config.store_path, work_dir=config.work_dir,
-            pin_cpu=False,
         )
         runner = Runner(config)
         with pytest.raises(PipelineError, match="no bitstream"):
@@ -635,7 +633,6 @@ class TestExecution:
         config = RunConfig(
             sequences=config.sequences, variants=(broken,), qp_ladder=(22,),
             repetitions=1, store_path=config.store_path, work_dir=config.work_dir,
-            pin_cpu=False,
         )
         with pytest.raises(PipelineError, match="decoder"):
             Runner(config).run()

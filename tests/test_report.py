@@ -137,6 +137,25 @@ class TestBuildTable:
         assert averages.intersection_quality is None
         assert averages.sequence == "Average"
 
+    def test_average_leaves_blank_a_column_some_row_lacks(self, tmp_path):
+        # windows ran alpha only, so its average would cover one sequence of two.
+        full = synth_store(hosts=("linux", "windows"), energy_hosts=("linux", "windows"))
+        partial = ResultStore({
+            key: r for key, r in full.records.items() if (r.host, r.sequence) != ("windows", "bravo")
+        })
+        table = build_table(partial)
+        assert table.time_hosts == table.energy_hosts == ("linux", "windows")
+        averages = table.averages()
+        assert set(averages.bdt_percent) == set(averages.bdee_percent) == {"linux"}
+        assert set(averages.bd_rate_percent) == {"8-8", "8-10"}
+        write_csv(table, tmp_path / "table.csv")
+        with open(tmp_path / "table.csv") as fh:
+            header, alpha, bravo, average = csv.reader(fh)
+        assert header[3:7] == ["BDT[linux]", "BDT[windows]", "BDEE[linux]", "BDEE[windows]"]
+        assert alpha[3:7] == ["-75.0%", "-75.0%", "-70.0%", "-70.0%"]
+        assert bravo[3:7] == ["-75.0%", "", "-70.0%", ""]
+        assert average[3:] == ["-75.0%", "", "-70.0%", "", "-19.8%", "+50.0%"]
+
     def test_incomplete_ladder_rejected(self):
         store = synth_store()
         missing = next(
