@@ -2,22 +2,23 @@
 
 Energy comes from the powercap sysfs counters (``energy_uj`` and
 ``max_energy_range_uj`` under one RAPL domain directory); hosts without
-them simply get no energy figures. Repetitions run strictly sequentially
-behind a process-wide lock, every measured child is pinned to one logical
-CPU where the platform allows it (a warning says where it does not), and
-by default one minimum and one maximum sample per metric are discarded
-before averaging. Quiescing the host is the operator's job; the tool only
-guarantees sequential execution.
+them simply get no energy figures. Timed children run one at a time inside
+a ``timed_phase``, which resolves the RAPL domain once and pins the
+measuring thread to one logical CPU, so each child runs on that CPU from
+its first instruction (a warning says where the platform refuses). By
+default one minimum and one maximum sample per metric are discarded before
+averaging. Quiescing the host is the operator's job.
 Every child process of the package, timed or not, runs through ``Child``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence as Seq
 
@@ -125,9 +126,10 @@ def _trimmed_mean(values: list[float], trim: bool) -> tuple[float, int]:
     return sum(ordered) / len(ordered), len(ordered)
 
 
-def aggregate(samples: Seq[MeasurementSample], trim: bool = True) -> AggregatedMeasurement:
+def aggregate(samples: Seq[MeasurementSample], trim: bool = True, warnings: Seq[str] = ()) -> AggregatedMeasurement:
     """Mean the samples, discarding one minimum and one maximum per metric
-    (independently) once there are at least four repetitions."""
+    (independently) once there are at least four repetitions; ``warnings``
+    are those of the ``timed_phase`` that took them."""
     if not samples:
         raise ValidationError("cannot aggregate zero samples")
     samples = tuple(samples)
@@ -144,18 +146,8 @@ def aggregate(samples: Seq[MeasurementSample], trim: bool = True) -> AggregatedM
         mean_cpu_time=mean_cpu,
         mean_energy_joules=mean_energy,
         retained_count=retained,
+        warnings=tuple(warnings),
     )
-
-
-def _pin_to_one_cpu(pid: int) -> str | None:
-    if not hasattr(os, "sched_setaffinity"):
-        return "cpu pinning unsupported on this platform"
-    try:
-        cpu = min(os.sched_getaffinity(0))
-        os.sched_setaffinity(pid, {cpu})
-    except OSError as exc:
-        return f"cpu pinning failed: {exc}"
-    return None
 
 
 class Child:
@@ -208,12 +200,38 @@ class Child:
         return f"exited {code}{context}: {tail}" if tail else f"exited {code}{context}"
 
 
-def _run_once(
-    argv: Seq[str],
-    rapl_domain: Path | None,
-    logs: str | os.PathLike | None,
-    warnings: list[str],
-) -> MeasurementSample:
+@contextlib.contextmanager
+def timed_phase(rapl_domain: str | os.PathLike | None = None, powercap_root: str | os.PathLike | None = None):
+    """Hold the measurement lock and pin this thread to ``min(os.sched_getaffinity(0))``,
+    so each child ``run_child`` starts inherits the pin; on exit, whatever was
+    raised, restore the thread's CPU mask. Yields ``(domain, warnings)``: the
+    RAPL directory ``powercap_root``/``rapl_domain`` (None: the defaults) for
+    ``run_child``, or None when it is unreadable, and the phase's warnings."""
+    domain = Path(powercap_root or DEFAULT_POWERCAP_ROOT) / (rapl_domain or DEFAULT_RAPL_DOMAIN)
+    warnings: list[str] = []
+    try:
+        read_counter(domain)
+    except RaplUnavailableError as exc:
+        warnings.append(f"energy omitted: {exc}")
+        domain = None
+    with _MEASUREMENT_LOCK, contextlib.ExitStack() as restore:
+        if not hasattr(os, "sched_setaffinity"):
+            warnings.append("cpu pinning unsupported on this platform")
+        else:
+            try:
+                mask = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, {min(mask)})
+                restore.callback(os.sched_setaffinity, 0, mask)
+            except OSError as exc:
+                warnings.append(f"cpu pinning failed: {exc}")
+        yield domain, tuple(warnings)
+
+
+def run_child(argv: Seq[str], rapl_domain: Path | None, logs: str | os.PathLike | None) -> MeasurementSample:
+    """One repetition inside a ``timed_phase``: run ``argv`` to completion
+    and take its user+system CPU time, wall time and ``rapl_domain`` energy
+    delta. A nonzero exit raises ``MeasurementError`` with the tail of the
+    output left in ``<logs>.stdout.log`` and ``<logs>.stderr.log``."""
     with Child(argv, logs) as child:
         before = read_counter(rapl_domain) if rapl_domain else None
         start = time.perf_counter()
@@ -221,9 +239,6 @@ def _run_once(
             child.start()
         except OSError as exc:
             raise MeasurementError(f"command failed to start: {argv[0]}: {exc}") from exc
-        note = _pin_to_one_cpu(child._proc.pid)
-        if note and note not in warnings:
-            warnings.append(note)
         returncode, rusage = child.wait()
         cpu_time = rusage.ru_utime + rusage.ru_stime
         wall_time = time.perf_counter() - start
@@ -242,31 +257,14 @@ def measure_process(
     trim_outliers: bool = True,
     logs: str | os.PathLike | None = None,
 ) -> AggregatedMeasurement:
-    """Run ``command`` to completion ``repetitions`` times, sequentially.
-
-    Each repetition records the child's user+system CPU time, the wall
-    time, and the package-energy delta when RAPL is readable. A nonzero
-    exit aborts the measurement with the tail of the child's output. With
-    ``logs``, the last repetition's stdout and stderr are left in
-    ``<logs>.stdout.log`` and ``<logs>.stderr.log`` (see ``Child``). The
-    counters are read under ``powercap_root``/``rapl_domain``; None stands
-    for ``DEFAULT_POWERCAP_ROOT`` and ``DEFAULT_RAPL_DOMAIN``.
-    """
+    """Run ``command`` ``repetitions`` times with ``run_child`` in one
+    ``timed_phase`` and aggregate the samples. With ``logs``, the last
+    repetition's output is left in ``<logs>.stdout.log`` and
+    ``<logs>.stderr.log`` (see ``Child``)."""
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     if not command:
         raise ValidationError("empty command")
-    domain = Path(powercap_root or DEFAULT_POWERCAP_ROOT) / (rapl_domain or DEFAULT_RAPL_DOMAIN)
-    warnings: list[str] = []
-    try:
-        read_counter(domain)
-    except RaplUnavailableError as exc:
-        warnings.append(f"energy omitted: {exc}")
-        domain = None
-
-    samples = []
-    with _MEASUREMENT_LOCK:
-        for _ in range(repetitions):
-            samples.append(_run_once(command, domain, logs, warnings))
-    agg = aggregate(samples, trim=trim_outliers)
-    return replace(agg, warnings=tuple(warnings)) if warnings else agg
+    with timed_phase(rapl_domain, powercap_root) as (domain, warnings):
+        samples = [run_child(command, domain, logs) for _ in range(repetitions)]
+    return aggregate(samples, trim=trim_outliers, warnings=warnings)

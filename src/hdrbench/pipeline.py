@@ -27,7 +27,7 @@ from pathlib import Path
 from . import bitdepth, yuv
 from .config import RunConfig, SequenceSpec, VariantConfig, json_fields, read_json, render_template
 from .errors import ExecutionError, ValidationError
-from .measure import AggregatedMeasurement, Child, measure_process
+from .measure import AggregatedMeasurement, Child, aggregate, run_child, timed_phase
 # psnr_plane is unused here; perfbench's tracer test reads pipeline.psnr_plane.
 from .metrics import QualityRecord, external_metric, psnr_plane, score_files
 
@@ -428,40 +428,41 @@ class Runner:
                     return None
         return None
 
-    def _encode(self, cell: PlanCell) -> _EncodedCell:
-        """The timed half of a cell: prepare its input and measure its encoder."""
+    def _encode(self, cells: list[PlanCell]) -> list[_EncodedCell]:
+        """The timed half of cells, in order. First, outside the timed phase,
+        so that ``convert_file`` gets every CPU, prepare each one's input,
+        clear its directory and render its encoder command. Then one
+        ``timed_phase`` (the RAPL domain resolved once, this thread pinned to
+        one CPU, which each encoder inherits) times each repetition in turn."""
         config = self.config
-        spec, variant, qp = cell.sequence, cell.variant, cell.qp
-        in_path = self._prepare_input(spec, variant.input_depth)
+        jobs = []
+        for cell in cells:
+            spec, variant, qp = cell.sequence, cell.variant, cell.qp
+            in_path = self._prepare_input(spec, variant.input_depth)
+            cell_dir = config.work_dir / spec.name / variant.name / f"qp{qp:02d}"
+            cell_dir.mkdir(parents=True, exist_ok=True)
+            # No output of an earlier run may pass for this run's: not the file of
+            # a codec that exits 0 without writing, nor the decode and metric
+            # outputs of a cell that now reuses another cell's decode.
+            for pattern in ("bitstream.bin", "recon_*bit.yuv", "decoder.*.log", "metric.*.log"):
+                for stale in cell_dir.glob(pattern):
+                    stale.unlink(missing_ok=True)
+            substitutions = self._substitutions(spec, in_path, cell_dir / "bitstream.bin", qp, variant.input_depth)
+            jobs.append((cell, cell_dir, render_template(variant.encoder_template, substitutions)))
 
-        where = f"{spec.name}/{variant.name}/qp{qp}"
-        cell_dir = config.work_dir / spec.name / variant.name / f"qp{qp:02d}"
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        bitstream = cell_dir / "bitstream.bin"
-        recon = cell_dir / f"recon_{variant.internal_depth}bit.yuv"
-        # No output of an earlier run may pass for this run's: not the file of
-        # a codec that exits 0 without writing, nor the decode and metric
-        # outputs of a cell that now reuses another cell's decode.
-        for pattern in ("bitstream.bin", "recon_*bit.yuv", "decoder.*.log", "metric.*.log"):
-            for stale in cell_dir.glob(pattern):
-                stale.unlink(missing_ok=True)
-
-        enc_argv = render_template(
-            variant.encoder_template,
-            self._substitutions(spec, in_path, bitstream, qp, variant.input_depth),
-        )
-        measurement = measure_process(
-            enc_argv,
-            repetitions=config.repetitions,
-            rapl_domain=config.rapl_domain,
-            powercap_root=config.powercap_root,
-            logs=cell_dir / "encoder",
-        )
-        self.encoder_invocations += config.repetitions
-
-        if not bitstream.is_file() or bitstream.stat().st_size == 0:
-            raise PipelineError(f"encoder produced no bitstream for {where}")
-        return _EncodedCell(cell, where, cell_dir, bitstream, recon, measurement)
+        encoded = []
+        with timed_phase(config.rapl_domain, config.powercap_root) as (domain, warnings):
+            for cell, cell_dir, argv in jobs:
+                samples = [run_child(argv, domain, cell_dir / "encoder") for _ in range(config.repetitions)]
+                self.encoder_invocations += config.repetitions
+                where = f"{cell.sequence.name}/{cell.variant.name}/qp{cell.qp}"
+                bitstream = cell_dir / "bitstream.bin"
+                if not bitstream.is_file() or bitstream.stat().st_size == 0:
+                    raise PipelineError(f"encoder produced no bitstream for {where}")
+                recon = cell_dir / f"recon_{cell.variant.internal_depth}bit.yuv"
+                measurement = aggregate(samples, warnings=warnings)
+                encoded.append(_EncodedCell(cell, where, cell_dir, bitstream, recon, measurement))
+        return encoded
 
     def _start_decoder(self, encoded: _EncodedCell) -> Child:
         cell = encoded.cell
@@ -575,7 +576,6 @@ class Runner:
         config = self.config
         cell, cell_dir, measurement = encoded.cell, encoded.cell_dir, encoded.measurement
         spec, variant, qp = cell.sequence, cell.variant, cell.qp
-        warnings = list(measurement.warnings)
         reported = self._parse_reported_rate(cell_dir / "encoder.stderr.log", cell_dir / "encoder.stdout.log")
         record = RunRecord(
             cache_key=cell.cache_key,
@@ -600,7 +600,7 @@ class Runner:
             retained_count=measurement.retained_count,
             quality=quality,
             reported_rate_kbps=reported,
-            warnings=tuple(warnings),
+            warnings=measurement.warnings,
             created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         )
         if reported is not None:
@@ -622,21 +622,21 @@ class Runner:
 
         Cells run in groups: the consecutive planned cells of one (sequence,
         variant), one QP ladder. First the group's uncached cells are encoded
-        and timed one after another, with no other child of this process
-        alive. Then their bitstreams are hashed and their decoders run, up to
-        one per CPU, while this thread walks the group in plan order: it
-        checks and scores each decoded cell, and checkpoints its record by
-        appending it to the store file (see ``ResultStore.save``). One
-        decoder runs per distinct bitstream and decoder command of the run:
-        a cell that repeats an earlier decoded cell's (see
-        ``_decode_and_score``) takes that cell's quality, so ``8-8-nosimd``
-        reuses ``8-8``'s decodes. So ``progress`` calls arrive
-        in bursts after each group's encodes, and an interrupted run loses
-        the measured but not yet checkpointed encodes of one group, up to
-        one QP ladder. Any exception kills and reaps the group's decoders
-        before it propagates; the records checkpointed before it stay. A
-        crash during an append can leave a torn last line; the next load
-        drops it, so a resumed run measures that cell again.
+        and timed in one ``timed_phase``, which pins this thread to one CPU
+        (see ``_encode``), with no other child of this process alive. Then
+        their bitstreams are hashed and their decoders run, up to one per CPU,
+        while this thread walks the group in plan order: it checks and scores
+        each decoded cell, and checkpoints its record by appending it to the
+        store file (see ``ResultStore.save``). One decoder runs per distinct
+        bitstream and decoder command of the run: a cell that repeats an
+        earlier decoded cell's (see ``_decode_and_score``) takes that cell's
+        quality, so ``8-8-nosimd`` reuses ``8-8``'s decodes. So ``progress``
+        calls arrive in bursts after each group's encodes, and an interrupted
+        run loses the measured but not yet checkpointed encodes of one group,
+        up to one QP ladder. Any exception kills and reaps the group's
+        decoders before it propagates; the records checkpointed before it
+        stay. A crash during an append can leave a torn last line; the next
+        load drops it, so a resumed run measures that cell again.
 
         A fresh run first drops the planned cells' records: its first
         checkpoint rewrites the file, later ones append. Stopped early, it
@@ -649,7 +649,7 @@ class Runner:
         numbered = enumerate(cells, start=1)
         for _, group in itertools.groupby(numbered, key=lambda item: (item[1].sequence.name, item[1].variant.name)):
             group = list(group)
-            encoded = [self._encode(cell) for _, cell in group if cell.cache_key not in self.store]
+            encoded = self._encode([cell for _, cell in group if cell.cache_key not in self.store])
             with contextlib.closing(self._decode_and_score(encoded)) as records:
                 for index, cell in group:
                     if cell.cache_key in self.store:

@@ -12,7 +12,7 @@ from hdrbench import bitdepth, yuv
 from hdrbench.bitdepth import convert_file, expand_plane
 from hdrbench.errors import ValidationError
 from hdrbench.yuv import PlaneFormat, SampleRangeError
-from tests.conftest import NoiseReport, distinct_clip, quantization_noise_report, write_clip
+from tests.conftest import distinct_clip, quantization_noise_report, write_clip
 
 ALL_CODES = np.arange(1024, dtype=np.uint16)
 # Reference: the integer formula for every code, looked up by index.
@@ -263,7 +263,3 @@ class TestNoiseReport:
     def test_shift_inverse_never_beats_ideal(self):
         report = quantization_noise_report()
         assert report.mse_shift_inverse >= report.mse_ideal_inverse
-
-    def test_report_validation(self):
-        with pytest.raises(Exception):
-            NoiseReport(mse_ideal_inverse=2.0, mse_shift_inverse=1.0, max_abs_error_shift=1)

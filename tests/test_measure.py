@@ -180,6 +180,7 @@ class TestMeasureProcess:
         def interrupt(signum, frame):
             raise Interrupted
 
+        mask = os.sched_getaffinity(0)
         previous = signal.signal(signal.SIGALRM, interrupt)
         started = time.monotonic()
         try:
@@ -195,6 +196,7 @@ class TestMeasureProcess:
         assert time.monotonic() - started < 10
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == mask  # the timed phase gave the mask back
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
     def test_pinning_smoke(self, tmp_path):
@@ -217,3 +219,25 @@ class TestMeasureProcess:
         result = measure_process(BUSY, repetitions=2, powercap_root=tmp_path / "nope")
         assert len(result.samples) == 2
         assert [w for w in result.warnings if w.startswith("cpu pinning")] == ["cpu pinning failed: not allowed"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+class TestTimedPhase:
+    """Each timed child starts on one CPU: the phase pins the spawning thread,
+    and the child inherits its mask. The thread gets its mask back when the
+    phase ends, however it ends."""
+
+    def test_every_repetition_starts_on_one_cpu(self, spawns, tmp_path):
+        mask = os.sched_getaffinity(0)
+        result = measure_process(["true"], repetitions=3, powercap_root=tmp_path / "nope")
+        assert len(result.samples) == 3
+        assert spawns == [(["true"], {min(mask)})] * 3
+        assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.parametrize("argv", [["/no/such/binary"], [sys.executable, "-c", "import sys; sys.exit(3)"]])
+    def test_a_failed_command_gives_the_mask_back(self, spawns, tmp_path, argv):
+        mask = os.sched_getaffinity(0)
+        with pytest.raises(MeasurementError):
+            measure_process(argv, repetitions=2, powercap_root=tmp_path / "nope")
+        assert spawns == [(argv, {min(mask)})]
+        assert os.sched_getaffinity(0) == mask

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdrbench import pipeline, yuv
+from hdrbench import bitdepth, measure, pipeline, yuv
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.measure import MeasurementError
 from hdrbench.metrics import QualityRecord
@@ -575,17 +575,44 @@ class TestExecution:
         # timed encode: both span threads are joined before it starts.
         monkeypatch.setattr(yuv, "usable_cpus", lambda: 3)
         config = make_run_config(tmp_path, variants=("8-8",), qp_ladder=(22, 27))
-        threads_at_encode, measure = [], pipeline.measure_process
+        threads_at_encode = []
 
-        def measure_counting_threads(*args, **kwargs):
+        def run_child_counting_threads(*args, **kwargs):
             threads_at_encode.append(threading.active_count())
-            return measure(*args, **kwargs)
+            return measure.run_child(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "measure_process", measure_counting_threads)
+        monkeypatch.setattr(pipeline, "run_child", run_child_counting_threads)
         runner = Runner(config)
         runner.run()
         assert runner.executed_cells == 2
         assert threads_at_encode == [1, 1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+    def test_every_encoder_starts_on_one_cpu_and_nothing_else_does(self, tmp_path, monkeypatch, spawns):
+        # The timed phase pins this thread before each encoder's Popen; the
+        # 8-bit input is converted, and the decoders run, with every CPU.
+        full, converts, convert_file = os.sched_getaffinity(0), [], bitdepth.convert_file
+
+        def spy_convert_file(*args, **kwargs):
+            converts.append(os.sched_getaffinity(0))
+            return convert_file(*args, **kwargs)
+
+        monkeypatch.setattr(bitdepth, "convert_file", spy_convert_file)
+        Runner(make_run_config(tmp_path, variants=("10-10", "8-8"), qp_ladder=(22, 27), repetitions=2)).run()
+        roles = [argv[3] for argv, _ in spawns]  # python -m hdrbench.mockcodec encode|decode ...
+        assert sorted(roles) == ["decode"] * 4 + ["encode"] * 8
+        assert [mask for role, (_, mask) in zip(roles, spawns) if role == "encode"] == [{min(full)}] * 8
+        assert [mask for role, (_, mask) in zip(roles, spawns) if role == "decode"] == [full] * 4
+        assert converts == [full]
+        assert os.sched_getaffinity(0) == full
+
+    @pytest.mark.parametrize("powercap", ["fake tree", "missing tree"])
+    def test_every_record_carries_its_phase_warnings(self, tmp_path, rapl_tree, powercap):
+        root = rapl_tree if powercap == "fake tree" else tmp_path / "no-powercap"
+        store = Runner(make_run_config(tmp_path, powercap_root=root)).run()
+        expected = () if powercap == "fake tree" else (f"energy omitted: no powercap domain at {root}/intel-rapl:0",)
+        assert len(store) == 8
+        assert [record.warnings for record in store.records.values()] == [expected] * 8
 
     def test_simd_pair_bitstreams_identical(self, tmp_path):
         # So the nosimd cells take their twins' decodes: one decoder per QP,
