@@ -15,10 +15,10 @@ with the offending sample's index in the file.
 
 ``convert_file`` streams a file through ``yuv.read_pieces``, in one span of
 frames per usable CPU (``yuv.run_spans``): each piece, already range-checked
-by the reader, is converted into a piece-sized output buffer, which is
-written with ``os.pwrite`` at the piece's place in the output file. The
-output is opened through ``yuv.open_output``, which refuses the input as
-output and removes a failed conversion's file.
+by the reader, is converted into a piece-sized output buffer, which
+``yuv.write_all`` writes with ``os.pwrite`` at the piece's place in the
+output file. The output is opened through ``yuv.open_output``, which
+refuses the input as output and removes a failed conversion's file.
 """
 
 from __future__ import annotations
@@ -51,17 +51,6 @@ def expand_plane(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Map ``uint8`` samples to 10-bit by appending two zero bits (x * 4),
     into the ``uint16`` array ``out`` of the same shape; return ``out``."""
     return np.left_shift(plane, 2, out=out, dtype=np.uint16)
-
-
-def _write_all(fd: int, samples: np.ndarray, offset: int | None) -> None:
-    """Write every byte of ``samples`` at ``offset`` of ``fd``, or at its file
-    position when ``offset`` is None; a short write is resumed, not lost."""
-    data = memoryview(samples.view(np.uint8))
-    while data:
-        written = os.write(fd, data) if offset is None else os.pwrite(fd, data, offset)
-        data = data[written:]
-        if offset is not None:
-            offset += written
 
 
 def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneFormat) -> int:
@@ -100,7 +89,7 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
                     return
                 converted = out[: piece.size]
                 op(piece, converted)
-                _write_all(fd, converted, offset if seekable else None)
+                yuv.write_all(fd, converted, offset if seekable else None)
                 offset += converted.nbytes
 
         yuv.run_spans(frames, buffers, convert, parallel=seekable)

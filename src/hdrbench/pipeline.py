@@ -67,7 +67,7 @@ def file_sha256(path: str | os.PathLike) -> str:
     return _hash_file(hashlib.sha256(), path)
 
 
-def _file_signature(path: Path) -> tuple[int, int, int] | None:
+def _file_signature(path: str) -> tuple[int, int, int] | None:
     try:
         st = os.stat(path)
     except FileNotFoundError:
@@ -154,13 +154,14 @@ class ResultStore:
     store without some of them is a new store from a filtered copy. ``save``
     appends the records added since this store last loaded or wrote the
     same file, when the file is as this store left it (same inode, size and
-    mtime). New keys sit last in ``records``, so the file ends up as a full
-    rewrite would leave it; lines already in it are not serialised again.
-    Otherwise ``save`` rewrites the whole file through a unique temporary
-    file and ``os.replace``. ``load`` drops a last line that a crash cut
-    short. There is no lock: of two concurrent writers the last full
-    rewrite wins, and a rewrite in place to the same size within one mtime
-    tick goes unnoticed.
+    mtime): one ``os.write`` of the new lines, on a descriptor opened without
+    ``O_CREAT``, so a store removed after that check is rewritten whole. New
+    keys sit last in ``records``, so the file ends up as a full rewrite would
+    leave it; lines already in it are not serialised again. Otherwise
+    ``save`` rewrites the whole file through a unique temporary file and
+    ``os.replace``. ``load`` drops a last line that a crash cut short. There
+    is no lock: of two concurrent writers the last full rewrite wins, and a
+    rewrite in place to the same size within one mtime tick goes unnoticed.
     """
 
     def __init__(self, records: dict[str, RunRecord] | None = None):
@@ -217,7 +218,7 @@ class ResultStore:
         # Appendable only if every newline-terminated line is one distinct
         # record and nothing follows the last newline.
         if lines[-1] == "" and len(lines) - 1 == len(store):
-            store._mark_synced(path, st, len(data))
+            store._mark_synced(os.path.abspath(path), st, len(data))
         return store
 
     def add(self, record: RunRecord) -> None:
@@ -239,27 +240,34 @@ class ResultStore:
 
     def save(self, path: str | os.PathLike) -> None:
         """Write the store to ``path``: append the new records, or rewrite."""
-        path = Path(path)
+        where = os.path.abspath(path)
         synced = self._synced
-        if synced is not None and synced[:2] == (os.path.abspath(path), _file_signature(path)):
+        if synced is not None and synced[:2] == (where, _file_signature(where)):
             _, (_, size, _), persisted = synced
-            self._append(path, persisted, size)
+            self._append(where, persisted, size)
         else:
-            self._rewrite(path)
+            self._rewrite(where)
 
-    def _append(self, path: Path, persisted: int, size: int) -> None:
+    def _append(self, where: str, persisted: int, size: int) -> None:
         # Serialise first, so a record that fails to serialise leaves the
         # file untouched, then write it in one call. The new records are the
         # newest keys: walk back from the end, not past every saved one.
         newest_first = itertools.islice(reversed(self._records.values()), len(self._records) - persisted)
         data = "".join(reversed([_store_line(record) for record in newest_first])).encode()
-        with open(path, "ab") as fh:
-            fh.write(data)
-            fh.flush()
-            st = os.fstat(fh.fileno())
-        self._mark_synced(path, st, size + len(data))
+        try:  # no O_CREAT: a store removed since the check is rewritten whole
+            fd = os.open(where, os.O_WRONLY | os.O_APPEND)
+        except FileNotFoundError:
+            self._rewrite(where)
+            return
+        try:
+            yuv.write_all(fd, data)
+            st = os.fstat(fd)
+        finally:
+            os.close(fd)
+        self._mark_synced(where, st, size + len(data))
 
-    def _rewrite(self, path: Path) -> None:
+    def _rewrite(self, where: str) -> None:
+        path = Path(where)
         path.parent.mkdir(parents=True, exist_ok=True)
         # A new file of a name no other writer uses: the umask sets its mode,
         # as for any file open creates.
@@ -275,10 +283,10 @@ class ResultStore:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-        self._mark_synced(path, st, st.st_size)
+        self._mark_synced(where, st, st.st_size)
 
-    def _mark_synced(self, path: Path, st: os.stat_result, size: int) -> None:
-        """Record the file state this store's own read or write left.
+    def _mark_synced(self, where: str, st: os.stat_result, size: int) -> None:
+        """Record the file state this store's own read or write of ``where`` left.
 
         ``size`` is the size that read or write accounts for; a file of
         another size was also written by someone else, so it is not synced.
@@ -286,7 +294,7 @@ class ResultStore:
         self._synced = None
         if st.st_size == size:
             signature = (st.st_ino, st.st_size, st.st_mtime_ns)
-            self._synced = (os.path.abspath(path), signature, len(self.records))
+            self._synced = (where, signature, len(self.records))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ reader for the tests and the benchmark.
 ``open_output`` is the one output policy for files streamed from an input
 (depth conversion, mock encode and decode): it refuses an output that is
 the input before opening it, and removes the regular file that a failed
-write leaves behind.
+write leaves behind. ``write_all`` is the one raw write loop, which resumes a
+short write: depth conversion's pieces and the store's checkpoints go through it.
 """
 
 from __future__ import annotations
@@ -237,6 +238,16 @@ def open_output(dst: str | os.PathLike, src: str | os.PathLike) -> Iterator:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 os.unlink(dst)
             raise
+
+
+def write_all(fd: int, data, offset: int | None = None) -> None:
+    """Write every byte of the C-contiguous buffer ``data`` at ``offset`` of ``fd``,
+    or at its file position when ``offset`` is None; a short write is resumed."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.write(fd, view) if offset is None else os.pwrite(fd, view, offset)
+        view = view[written:]
+        offset = None if offset is None else offset + written
 
 
 def usable_cpus() -> int:

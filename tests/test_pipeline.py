@@ -369,6 +369,42 @@ class TestStoreCheckpoints:
         store.save(path)
         assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
 
+    def test_a_store_removed_after_the_check_is_rewritten_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
+        store = ResultStore.load(path)
+        store.add(make_record(cache_key="k3", qp=27))
+        real_signature = pipeline._file_signature
+
+        def signature_then_unlink(where):
+            signature = real_signature(where)
+            os.unlink(where)
+            return signature
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_file_signature", signature_then_unlink)
+            store.save(path)
+        assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
+
+    @pytest.mark.parametrize("most", [1, 5])
+    def test_short_appends_are_resumed(self, tmp_path, monkeypatch, most):
+        path = tmp_path / "store.jsonl"
+        ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
+        store = ResultStore.load(path)
+        store.add(make_record(cache_key="k3", qp=27))
+        store.add(make_record(cache_key="k4", qp=32))
+        write, calls = os.write, []
+
+        def short_write(fd, data):
+            calls.append(fd)
+            return write(fd, data[:most])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", short_write)
+            store.save(path)
+        assert len(calls) > 1
+        assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
+
     def test_rewrite_gives_the_file_the_mode_open_would(self, tmp_path):
         path = tmp_path / "store.jsonl"
         umask = os.umask(0o027)
