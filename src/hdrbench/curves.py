@@ -1,11 +1,12 @@
 """Quality/cost curve calculus and curve CSV files.
 
-Akima fits in (quality, log10 cost) space, Bjontegaard deltas over an
-arbitrary cost axis (rate, time, or energy), relative curve differences,
-curve intersections, and the next-QP mapping; ``qp,quality,cost`` curve
-files in and interpolated comparisons out. Report rows and tables are
-built from these in ``report``. Curves carry no axis labels: pairing
-only curves of the same quality and cost axes is the caller's job.
+Akima fits in (quality, log10 cost) space, one per curve; exact
+Bjontegaard deltas over an arbitrary cost axis (rate, time, or energy),
+relative curve differences, curve intersections, and the next-QP mapping;
+``qp,quality,cost`` curve files in and interpolated comparisons out.
+Report rows and tables are built from these in ``report``. Curves carry
+no axis labels: pairing only curves of the same quality and cost axes is
+the caller's job.
 
 All pairwise operations work on the quality overlap of the two curves only;
 nothing is ever extrapolated. With curve_a as the reference, a positive
@@ -18,6 +19,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence as Seq
 
 import numpy as np
@@ -25,7 +27,6 @@ import numpy as np
 from .akima import AkimaSpline, MIN_KNOTS
 from .errors import ValidationError
 
-BD_SIMPSON_SAMPLES = 1001
 # Relative size below which a log-cost gap counts as rounding noise.
 GAP_ROUNDING = 64 * np.finfo(np.float64).eps
 
@@ -90,10 +91,10 @@ class Curve:
     def quality_range(self) -> tuple[float, float]:
         return self.points[0].quality, self.points[-1].quality
 
-
-def fit_akima(curve: Curve) -> AkimaSpline:
-    """Interpolant mapping quality to log10(cost); defined on the curve's range."""
-    return AkimaSpline(curve.qualities, np.log10(curve.costs))
+    @cached_property
+    def spline(self) -> AkimaSpline:
+        """Interpolant mapping quality to log10(cost) on the curve's range; fit once."""
+        return AkimaSpline(self.qualities, np.log10(self.costs))
 
 
 def overlap_range(curve_a: Curve, curve_b: Curve) -> tuple[float, float]:
@@ -105,23 +106,29 @@ def overlap_range(curve_a: Curve, curve_b: Curve) -> tuple[float, float]:
     return lo, hi
 
 
+def _gap_pieces(curve_a: Curve, curve_b: Curve) -> tuple[np.ndarray, ...]:
+    """The quality overlap cut at both curves' merged knots: each piece's
+    left edge and width, and each spline's cubic on it (``local_cubic``)."""
+    lo, hi = overlap_range(curve_a, curve_b)
+    knots = np.union1d(curve_a.qualities, curve_b.qualities)
+    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    lefts, widths = edges[:-1], np.diff(edges)
+    return lefts, widths, curve_a.spline.local_cubic(lefts), curve_b.spline.local_cubic(lefts)
+
+
 def bd_delta(curve_a: Curve, curve_b: Curve) -> float:
     """Average relative cost difference of curve_b versus curve_a, in percent.
 
-    Simpson integration of the log-cost gap over the quality overlap;
+    On each piece between the merged knots the log-cost gap is one cubic,
+    integrated exactly; the mean gap over the quality overlap gives
     100 * (10^mean_gap - 1). Positive: curve_b costs more at equal quality.
     """
     lo, hi = overlap_range(curve_a, curve_b)
-    fa, fb = fit_akima(curve_a), fit_akima(curve_b)
-    q = np.linspace(lo, hi, BD_SIMPSON_SAMPLES)
-    gap = fb(q) - fa(q)
-    h = (hi - lo) / (BD_SIMPSON_SAMPLES - 1)
-    weights = np.ones(BD_SIMPSON_SAMPLES)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    integral = h / 3.0 * float(np.dot(weights, gap))
-    mean_gap = integral / (hi - lo)
-    return 100.0 * (10.0**mean_gap - 1.0)
+    _, widths, pieces_a, pieces_b = _gap_pieces(curve_a, curve_b)
+    # The integral of c_k x^k over [0, w] is c_k w^(k+1) / (k+1).
+    exponents = np.arange(4.0, 0.0, -1.0)
+    integral = float(((pieces_b - pieces_a) * widths[:, None] ** exponents / exponents).sum())
+    return 100.0 * (10.0 ** (integral / (hi - lo)) - 1.0)
 
 
 def rcd(curve_a: Curve, curve_b: Curve, quality_grid: Seq[float]) -> list[tuple[float, float]]:
@@ -134,9 +141,8 @@ def rcd(curve_a: Curve, curve_b: Curve, quality_grid: Seq[float]) -> list[tuple[
     grid = np.asarray(quality_grid, dtype=np.float64)
     if grid.size and (grid.min() < lo or grid.max() > hi):
         raise CurveError(f"grid point outside the quality overlap [{lo}, {hi}]")
-    fa, fb = fit_akima(curve_a), fit_akima(curve_b)
-    cost_a = 10.0 ** fa(grid)
-    cost_b = 10.0 ** fb(grid)
+    cost_a = 10.0 ** curve_a.spline(grid)
+    cost_b = 10.0 ** curve_b.spline(grid)
     pct = 100.0 * (cost_b - cost_a) / cost_a
     return list(zip(grid.tolist(), pct.tolist()))
 
@@ -151,12 +157,7 @@ def find_intersections(curve_a: Curve, curve_b: Curve) -> list[float]:
     count, identical curves yield the empty list, and a stretch where the
     curves coincide counts once, at its high-quality end.
     """
-    lo, hi = overlap_range(curve_a, curve_b)
-    fa, fb = fit_akima(curve_a), fit_akima(curve_b)
-    knots = np.union1d(curve_a.qualities, curve_b.qualities)
-    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
-    lefts, widths = edges[:-1], np.diff(edges)
-    pieces_a, pieces_b = fa.local_cubic(lefts), fb.local_cubic(lefts)
+    lefts, widths, pieces_a, pieces_b = _gap_pieces(curve_a, curve_b)
     # A term's largest size on its interval; the rounding scale of the gap
     # there is the summed size of either spline's terms.
     powers = widths[:, None] ** np.arange(3.0, -1.0, -1.0)
@@ -239,7 +240,7 @@ def read_curve_csv(path: str | os.PathLike) -> Curve:
     since a file may hold a time or energy axis as well as a rate.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CurveError(f"cannot read curve file {path}: {exc}") from exc
     with fh:
@@ -266,9 +267,8 @@ def export_comparison_csv(curve_a: Curve, curve_b: Curve, path: str | os.PathLik
     """
     lo, hi = overlap_range(curve_a, curve_b)
     grid = np.linspace(lo, hi, 201)
-    fa, fb = fit_akima(curve_a), fit_akima(curve_b)
-    cost_a = 10.0 ** fa(grid)
-    cost_b = 10.0 ** fb(grid)
+    cost_a = 10.0 ** curve_a.spline(grid)
+    cost_b = 10.0 ** curve_b.spline(grid)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["quality", "cost_a", "cost_b", "rcd_percent"])

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from hdrbench import curves
 from hdrbench.bitdepth import _tonemap
 from hdrbench.yuv import Frame, PlaneFormat
 
@@ -141,3 +142,17 @@ def quantization_noise_report() -> NoiseReport:
         mse_shift_inverse=float(np.mean(err_shift.astype(np.float64) ** 2)),
         max_abs_error_shift=int(np.max(np.abs(err_shift))),
     )
+
+
+@pytest.fixture
+def spline_fits(monkeypatch):
+    """A list that grows by one each time ``curves`` fits an Akima spline."""
+    fits = []
+
+    class CountingSpline(curves.AkimaSpline):
+        def __init__(self, x, y):
+            fits.append(1)
+            super().__init__(x, y)
+
+    monkeypatch.setattr(curves, "AkimaSpline", CountingSpline)
+    return fits

@@ -17,7 +17,6 @@ from hdrbench.curves import (
     compare,
     export_comparison_csv,
     find_intersections,
-    fit_akima,
     overlap_range,
     rcd,
     read_curve_csv,
@@ -67,7 +66,7 @@ def reference_intersections(curve_a, curve_b):
     resolve two crossings closer together than one grid step.
     """
     lo, hi = overlap_range(curve_a, curve_b)
-    fa, fb = fit_akima(curve_a), fit_akima(curve_b)
+    fa, fb = curve_a.spline, curve_b.spline
     scan = np.linspace(lo, hi, REFERENCE_SCAN_POINTS)
     g = fb(scan) - fa(scan)
 
@@ -105,6 +104,23 @@ def reference_intersections(curve_a, curve_b):
         if not roots or abs(roots[-1] - root) > INTERSECTION_TOLERANCE:
             roots.append(root)
     return roots
+
+
+def gauss_legendre_bd(curve_a, curve_b):
+    """BD delta by two-point Gauss-Legendre on each merged-knot piece.
+
+    Both splines are evaluated pointwise at the two nodes of each piece; on
+    a piece the log-cost gap is one cubic, for which the rule is exact.
+    """
+    lo, hi = overlap_range(curve_a, curve_b)
+    knots = np.union1d(curve_a.qualities, curve_b.qualities)
+    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    integral = 0.0
+    for node in (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)):
+        q = mids + node * halves
+        integral += float(np.sum(halves * (curve_b.spline(q) - curve_a.spline(q))))
+    return 100.0 * (10.0 ** (integral / (hi - lo)) - 1.0)
 
 
 def random_curve_pair(rng):
@@ -214,6 +230,14 @@ class TestBdDelta:
         b = scaled_curve(1.0, qualities=(40, 42, 44, 46))
         with pytest.raises(CurveError):
             bd_delta(a, b)
+
+    def test_exact_against_gauss_legendre(self):
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            a, b = random_curve_pair(rng)
+            value = bd_delta(a, b)
+            assert type(value) is float
+            assert math.isclose(value, gauss_legendre_bd(a, b), rel_tol=1e-12, abs_tol=1e-9)
 
 
 class TestRcd:
@@ -327,6 +351,12 @@ class TestCompare:
         with pytest.raises(CurveError, match="non-negative"):
             compare(a, a, rcd_grid_size=-3)
 
+    def test_fits_each_curve_once(self, spline_fits):
+        a = line_curve(slope=1.0)
+        b = line_curve(slope=-1.0, offset=10.0)
+        compare(a, b, rcd_grid_size=5)
+        assert len(spline_fits) == 2
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -346,6 +376,14 @@ class TestCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(CurveError):
             read_curve_csv(path)
+
+    def test_reads_a_byte_order_mark_and_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"\xef\xbb\xbfqp,quality,cost\r\n37,30.0,100\r\n32,33.0,180\r\n"
+                         b"27,34.0,600\r\n22,38.5,700\r\n")
+        curve = read_curve_csv(path)
+        assert [p.qp for p in curve.points] == [37, 32, 27, 22]
+        assert curve.costs.tolist() == [100.0, 180.0, 600.0, 700.0]
 
     def test_export_comparison(self, tmp_path):
         a = scaled_curve(1.0)

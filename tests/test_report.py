@@ -156,6 +156,13 @@ class TestBuildTable:
         assert bravo[3:7] == ["-75.0%", "", "-70.0%", ""]
         assert average[3:] == ["-75.0%", "", "-70.0%", "", "-19.8%", "+50.0%"]
 
+    def test_fits_each_curve_once(self, spline_fits):
+        # Rate curves of 10-10, 8-8 and 8-10 (8-8-nosimd has no column by
+        # default), then time and energy curves of 10-10 and 8-8.
+        store = synth_store(variants=("10-10", "8-8", "8-10", "8-8-nosimd"))
+        build_table(ResultStore({k: r for k, r in store.records.items() if r.sequence == "alpha"}))
+        assert len(spline_fits) == 7
+
     def test_incomplete_ladder_rejected(self):
         store = synth_store()
         missing = next(
