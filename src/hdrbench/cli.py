@@ -27,7 +27,8 @@ from .errors import ExecutionError, ValidationError
 from .measure import measure_process
 # psnr_plane is unused here; perfbench's tracer test reads cli.psnr_plane.
 from .metrics import external_metric, psnr_plane, score_files
-from .pipeline import _QUALITY_JSON, STORE_SCHEMA, ResultStore, Runner
+from .pipeline import Runner
+from .store import _QUALITY_JSON, STORE_SCHEMA, ResultStore
 from .yuv import PlaneFormat
 
 

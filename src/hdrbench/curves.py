@@ -128,7 +128,11 @@ def bd_delta(curve_a: Curve, curve_b: Curve) -> float:
     # The integral of c_k x^k over [0, w] is c_k w^(k+1) / (k+1).
     exponents = np.arange(4.0, 0.0, -1.0)
     integral = float(((pieces_b - pieces_a) * widths[:, None] ** exponents / exponents).sum())
-    return 100.0 * (10.0 ** (integral / (hi - lo)) - 1.0)
+    try:
+        return 100.0 * (10.0 ** (integral / (hi - lo)) - 1.0)
+    except OverflowError:
+        gap = f"mean log10-cost gap of {integral / (hi - lo):.6g} decades over the quality overlap [{lo}, {hi}]"
+        raise CurveError(f"{gap} has no finite BD delta") from None
 
 
 def rcd(curve_a: Curve, curve_b: Curve, quality_grid: Seq[float]) -> list[tuple[float, float]]:

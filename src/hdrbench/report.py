@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .curves import Curve, OperatingPoint, bd_delta, compare
 from .errors import ValidationError
-from .pipeline import ResultStore, RunRecord
+from .store import ResultStore, RunRecord
 
 BASELINE_VARIANT = "10-10"
 CONTENDER_VARIANT = "8-8"

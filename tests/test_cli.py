@@ -11,7 +11,7 @@ import pytest
 
 import hdrbench.cli as cli
 from hdrbench import yuv
-from hdrbench.pipeline import ResultStore
+from hdrbench.store import ResultStore
 from hdrbench.yuv import PlaneFormat
 from tests.conftest import write_clip
 from tests.test_pipeline import record_line
@@ -286,6 +286,25 @@ class TestBd:
         assert len(payload["intersections"]) == 1
         assert 32.0 <= payload["intersections"][0] <= 42.0
 
+    def test_bd_delta_past_the_float_range_is_validation_error(self, tmp_path, capsys):
+        # Pair 522 of tests.test_curves.random_curve_pair(np.random.default_rng(1)):
+        # curve a's spline swings between two knots 1e-4 dB apart, so the mean
+        # log-cost gap passes what 10 ** gap can hold in a float.
+        pair = {
+            "a.csv": [(0, 30.94554531359933, 139.5823731663739), (1, 33.30403888497943, 204.24770738196233),
+                      (2, 33.30414319993677, 173.47875079377596), (3, 45.473212288596876, 1733.937293877464)],
+            "b.csv": [(0, 29.702915081960953, 97.01378135929376), (1, 33.75225482927647, 200.05141013455093),
+                      (2, 36.56573092006248, 286.5412346367202), (3, 40.28701585339556, 618.2532796328439),
+                      (4, 42.88453923401681, 998.937519122788), (5, 42.904927199038596, 908.212811771375),
+                      (6, 43.51118783901271, 1016.002014524277)],
+        }
+        for name, rows in pair.items():
+            lines = [f"{qp},{quality!r},{cost!r}" for qp, quality, cost in rows]
+            (tmp_path / name).write_text("\n".join(["qp,quality,cost", *lines]) + "\n")
+        assert run_cli("bd", "--curve-a", str(tmp_path / "a.csv"), "--curve-b", str(tmp_path / "b.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mean log10-cost gap of ") and "quality overlap [30.94554531359933," in err
+
     def test_missing_curve_file(self, tmp_path):
         assert run_cli(
             "bd", "--curve-a", str(tmp_path / "a.csv"), "--curve-b", str(tmp_path / "b.csv")
@@ -372,6 +391,19 @@ class TestRunAndReport:
         assert "quality axis: psnr_yuv" in text
         assert "quality axis: external" in text
         assert (tmp_path / "table.external.csv").is_file()
+
+    def test_report_baseline_and_contender_pick_the_compared_routes(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        synth_store(variants=("10-10", "8-10", "8-8", "8-8-nosimd")).save(store)
+        assert run_cli("report", "--store", str(store), "--contender", "8-10") == 0
+        text = capsys.readouterr().out
+        assert text.startswith("Reference 10-10 vs 8-10 ")
+        assert "BD-Rate[8-10]" in text and "BD-Rate[8-8]" not in text
+        assert "+50.0%" in text  # 8-10 spends 1.5 times 10-10's rate
+        assert run_cli("report", "--store", str(store), "--baseline", "8-8", "--contender", "8-8-nosimd") == 0
+        text = capsys.readouterr().out
+        assert text.startswith("Reference 8-8 vs 8-8-nosimd ")
+        assert "BD-Rate[8-8-nosimd]" in text
 
     def test_report_unwritable_csv_is_io_error(self, tmp_path, capsys):
         synth_store().save(tmp_path / "s.jsonl")

@@ -18,18 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdrbench import bitdepth, measure, pipeline, yuv
+from hdrbench import store as store_module
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.measure import MeasurementError
 from hdrbench.metrics import QualityRecord
-from hdrbench.pipeline import (
-    PipelineError,
+from hdrbench.pipeline import PipelineError, Runner, file_sha256
+from hdrbench.store import (
     ResultStore,
-    Runner,
     RunRecord,
     StoreConflictError,
     StoreError,
     cell_cache_key,
-    file_sha256,
     to_json_float,
 )
 from hdrbench.yuv import PlaneFormat
@@ -374,7 +373,7 @@ class TestStoreCheckpoints:
         ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
         store = ResultStore.load(path)
         store.add(make_record(cache_key="k3", qp=27))
-        real_signature = pipeline._file_signature
+        real_signature = store_module._file_signature
 
         def signature_then_unlink(where):
             signature = real_signature(where)
@@ -382,7 +381,7 @@ class TestStoreCheckpoints:
             return signature
 
         with monkeypatch.context() as patch:
-            patch.setattr(pipeline, "_file_signature", signature_then_unlink)
+            patch.setattr(store_module, "_file_signature", signature_then_unlink)
             store.save(path)
         assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
 
@@ -605,6 +604,19 @@ class TestExecution:
         runner.run()
         inputs = list((config.work_dir / "inputs").iterdir())
         assert len(inputs) == 1  # one shared 8-bit rendition of the source
+
+    def test_an_earlier_runs_prepared_input_is_replaced_not_truncated(self, tmp_path):
+        # The conversion writes a new file: a hard link to the old one keeps its bytes.
+        config = make_run_config(tmp_path, variants=("8-8",), qp_ladder=(22,))
+        spec = config.sequences[0]
+        prepared = config.work_dir / "inputs" / f"{spec.name}_8bit.yuv"
+        prepared.parent.mkdir(parents=True)
+        prepared.write_bytes(b"\xa5" * 1000)
+        os.link(prepared, tmp_path / "old_input.yuv")
+        Runner(config).run()
+        assert (tmp_path / "old_input.yuv").read_bytes() == b"\xa5" * 1000
+        bitdepth.convert_file(spec.path, tmp_path / "expected.yuv", spec.fmt)
+        assert prepared.read_bytes() == (tmp_path / "expected.yuv").read_bytes()
 
     def test_no_span_thread_runs_during_a_timed_encode(self, tmp_path, monkeypatch):
         # The 8-bit input is tone-mapped in two spans just before the first

@@ -7,11 +7,12 @@ sequence additionally has a rate crossing engineered at quality 45.
 """
 
 import csv
+import subprocess
+import sys
 
 import pytest
 
 from hdrbench.metrics import QualityRecord
-from hdrbench.pipeline import ResultStore, RunRecord
 from hdrbench.report import (
     ReportError,
     build_table,
@@ -20,6 +21,7 @@ from hdrbench.report import (
     render_text,
     write_csv,
 )
+from hdrbench.store import ResultStore, RunRecord
 
 LADDER = (12, 17, 22, 27, 32, 37)
 FRAMES, FPS = 2, 50.0  # bitrate_kbps = bytes * 0.2
@@ -273,3 +275,12 @@ class TestGoldenTable:
         path = tmp_path / "table.csv"
         write_csv(build_table(synth_store(**self.STORE)), path)
         assert path.read_bytes() == self.CSV
+
+
+class TestLeanImport:
+    @pytest.mark.parametrize("module", ["hdrbench.store", "hdrbench.report"])
+    def test_reading_records_imports_no_runner(self, module):
+        code = f"import {module}, sys; print('hdrbench.pipeline' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
