@@ -87,13 +87,10 @@ class AkimaSpline:
 
     def __call__(self, q):
         q_arr = np.asarray(q, dtype=np.float64)
-        scalar = q_arr.ndim == 0
-        q_arr = np.atleast_1d(q_arr)
-        idx, h = self._locate(q_arr)
-        out = self._y[idx] + h * (self._t[idx] + h * (self._c2[idx] + h * self._c3[idx]))
+        out = self.local_cubic(q_arr)[..., 3]
         # Exact value at the right endpoint instead of the cubic's rounding.
         out[q_arr == self._x[-1]] = self._y[-1]
-        return float(out[0]) if scalar else out
+        return float(out) if q_arr.ndim == 0 else out
 
     def local_cubic(self, q) -> np.ndarray:
         """Coefficients ``c``, highest power first, of the piece holding ``q`` in

@@ -189,18 +189,15 @@ def _cmd_report(args) -> int:
         if not Path(store_path).is_file():
             raise ValidationError(f"store not found: {store_path}")
         merged.merge(ResultStore.load(store_path))
-    table = report.build_table(merged, baseline=args.baseline, contender=args.contender)
-    print(report.render_text(table))
-    if args.csv:
-        report.write_csv(table, args.csv)
+    # Each quality axis's table, and the tag its CSV's name carries.
+    axes = {"psnr_yuv": ""}
     if report.has_external_scores(merged):
-        score_table = report.build_table(
-            merged, baseline=args.baseline, contender=args.contender, quality_axis="external"
-        )
-        print(report.render_text(score_table))
+        axes["external"] = ".external"
+    for axis, tag in axes.items():
+        table = report.build_table(merged, baseline=args.baseline, contender=args.contender, quality_axis=axis)
+        print(report.render_text(table))
         if args.csv:
-            extra = args.csv.with_name(args.csv.stem + ".external" + args.csv.suffix)
-            report.write_csv(score_table, extra)
+            report.write_csv(table, args.csv.with_name(args.csv.stem + tag + args.csv.suffix))
     return 0
 
 

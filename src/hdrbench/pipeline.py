@@ -1,12 +1,14 @@
 """Benchmark execution: plan cells, run codecs, measure, score.
 
-One *cell* is (sequence, variant, QP). Executing a cell tonemaps the input
-if the variant wants 8-bit, runs the encoder under measurement, decodes,
-re-expands 8-bit reconstructions to 10-bit, and scores quality against the
-untouched 10-bit source; a cell whose bitstream and decoder command repeat
-an earlier cell's of the run takes that cell's scores instead. Each cell's
-record is checkpointed into the run's result store (see ``store``), whose
-records let a repeated run reuse finished cells instead of re-encoding.
+One *cell* is (sequence, variant, QP). The plan gives each cell its
+encoder input, the source or the sequence's tone-mapped 8-bit rendition,
+and the source's frame count. Executing a cell empties its directory, runs
+the encoder under measurement, decodes, re-expands 8-bit reconstructions to
+10-bit, and scores quality against the untouched 10-bit source; a cell
+whose bitstream and decoder command repeat an earlier cell's of the run
+takes that cell's scores instead. Each cell's record is checkpointed into
+the run's result store (see ``store``), whose records let a repeated run
+reuse finished cells instead of re-encoding.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 import itertools
 import os
 import re
+import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -55,6 +58,8 @@ class PlanCell:
     qp: int
     cache_key: str
     cell_dir: Path
+    source: Path  # the encoder's input: the sequence, or its 8-bit rendition
+    frames: int  # whole frames in the sequence
 
     @property
     def where(self) -> str:
@@ -100,7 +105,7 @@ class Runner:
         self.executed_cells = 0
         self.reused_cells = 0
         self._sequence_digests: dict[str, str] = {}
-        self._prepared_inputs: dict[tuple[str, int], Path] = {}
+        self._tonemapped: set[Path] = set()  # the 8-bit sources this run wrote
         # The quality of each decode this run scored, by its decode key (see _decode_and_score).
         self._scored: dict[tuple, QualityRecord] = {}
 
@@ -124,37 +129,20 @@ class Runner:
                 raise ValidationError(
                     f"sequence {spec.name}: source must be 10-bit, got {spec.fmt.bit_depth}-bit"
                 )
-            if yuv.frame_count(spec.path, spec.fmt) < 1:
+            frames = yuv.frame_count(spec.path, spec.fmt)
+            if frames < 1:
                 raise ValidationError(f"sequence {spec.name}: no complete frames in {spec.path}")
             digest = self.sequence_digest(spec)
+            tonemapped = self.config.work_dir / "inputs" / f"{spec.name}_8bit.yuv"
             for variant in self.config.variants:
+                source = tonemapped if variant.input_depth == 8 else Path(spec.path)
                 for qp in sorted(self.config.qp_ladder, reverse=True):
                     key = cell_cache_key(digest, variant, qp, self.config.host_label)
                     cell_dir = self.config.work_dir / spec.name / variant.name / f"qp{qp:02d}"
-                    cells.append(PlanCell(spec, variant, qp, key, cell_dir))
+                    cells.append(PlanCell(spec, variant, qp, key, cell_dir, source, frames))
         return cells
 
     # -- execution ---------------------------------------------------------
-
-    def _prepare_input(self, spec: SequenceSpec, depth: int) -> Path:
-        """Return the path of the encoder input at the requested bit depth.
-
-        The 8-bit tonemapped rendition is produced once per sequence and
-        shared by every 8-bit variant and QP.
-        """
-        if depth == 10:
-            return Path(spec.path)
-        cached = self._prepared_inputs.get((spec.name, depth))
-        if cached is not None:
-            return cached
-        out_dir = self.config.work_dir / "inputs"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out_path = out_dir / f"{spec.name}_{depth}bit.yuv"
-        # Into a new file: writing over an earlier run's, truncated, is slower.
-        out_path.unlink(missing_ok=True)
-        bitdepth.convert_file(spec.path, out_path, spec.fmt)
-        self._prepared_inputs[(spec.name, depth)] = out_path
-        return out_path
 
     def _parse_reported_rate(self, *log_paths: Path) -> float | None:
         pattern = self.config.reported_rate_regex
@@ -175,23 +163,28 @@ class Runner:
 
     def _encode(self, cells: list[PlanCell]) -> list[tuple[PlanCell, AggregatedMeasurement]]:
         """The timed half of cells, in order. First, outside the timed phase,
-        so that ``convert_file`` gets every CPU, prepare each one's input,
-        clear its directory and render its encoder command. Then one
-        ``timed_phase`` (the RAPL domain resolved once, this thread pinned to
-        one CPU, which each encoder inherits) times each repetition in turn."""
+        so that ``convert_file`` gets every CPU: tone-map each 8-bit source
+        this run has not yet written, empty each cell's directory and render
+        its encoder command. Then one ``timed_phase`` (the RAPL domain
+        resolved once, this thread pinned to one CPU, which each encoder
+        inherits) times each repetition in turn."""
         config = self.config
         jobs = []
         for cell in cells:
-            depth = cell.variant.input_depth
-            in_path = self._prepare_input(cell.sequence, depth)
-            cell.cell_dir.mkdir(parents=True, exist_ok=True)
+            if cell.variant.input_depth == 8 and cell.source not in self._tonemapped:
+                cell.source.parent.mkdir(parents=True, exist_ok=True)
+                # Into a new file: writing over an earlier run's, truncated, is slower.
+                cell.source.unlink(missing_ok=True)
+                bitdepth.convert_file(cell.sequence.path, cell.source, cell.sequence.fmt)
+                self._tonemapped.add(cell.source)
             # No output of an earlier run may pass for this run's: not the file of
             # a codec that exits 0 without writing, nor the decode and metric
             # outputs of a cell that now reuses another cell's decode.
-            for pattern in ("bitstream.bin", "recon_*bit.yuv", "decoder.*.log", "metric.*.log"):
-                for stale in cell.cell_dir.glob(pattern):
-                    stale.unlink(missing_ok=True)
-            jobs.append((cell, _command(cell.variant.encoder_template, cell, in_path, cell.bitstream, depth)))
+            with contextlib.suppress(FileNotFoundError):
+                shutil.rmtree(cell.cell_dir)
+            cell.cell_dir.mkdir(parents=True)
+            depth = cell.variant.input_depth
+            jobs.append((cell, _command(cell.variant.encoder_template, cell, cell.source, cell.bitstream, depth)))
 
         encoded = []
         with timed_phase(config.rapl_domain, config.powercap_root) as (domain, warnings):
@@ -275,12 +268,14 @@ class Runner:
         spec, recon = cell.sequence, cell.recon
         if not recon.is_file():
             raise PipelineError(f"decoder produced no reconstruction for {cell.where}")
-        source_frames = yuv.frame_count(spec.path, spec.fmt)
         recon_fmt = spec.fmt.with_bit_depth(cell.variant.internal_depth)
-        recon_frames = yuv.frame_count(recon, recon_fmt)
-        if recon_frames != source_frames:
+        try:
+            recon_frames = yuv.frame_count(recon, recon_fmt)
+        except yuv.FileSizeError as exc:
+            raise PipelineError(f"unusable reconstruction for {cell.where}: {exc}") from exc
+        if recon_frames != cell.frames:
             raise PipelineError(
-                f"decoder returned {recon_frames} frames, source has {source_frames} ({cell.where})"
+                f"decoder returned {recon_frames} frames, source has {cell.frames} ({cell.where})"
             )
         quality = score_files(spec.path, recon, recon_fmt)
         if self.config.metric_command:
@@ -308,7 +303,7 @@ class Runner:
             height=spec.fmt.height,
             input_depth=variant.input_depth,
             internal_depth=variant.internal_depth,
-            frames=yuv.frame_count(spec.path, spec.fmt),
+            frames=cell.frames,
             frame_rate=spec.frame_rate,
             bitstream_bytes=cell.bitstream.stat().st_size,
             bitstream_sha256=digest,

@@ -13,8 +13,8 @@ import hdrbench.cli as cli
 from hdrbench import yuv
 from hdrbench.store import ResultStore
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import write_clip
-from tests.test_pipeline import record_line
+from tests.conftest import MOCK_ENCODE, write_clip
+from tests.test_pipeline import record_line, short_decoder
 from tests.test_report import synth_store
 
 
@@ -362,6 +362,16 @@ class TestRunAndReport:
         text = capsys.readouterr().out
         assert "Reference 10-10 vs 8-8" in text
         assert "Average" in text
+
+    @pytest.mark.parametrize("nbytes", [4608, 3072], ids=["partial frame", "one frame short"])
+    def test_short_decode_is_a_runtime_error(self, tmp_path, capsys, nbytes):
+        from tests.test_config import write_config
+
+        variant = {"name": "10-10", "encoder_template": MOCK_ENCODE, "decoder_template": short_decoder(nbytes)}
+        config = write_config(tmp_path, repetitions=1, qp_ladder=[22], variants=[variant])
+        assert run_cli("run", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "clip/10-10/qp22" in err
 
     def test_missing_config(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 1

@@ -78,6 +78,11 @@ def cut_tail(path, nbytes: int) -> None:
     os.truncate(path, os.path.getsize(path) - nbytes)
 
 
+def short_decoder(nbytes: int) -> str:
+    """A decoder template that writes ``nbytes`` zero bytes as its reconstruction."""
+    return f"{sys.executable} -S -c 'import sys; open(sys.argv[2], \"wb\").write(bytes({nbytes}))' {{INPUT}} {{OUTPUT}}"
+
+
 def make_run_config(tmp_path, variants=("10-10", "8-8"), sequences=("clip",), **overrides):
     fmt = PlaneFormat(32, 32, 10)
     specs = []
@@ -598,12 +603,43 @@ class TestExecution:
         # Tonemap noise keeps the 10-bit-domain PSNR well below lossless.
         assert 25.0 < record.quality.psnr_yuv < 60.0
 
-    def test_tonemapped_input_shared_across_variants(self, tmp_path):
-        config = make_run_config(tmp_path, variants=("8-8", "8-8-nosimd"), qp_ladder=(22, 27, 32, 37))
-        runner = Runner(config)
-        runner.run()
-        inputs = list((config.work_dir / "inputs").iterdir())
-        assert len(inputs) == 1  # one shared 8-bit rendition of the source
+    def test_tonemapped_input_shared_across_variants(self, tmp_path, monkeypatch):
+        # One conversion per run that measures an 8-bit cell, shared by every 8-bit variant and QP.
+        converts, convert_file = [], bitdepth.convert_file
+
+        def spy_convert_file(src, dst, fmt):
+            converts.append(Path(dst))
+            return convert_file(src, dst, fmt)
+
+        monkeypatch.setattr(bitdepth, "convert_file", spy_convert_file)
+        config = make_run_config(tmp_path, variants=("8-10", "8-8", "8-8-nosimd"))
+        tonemapped = config.work_dir / "inputs" / "clip_8bit.yuv"
+        for cache, conversions in (("reuse", 1), ("reuse", 0), ("fresh", 1)):
+            converts.clear()
+            runner = Runner(replace(config, cache=cache))
+            runner.run()
+            assert runner.executed_cells == 12 * conversions
+            assert converts == [tonemapped] * conversions
+        assert list(tonemapped.parent.iterdir()) == [tonemapped]
+
+    def test_a_remeasured_cells_directory_is_emptied_and_a_cached_ones_kept(self, tmp_path):
+        config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22, 27))
+        Runner(config).run()
+        cell_dirs = sorted((config.work_dir / "clip" / "10-10").iterdir())
+        own = {d: sorted(p.name for p in d.iterdir()) for d in cell_dirs}
+        assert "recon_10bit.yuv" in own[cell_dirs[0]]
+        for cell_dir in cell_dirs:
+            (cell_dir / "stray.txt").write_text("not this run's")
+            (cell_dir / "recon_8bit.yuv").write_bytes(b"stale")
+        cached = Runner(config)
+        cached.run()
+        assert cached.reused_cells == 2
+        for cell_dir in cell_dirs:
+            assert sorted(p.name for p in cell_dir.iterdir()) == sorted(own[cell_dir] + ["recon_8bit.yuv", "stray.txt"])
+        fresh = Runner(replace(config, cache="fresh"))
+        fresh.run()
+        assert fresh.executed_cells == 2
+        assert {d: sorted(p.name for p in d.iterdir()) for d in cell_dirs} == own
 
     def test_an_earlier_runs_prepared_input_is_replaced_not_truncated(self, tmp_path):
         # The conversion writes a new file: a hard link to the old one keeps its bytes.
@@ -711,6 +747,19 @@ class TestExecution:
         )
         with pytest.raises(PipelineError, match="decoder"):
             Runner(config).run()
+
+    @pytest.mark.parametrize("nbytes, message", [
+        (4608, r"^unusable reconstruction for clip/10-10/qp22: .*recon_10bit\.yuv: size 4608 is not a multiple "
+               r"of the 3072-byte frame"),
+        (3072, r"^decoder returned 1 frames, source has 2 \(clip/10-10/qp22\)$"),
+    ], ids=["partial frame", "one frame short"])
+    def test_short_decode_names_its_cell(self, tmp_path, nbytes, message):
+        config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22,))
+        (variant,) = config.variants
+        short = replace(variant, decoder_template=short_decoder(nbytes))
+        with pytest.raises(PipelineError, match=message):
+            Runner(replace(config, variants=(short,))).run()
+        assert len(ResultStore.load(config.store_path)) == 0
 
     def test_failing_encoder_quotes_its_reason(self, tmp_path):
         config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(999,))
