@@ -47,6 +47,8 @@ class SequenceSpec:
     frame_rate: float
 
     def __post_init__(self):
+        if self.fmt.bit_depth != 10:
+            raise ConfigError(f"sequence {self.name}: source must be 10-bit, got {self.fmt.bit_depth}-bit")
         if not 0 < self.frame_rate < float("inf"):  # rejects NaN and infinity too
             raise ConfigError(f"sequence {self.name}: frame rate must be positive")
 
@@ -252,8 +254,6 @@ def _parse_sequence(entry: dict, base: Path) -> SequenceSpec:
         height=_require(entry, "height", f"sequence {name}"),
         bit_depth=entry.get("bit_depth", 10),
     )
-    if not path.is_file():
-        raise ConfigError(f"sequence {name}: file not found: {path}")
     return SequenceSpec(name=name, path=path, fmt=fmt, frame_rate=_require(entry, "fps", f"sequence {name}"))
 
 

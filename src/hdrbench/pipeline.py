@@ -1,14 +1,15 @@
 """Benchmark execution: plan cells, run codecs, measure, score.
 
-One *cell* is (sequence, variant, QP). The plan gives each cell its
-encoder input, the source or the sequence's tone-mapped 8-bit rendition,
-and the source's frame count. Executing a cell empties its directory, runs
-the encoder under measurement, decodes, re-expands 8-bit reconstructions to
-10-bit, and scores quality against the untouched 10-bit source; a cell
-whose bitstream and decoder command repeat an earlier cell's of the run
-takes that cell's scores instead. Each cell's record is checkpointed into
-the run's result store (see ``store``), whose records let a repeated run
-reuse finished cells instead of re-encoding.
+One *cell* is (sequence, variant, QP). The plan checks each source, sample
+range included, and gives each cell its encoder input, the source or the
+sequence's tone-mapped 8-bit rendition, which the run writes and syncs
+before its first timed encode, and the source's frame count. Executing a
+cell empties its directory, runs the encoder under measurement, decodes,
+and scores the reconstruction, which ``score_files`` checks, against the
+untouched 10-bit source; a cell whose bitstream and decoder command repeat
+an earlier cell's of the run takes that cell's scores instead. Each cell's
+record is checkpointed into the run's result store (see ``store``), whose
+records let a repeated run reuse finished cells instead of re-encoding.
 """
 
 from __future__ import annotations
@@ -39,16 +40,12 @@ class PipelineError(ExecutionError):
     """A codec invocation failed or produced unusable output."""
 
 
-def _hash_file(digest, path: str | os.PathLike) -> str:
-    """Feed a file to ``digest`` in chunks; return the hex digest."""
+def file_sha256(path: str | os.PathLike) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(_HASH_CHUNK):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def file_sha256(path: str | os.PathLike) -> str:
-    return _hash_file(hashlib.sha256(), path)
 
 
 @dataclass(frozen=True)
@@ -105,30 +102,28 @@ class Runner:
         self.executed_cells = 0
         self.reused_cells = 0
         self._sequence_digests: dict[str, str] = {}
-        self._tonemapped: set[Path] = set()  # the 8-bit sources this run wrote
         # The quality of each decode this run scored, by its decode key (see _decode_and_score).
         self._scored: dict[tuple, QualityRecord] = {}
 
     # -- planning ----------------------------------------------------------
 
     def sequence_digest(self, spec: SequenceSpec) -> str:
+        """sha256 of the format tag and the source, streamed through
+        ``read_pieces``: a sample out of range raises here, before any encode."""
         cached = self._sequence_digests.get(spec.name)
         if cached is None:
-            tag = f"{spec.fmt.width}x{spec.fmt.height}@{spec.fmt.bit_depth}:"
-            cached = _hash_file(hashlib.sha256(tag.encode()), spec.path)
-            self._sequence_digests[spec.name] = cached
+            digest = hashlib.sha256(f"{spec.fmt.width}x{spec.fmt.height}@{spec.fmt.bit_depth}:".encode())
+            for _, _, piece in yuv.read_pieces(spec.path, spec.fmt):
+                digest.update(piece)
+            cached = self._sequence_digests[spec.name] = digest.hexdigest()
         return cached
 
     def plan(self) -> list[PlanCell]:
-        """Validate inputs and lay out cells: highest QP (fastest) first."""
+        """Check each source (see ``sequence_digest``) and lay out cells: highest QP (fastest) first."""
         cells = []
         for spec in self.config.sequences:
             if not Path(spec.path).is_file():
                 raise ValidationError(f"sequence {spec.name}: file not found: {spec.path}")
-            if spec.fmt.bit_depth != 10:
-                raise ValidationError(
-                    f"sequence {spec.name}: source must be 10-bit, got {spec.fmt.bit_depth}-bit"
-                )
             frames = yuv.frame_count(spec.path, spec.fmt)
             if frames < 1:
                 raise ValidationError(f"sequence {spec.name}: no complete frames in {spec.path}")
@@ -163,20 +158,13 @@ class Runner:
 
     def _encode(self, cells: list[PlanCell]) -> list[tuple[PlanCell, AggregatedMeasurement]]:
         """The timed half of cells, in order. First, outside the timed phase,
-        so that ``convert_file`` gets every CPU: tone-map each 8-bit source
-        this run has not yet written, empty each cell's directory and render
-        its encoder command. Then one ``timed_phase`` (the RAPL domain
-        resolved once, this thread pinned to one CPU, which each encoder
-        inherits) times each repetition in turn."""
+        empty each cell's directory and render its encoder command; each
+        cell's input is already written (see ``run``). Then one
+        ``timed_phase`` (the RAPL domain resolved once, this thread pinned to
+        one CPU, which each encoder inherits) times each repetition in turn."""
         config = self.config
         jobs = []
         for cell in cells:
-            if cell.variant.input_depth == 8 and cell.source not in self._tonemapped:
-                cell.source.parent.mkdir(parents=True, exist_ok=True)
-                # Into a new file: writing over an earlier run's, truncated, is slower.
-                cell.source.unlink(missing_ok=True)
-                bitdepth.convert_file(cell.sequence.path, cell.source, cell.sequence.fmt)
-                self._tonemapped.add(cell.source)
             # No output of an earlier run may pass for this run's: not the file of
             # a codec that exits 0 without writing, nor the decode and metric
             # outputs of a cell that now reuses another cell's decode.
@@ -259,25 +247,19 @@ class Runner:
                     decoder.close()
 
     def _score(self, cell: PlanCell) -> QualityRecord:
-        """Check a decoded cell's reconstruction and score it at 10-bit.
+        """Score a decoded cell's reconstruction against the source at 10-bit.
 
-        PSNR is taken against the source. Only an external metric, which
-        reads files, gets an 8-bit reconstruction written out expanded, as
-        ``recon_10bit.yuv``.
+        ``score_files`` checks the reconstruction; the source passed the same
+        checks at plan time, so its ``ValidationError`` is a ``PipelineError``
+        naming the cell. Only an external metric, which reads files, gets an
+        8-bit reconstruction written out expanded, as ``recon_10bit.yuv``.
         """
         spec, recon = cell.sequence, cell.recon
-        if not recon.is_file():
-            raise PipelineError(f"decoder produced no reconstruction for {cell.where}")
         recon_fmt = spec.fmt.with_bit_depth(cell.variant.internal_depth)
         try:
-            recon_frames = yuv.frame_count(recon, recon_fmt)
-        except yuv.FileSizeError as exc:
+            quality = score_files(spec.path, recon, recon_fmt)
+        except ValidationError as exc:
             raise PipelineError(f"unusable reconstruction for {cell.where}: {exc}") from exc
-        if recon_frames != cell.frames:
-            raise PipelineError(
-                f"decoder returned {recon_frames} frames, source has {cell.frames} ({cell.where})"
-            )
-        quality = score_files(spec.path, recon, recon_fmt)
         if self.config.metric_command:
             recon10 = recon
             if recon_fmt.bit_depth == 8:
@@ -350,11 +332,24 @@ class Runner:
         A fresh run first drops the planned cells' records: its first
         checkpoint rewrites the file, later ones append. Stopped early, it
         leaves the cells it did not reach for the next run to measure.
+
+        Before the first timed phase, the run writes each 8-bit rendition
+        that an uncached cell encodes into a new file (writing over an
+        earlier run's, truncated, is slower) and syncs it, so that no
+        write-back of it falls inside a timed encode.
         """
         cells = self.plan()
         if self.config.cache == "fresh":
             planned = {cell.cache_key for cell in cells}
             self.store = ResultStore({k: r for k, r in self.store.records.items() if k not in planned})
+        renditions = {cell.source: cell.sequence for cell in cells
+                      if cell.variant.input_depth == 8 and cell.cache_key not in self.store}
+        for rendition, spec in renditions.items():
+            rendition.parent.mkdir(parents=True, exist_ok=True)
+            rendition.unlink(missing_ok=True)
+            bitdepth.convert_file(spec.path, rendition, spec.fmt)
+            with open(rendition, "rb") as fh:
+                os.fsync(fh.fileno())
         numbered = enumerate(cells, start=1)
         for _, group in itertools.groupby(numbered, key=lambda item: (item[1].sequence.name, item[1].variant.name)):
             group = list(group)

@@ -363,15 +363,36 @@ class TestRunAndReport:
         assert "Reference 10-10 vs 8-8" in text
         assert "Average" in text
 
-    @pytest.mark.parametrize("nbytes", [4608, 3072], ids=["partial frame", "one frame short"])
-    def test_short_decode_is_a_runtime_error(self, tmp_path, capsys, nbytes):
+    @pytest.mark.parametrize("nbytes, fill", [(4608, 0), (3072, 0), (6144, 0xFF)],
+                             ids=["partial frame", "one frame short", "samples out of range"])
+    def test_short_decode_is_a_runtime_error(self, tmp_path, capsys, nbytes, fill):
         from tests.test_config import write_config
 
-        variant = {"name": "10-10", "encoder_template": MOCK_ENCODE, "decoder_template": short_decoder(nbytes)}
+        variant = {"name": "10-10", "encoder_template": MOCK_ENCODE, "decoder_template": short_decoder(nbytes, fill)}
         config = write_config(tmp_path, repetitions=1, qp_ladder=[22], variants=[variant])
         assert run_cli("run", "--config", str(config)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "clip/10-10/qp22" in err
+        assert err.startswith("error: unusable reconstruction for clip/10-10/qp22: ")
+
+    def test_missing_sequence_file(self, tmp_path, capsys):
+        from tests.test_config import config_dict
+
+        data = config_dict(tmp_path)
+        data["sequences"][0]["path"] = "nope.yuv"
+        (tmp_path / "run.json").write_text(json.dumps(data))
+        assert run_cli("run", "--config", str(tmp_path / "run.json")) == 1
+        assert capsys.readouterr().err == f"error: sequence clip: file not found: {tmp_path / 'nope.yuv'}\n"
+
+    def test_source_out_of_range_fails_before_any_encode(self, tmp_path, capsys):
+        from tests.test_config import write_config
+
+        config = write_config(tmp_path, repetitions=1, qp_ladder=[22])
+        words = np.fromfile(tmp_path / "clip.yuv", dtype="<u2")
+        words[7] = 1024
+        words.tofile(tmp_path / "clip.yuv")
+        assert run_cli("run", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'clip.yuv'}: sample index 7 has value 1024 > 1023")
+        assert not (tmp_path / "work").exists()
 
     def test_missing_config(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 1

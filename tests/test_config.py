@@ -110,14 +110,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="contradict"):
             load_config(path)
 
-    def test_missing_sequence_file(self, tmp_path):
-        data = config_dict(tmp_path)
-        data["sequences"][0]["path"] = "nope.yuv"
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match="not found"):
-            load_config(path)
-
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{ nope")
@@ -280,6 +272,10 @@ class TestRunConfigValidation:
         config = self.make(tmp_path)
         assert config.qp_ladder == (12, 17, 22, 27, 32, 37)
         assert config.cache == "reuse"
+
+    def test_eight_bit_source_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^sequence clip8: source must be 10-bit, got 8-bit$"):
+            SequenceSpec("clip8", tmp_path / "clip8.yuv", PlaneFormat(32, 32, 8), 50.0)
 
     def test_empty_ladder_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ladder"):

@@ -1,10 +1,12 @@
 """Execution pipeline: records, store, cache keys, and full runs."""
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from hdrbench import bitdepth, measure, pipeline, yuv
 from hdrbench import store as store_module
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
+from hdrbench.errors import ValidationError
 from hdrbench.measure import MeasurementError
 from hdrbench.metrics import QualityRecord
 from hdrbench.pipeline import PipelineError, Runner, file_sha256
@@ -78,9 +81,10 @@ def cut_tail(path, nbytes: int) -> None:
     os.truncate(path, os.path.getsize(path) - nbytes)
 
 
-def short_decoder(nbytes: int) -> str:
-    """A decoder template that writes ``nbytes`` zero bytes as its reconstruction."""
-    return f"{sys.executable} -S -c 'import sys; open(sys.argv[2], \"wb\").write(bytes({nbytes}))' {{INPUT}} {{OUTPUT}}"
+def short_decoder(nbytes: int, fill: int = 0) -> str:
+    """A decoder template that writes ``nbytes`` bytes of ``fill`` as its reconstruction."""
+    return (f"{sys.executable} -S -c 'import sys; open(sys.argv[2], \"wb\").write(bytes([{fill}]) * {nbytes})' "
+            "{INPUT} {OUTPUT}")
 
 
 def make_run_config(tmp_path, variants=("10-10", "8-8"), sequences=("clip",), **overrides):
@@ -506,20 +510,17 @@ class TestPlanning:
     def test_plan_rejects_missing_sequence(self, tmp_path):
         config = make_run_config(tmp_path)
         config.sequences[0].path.unlink()
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError, match="file not found"):
             Runner(config).plan()
 
-    def test_plan_rejects_8bit_source(self, tmp_path):
-        fmt8 = PlaneFormat(32, 32, 8)
-        path = tmp_path / "clip8.yuv"
-        write_clip(path, 1, fmt8, frames=1)
+    def test_plan_rejects_a_source_sample_out_of_range(self, tmp_path):
+        # The sample is in the second frame's Y plane, so the message counts from the file's start.
         config = make_run_config(tmp_path)
-        bad = SequenceSpec("clip8", path, fmt8, 50.0)
-        config = RunConfig(
-            sequences=(bad,), variants=config.variants, qp_ladder=LADDER,
-            repetitions=1, store_path=tmp_path / "r.jsonl", work_dir=tmp_path / "w",
-        )
-        with pytest.raises(Exception, match="10-bit"):
+        path = config.sequences[0].path
+        words = np.fromfile(path, dtype="<u2")
+        words[1536 + 5] = 1024
+        words.tofile(path)
+        with pytest.raises(yuv.SampleRangeError, match=rf"^{re.escape(str(path))}: sample index 1541 has value 1024 > 1023"):
             Runner(config).plan()
 
 
@@ -654,9 +655,48 @@ class TestExecution:
         bitdepth.convert_file(spec.path, tmp_path / "expected.yuv", spec.fmt)
         assert prepared.read_bytes() == (tmp_path / "expected.yuv").read_bytes()
 
+    def test_every_rendition_is_written_and_synced_before_the_first_encode(self, tmp_path, monkeypatch):
+        # Each rendition's write-back ends before the first timed phase,
+        # so no sync, and no write-back of it, falls inside a timed encode.
+        events, convert_file, fsync, timed_phase = [], bitdepth.convert_file, os.fsync, pipeline.timed_phase
+
+        def spy_convert_file(src, dst, fmt):
+            events.append(("convert", Path(dst).name))
+            return convert_file(src, dst, fmt)
+
+        def spy_fsync(fd):
+            events.append(("sync", os.fstat(fd).st_ino))
+            return fsync(fd)
+
+        @contextlib.contextmanager
+        def spy_timed_phase(*args):
+            events.append("enter")
+            with timed_phase(*args) as phase:
+                yield phase
+            events.append("exit")
+
+        def spy_run_child(*args, **kwargs):
+            events.append("encode")
+            return measure.run_child(*args, **kwargs)
+
+        monkeypatch.setattr(bitdepth, "convert_file", spy_convert_file)
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(pipeline, "timed_phase", spy_timed_phase)
+        monkeypatch.setattr(pipeline, "run_child", spy_run_child)
+        config = make_run_config(tmp_path, variants=("10-10", "8-8", "8-10"), sequences=("clip", "clip2"),
+                                 qp_ladder=(22, 27))
+        Runner(config).run()
+        inputs = config.work_dir / "inputs"
+        prepared = [event for name in ("clip", "clip2")
+                    for event in (("convert", f"{name}_8bit.yuv"), ("sync", (inputs / f"{name}_8bit.yuv").stat().st_ino))]
+        assert events == prepared + ["enter", "encode", "encode", "exit"] * 6
+        events.clear()
+        Runner(config).run()
+        assert events == ["enter", "exit"] * 6
+
     def test_no_span_thread_runs_during_a_timed_encode(self, tmp_path, monkeypatch):
-        # The 8-bit input is tone-mapped in two spans just before the first
-        # timed encode: both span threads are joined before it starts.
+        # The 8-bit input is tone-mapped in two spans before the first timed
+        # encode: both span threads are joined before it starts.
         monkeypatch.setattr(yuv, "usable_cpus", lambda: 3)
         config = make_run_config(tmp_path, variants=("8-8",), qp_ladder=(22, 27))
         threads_at_encode = []
@@ -732,7 +772,9 @@ class TestExecution:
         Runner(config).run()
         templates = {"encoder": MOCK_ENCODE, "decoder": MOCK_DECODE, silent: "/bin/true {INPUT} {OUTPUT}"}
         variant = VariantConfig("10-10", 10, 10, True, templates["encoder"], templates["decoder"])
-        with pytest.raises(PipelineError, match="no (bitstream|reconstruction) for clip/10-10/qp22"):
+        message = {"encoder": r"^encoder produced no bitstream for clip/10-10/qp22$",
+                   "decoder": r"^unusable reconstruction for clip/10-10/qp22: cannot read .*/qp22/recon_10bit\.yuv: "}
+        with pytest.raises(PipelineError, match=message[silent]):
             Runner(replace(config, variants=(variant,))).run()
         assert len(ResultStore.load(config.store_path)) == 1
 
@@ -748,15 +790,18 @@ class TestExecution:
         with pytest.raises(PipelineError, match="decoder"):
             Runner(config).run()
 
-    @pytest.mark.parametrize("nbytes, message", [
-        (4608, r"^unusable reconstruction for clip/10-10/qp22: .*recon_10bit\.yuv: size 4608 is not a multiple "
-               r"of the 3072-byte frame"),
-        (3072, r"^decoder returned 1 frames, source has 2 \(clip/10-10/qp22\)$"),
-    ], ids=["partial frame", "one frame short"])
-    def test_short_decode_names_its_cell(self, tmp_path, nbytes, message):
+    @pytest.mark.parametrize("nbytes, fill, message", [
+        (4608, 0, r"^unusable reconstruction for clip/10-10/qp22: .*recon_10bit\.yuv: size 4608 is not a multiple "
+                  r"of the 3072-byte frame"),
+        (3072, 0, r"^unusable reconstruction for clip/10-10/qp22: frame counts differ: .*/clip\.yuv has 2, "
+                  r".*recon_10bit\.yuv has 1$"),
+        (6144, 0xFF, r"^unusable reconstruction for clip/10-10/qp22: .*recon_10bit\.yuv: sample index 0 has value "
+                     r"65535 > 1023 for declared 10-bit depth$"),
+    ], ids=["partial frame", "one frame short", "samples out of range"])
+    def test_short_decode_names_its_cell(self, tmp_path, nbytes, fill, message):
         config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22,))
         (variant,) = config.variants
-        short = replace(variant, decoder_template=short_decoder(nbytes))
+        short = replace(variant, decoder_template=short_decoder(nbytes, fill))
         with pytest.raises(PipelineError, match=message):
             Runner(replace(config, variants=(short,))).run()
         assert len(ResultStore.load(config.store_path)) == 0
