@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
 """End-to-end demo study using the bundled mock codec.
 
-Generates synthetic 10-bit 4:2:0 clips, runs the full variant/QP grid through
-``hdrbench.mockcodec``, and prints the comparison table. Everything lands in
-one work directory, so a second invocation reuses the result store and runs
-no codec at all.
+Generates synthetic 10-bit 4:2:0 clips and writes ``study.json``, a study
+config in README's "Real studies" format with the four variants and the mock
+codec's templates, then runs it with ``hdrbench run`` and prints the
+comparison table with ``hdrbench report``. Everything lands in the output
+directory, so a second invocation reuses the result store and runs no codec
+at all.
 
     python3 scripts/mock_study.py --output /tmp/mock_study --csv table.csv
 """
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from hdrbench import yuv
-from hdrbench.config import KNOWN_VARIANTS, RunConfig, SequenceSpec, VariantConfig
-from hdrbench.pipeline import Runner
-from hdrbench.report import build_table, render_text, write_csv
+from hdrbench import cli, yuv
+from hdrbench.config import KNOWN_VARIANTS
 
 MOCK_ENCODE = (
     f"{sys.executable} -m hdrbench.mockcodec encode --input {{INPUT}} "
@@ -49,10 +50,37 @@ def write_synth_clip(path: Path, seed: int, fmt: yuv.PlaneFormat, frames: int) -
                 plane(height, width).tofile(fh)
 
 
+def write_study(output: Path, sequences: int, frames: int, size: int, repetitions: int) -> Path:
+    """Write the clips that ``output`` lacks and ``output/study.json``; return the config's path.
+    The store and work dir keep their defaults, which resolve inside ``output``."""
+    fmt = yuv.PlaneFormat(size, size, 10)
+    output.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for index in range(sequences):
+        name = f"clip{index + 1}"
+        path = output / f"{name}.yuv"
+        if not path.exists():
+            write_synth_clip(path, 1000 + index, fmt, frames)
+        # A float fps: an integer would be stored as "frame_rate": 50.
+        entries.append({"name": name, "path": path.name, "width": size, "height": size, "fps": 50.0})
+    study = {
+        "sequences": entries,
+        "variants": [
+            {"name": name, "encoder_template": MOCK_ENCODE, "decoder_template": MOCK_DECODE}
+            for name in KNOWN_VARIANTS
+        ],
+        "repetitions": repetitions,
+        "host_label": "mockhost",
+    }
+    config = output / "study.json"
+    config.write_text(json.dumps(study, indent=2) + "\n")
+    return config
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=Path("mock_study_out"),
-                        help="work directory (clips, bitstreams, result store)")
+                        help="work directory (clips, study config, bitstreams, result store)")
     parser.add_argument("--sequences", type=int, default=2, help="number of synthetic clips")
     parser.add_argument("--frames", type=int, default=2, help="frames per clip")
     parser.add_argument("--size", type=int, default=64, help="square frame edge in pixels")
@@ -61,51 +89,14 @@ def main(argv=None) -> int:
     parser.add_argument("--csv", type=Path, default=None, help="also write the table as CSV")
     args = parser.parse_args(argv)
 
-    fmt = yuv.PlaneFormat(args.size, args.size, 10)
-    args.output.mkdir(parents=True, exist_ok=True)
-    specs = []
-    for index in range(args.sequences):
-        name = f"clip{index + 1}"
-        path = args.output / f"{name}.yuv"
-        if not path.exists():
-            write_synth_clip(path, 1000 + index, fmt, args.frames)
-        specs.append(SequenceSpec(name, path, fmt, 50.0))
-
-    variants = tuple(
-        VariantConfig(name, *KNOWN_VARIANTS[name], MOCK_ENCODE, MOCK_DECODE)
-        for name in ("10-10", "8-10", "8-8", "8-8-nosimd")
-    )
-    config = RunConfig(
-        sequences=tuple(specs),
-        variants=variants,
-        repetitions=args.repetitions,
-        host_label="mockhost",
-        store_path=args.output / "results.jsonl",
-        work_dir=args.output / "work",
-        cache="fresh" if args.fresh else "reuse",
-    )
-
-    runner = Runner(config)
-    total = len(runner.plan())
+    config = write_study(args.output, args.sequences, args.frames, args.size, args.repetitions)
     start = time.perf_counter()
-
-    def progress(index, count, cell, state):
-        print(f"[{index}/{count}] {state:8s} {cell.sequence.name}/{cell.variant.name}/qp{cell.qp}")
-
-    store = runner.run(progress=progress)
-    elapsed = time.perf_counter() - start
-    print(
-        f"\n{total} cells: {runner.executed_cells} measured, "
-        f"{runner.reused_cells} reused, {runner.encoder_invocations} encoder "
-        f"invocation(s), {runner.decoder_invocations} decoder invocation(s) in {elapsed:.1f} s\n"
-    )
-
-    table = build_table(store)
-    print(render_text(table))
-    if args.csv is not None:
-        write_csv(table, args.csv)
-        print(f"\nwrote {args.csv}")
-    return 0
+    status = cli.main(["run", "--config", str(config)] + ["--fresh-measurements"] * args.fresh)
+    if status:
+        return status
+    print(f"\nstudy run in {time.perf_counter() - start:.1f} s\n")
+    report = ["report", "--store", str(args.output / "results.jsonl")]
+    return cli.main(report + (["--csv", str(args.csv)] if args.csv else []))
 
 
 if __name__ == "__main__":

@@ -178,7 +178,8 @@ def _cmd_run(args) -> int:
     runner.run(progress=progress)
     print(
         f"done: {runner.executed_cells} cell(s) measured, {runner.reused_cells} reused, "
-        f"{runner.encoder_invocations} encoder invocation(s); store: {config.store_path}"
+        f"{runner.encoder_invocations} encoder invocation(s), "
+        f"{runner.decoder_invocations} decoder invocation(s); store: {config.store_path}"
     )
     return 0
 

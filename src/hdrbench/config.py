@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 import shlex
 import typing
@@ -39,6 +40,12 @@ class ConfigError(ValidationError):
     """Malformed or inconsistent run configuration."""
 
 
+def _check_name(kind: str, name: str) -> None:
+    """A sequence or variant name names a directory of the work dir: one path component."""
+    if name in ("", ".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+        raise ConfigError(f"{kind} name {name!r} is not a single path component")
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     name: str
@@ -47,6 +54,7 @@ class SequenceSpec:
     frame_rate: float
 
     def __post_init__(self):
+        _check_name("sequence", self.name)
         if self.fmt.bit_depth != 10:
             raise ConfigError(f"sequence {self.name}: source must be 10-bit, got {self.fmt.bit_depth}-bit")
         if not 0 < self.frame_rate < float("inf"):  # rejects NaN and infinity too
@@ -71,6 +79,7 @@ class VariantConfig:
     decoder_template: str
 
     def __post_init__(self):
+        _check_name("variant", self.name)
         if self.input_depth not in (8, 10) or self.internal_depth not in (8, 10):
             raise ConfigError(f"variant {self.name}: depths must be 8 or 10")
         known = KNOWN_VARIANTS.get(self.name)

@@ -32,8 +32,8 @@ TRIM_MIN_SAMPLES = 4
 _MEASUREMENT_LOCK = threading.Lock()
 
 
-class RaplUnavailableError(Exception):
-    """Platform has no readable RAPL counters; energy is omitted, not fatal."""
+class RaplUnavailableError(ExecutionError):
+    """No readable RAPL counter: the phase's probe omits energy, a later read fails."""
 
 
 class CounterParseError(ValidationError):

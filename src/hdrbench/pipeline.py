@@ -101,7 +101,6 @@ class Runner:
         self.decoder_invocations = 0
         self.executed_cells = 0
         self.reused_cells = 0
-        self._sequence_digests: dict[str, str] = {}
         # The quality of each decode this run scored, by its decode key (see _decode_and_score).
         self._scored: dict[tuple, QualityRecord] = {}
 
@@ -109,14 +108,12 @@ class Runner:
 
     def sequence_digest(self, spec: SequenceSpec) -> str:
         """sha256 of the format tag and the source, streamed through
-        ``read_pieces``: a sample out of range raises here, before any encode."""
-        cached = self._sequence_digests.get(spec.name)
-        if cached is None:
-            digest = hashlib.sha256(f"{spec.fmt.width}x{spec.fmt.height}@{spec.fmt.bit_depth}:".encode())
-            for _, _, piece in yuv.read_pieces(spec.path, spec.fmt):
-                digest.update(piece)
-            cached = self._sequence_digests[spec.name] = digest.hexdigest()
-        return cached
+        ``read_pieces``: a sample out of range raises here, before any encode.
+        Each call reads the whole source; ``plan`` calls it once per sequence."""
+        digest = hashlib.sha256(f"{spec.fmt.width}x{spec.fmt.height}@{spec.fmt.bit_depth}:".encode())
+        for _, _, piece in yuv.read_pieces(spec.path, spec.fmt):
+            digest.update(piece)
+        return digest.hexdigest()
 
     def plan(self) -> list[PlanCell]:
         """Check each source (see ``sequence_digest``) and lay out cells: highest QP (fastest) first."""

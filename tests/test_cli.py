@@ -340,6 +340,11 @@ class TestMeasure:
     def test_missing_binary_is_runtime_error(self, capsys):
         assert run_cli("measure", "--cmd", "/no/such/tool", "--reps", "1") == 2
 
+    def test_counter_that_vanishes_mid_measurement_is_runtime_error(self, rapl_tree, capsys):
+        counter = rapl_tree / "intel-rapl:0" / "energy_uj"
+        assert run_cli("measure", "--cmd", f"rm {counter}", "--reps", "1", "--powercap-root", str(rapl_tree)) == 2
+        assert capsys.readouterr().err == f"error: missing counter file {counter}\n"
+
 
 class TestRunAndReport:
     def test_run_then_report(self, tmp_path, capsys):
@@ -349,14 +354,19 @@ class TestRunAndReport:
         assert run_cli("run", "--config", str(config)) == 0
         out = capsys.readouterr().out
         assert "8 cell(s) measured" in out
+        assert ", 8 decoder invocation(s)" in out
         store = tmp_path / "results.jsonl"
         assert store.is_file()
 
         assert run_cli("run", "--config", str(config)) == 0
-        assert "0 cell(s) measured" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 cell(s) measured" in out
+        assert ", 0 decoder invocation(s)" in out
 
         assert run_cli("run", "--config", str(config), "--fresh-measurements") == 0
-        assert "8 cell(s) measured" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "8 cell(s) measured" in out
+        assert ", 8 decoder invocation(s)" in out
 
         assert run_cli("report", "--store", str(store)) == 0
         text = capsys.readouterr().out
@@ -393,6 +403,18 @@ class TestRunAndReport:
         assert run_cli("run", "--config", str(config)) == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'clip.yuv'}: sample index 7 has value 1024 > 1023")
         assert not (tmp_path / "work").exists()
+
+    def test_sequence_name_that_leaves_the_work_dir_is_refused(self, tmp_path, capsys):
+        from tests.test_config import config_dict
+
+        study = tmp_path / "study"
+        study.mkdir()
+        data = config_dict(study, repetitions=1, qp_ladder=[22])
+        data["sequences"][0]["name"] = "../../outside"
+        (study / "run.json").write_text(json.dumps(data))
+        assert run_cli("run", "--config", str(study / "run.json")) == 1
+        assert capsys.readouterr().err == "error: sequence name '../../outside' is not a single path component\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["clip.yuv", "run.json", "study"]
 
     def test_missing_config(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 1

@@ -1,6 +1,7 @@
 """Run-configuration parsing and validation."""
 
 import json
+import re
 
 import pytest
 
@@ -260,6 +261,26 @@ class TestLoadConfig:
 
 
 class TestRunConfigValidation:
+    @pytest.mark.parametrize("name", ["../x", "a/b", "..", "."])
+    @pytest.mark.parametrize("kind", ["sequence", "variant"])
+    def test_name_must_be_one_path_component(self, tmp_path, kind, name):
+        data = config_dict(tmp_path)
+        entry = data[kind + "s"][0]
+        if kind == "variant":
+            entry.update(input_depth=10, internal_depth=10)
+        entry["name"] = name
+        (tmp_path / "run.json").write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"^{kind} name {re.escape(repr(name))} is not a single path component$"):
+            load_config(tmp_path / "run.json")
+
+    @pytest.mark.parametrize("name", ["", "a\0b"])
+    def test_empty_or_nul_name_is_refused(self, name):
+        fmt = PlaneFormat(32, 32, 10)
+        with pytest.raises(ConfigError, match="is not a single path component"):
+            SequenceSpec(name, "clip.yuv", fmt, 50.0)
+        with pytest.raises(ConfigError, match="is not a single path component"):
+            VariantConfig(name, 10, 10, True, MOCK_ENCODE, MOCK_DECODE)
+
     def make(self, tmp_path, **overrides):
         clip = write_clip(tmp_path)
         spec = SequenceSpec("clip", clip, PlaneFormat(32, 32, 10), 50.0)
