@@ -51,16 +51,15 @@ def write_synth_clip(path: Path, seed: int, fmt: yuv.PlaneFormat, frames: int) -
 
 
 def write_study(output: Path, sequences: int, frames: int, size: int, repetitions: int) -> Path:
-    """Write the clips that ``output`` lacks and ``output/study.json``; return the config's path.
-    The store and work dir keep their defaults, which resolve inside ``output``."""
+    """Write every clip, over any earlier one, and ``output/study.json``; return the config's
+    path. The store and work dir keep their defaults, which resolve inside ``output``."""
     fmt = yuv.PlaneFormat(size, size, 10)
     output.mkdir(parents=True, exist_ok=True)
     entries = []
     for index in range(sequences):
         name = f"clip{index + 1}"
         path = output / f"{name}.yuv"
-        if not path.exists():
-            write_synth_clip(path, 1000 + index, fmt, frames)
+        write_synth_clip(path, 1000 + index, fmt, frames)
         # A float fps: an integer would be stored as "frame_rate": 50.
         entries.append({"name": name, "path": path.name, "width": size, "height": size, "fps": 50.0})
     study = {

@@ -15,10 +15,10 @@ with the offending sample's index in the file.
 
 ``convert_file`` streams a file through ``yuv.read_pieces``, in one span of
 frames per usable CPU (``yuv.run_spans``): each piece, already range-checked
-by the reader, is converted into a piece-sized output buffer, which
-``yuv.write_all`` writes with ``os.pwrite`` at the piece's place in the
-output file. The output is opened through ``yuv.open_output``, which
-refuses the input as output and removes a failed conversion's file.
+by the reader, is converted into a piece-sized buffer, which ``yuv.write_all``
+writes with ``os.pwrite`` at its place in the output. ``yuv.open_output``
+opens the output: it refuses the input, writes a new file in place of an old
+one, and removes a failed conversion's file.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
     its place in ``dst`` with ``os.pwrite``. A ``dst`` that cannot seek (a
     pipe, say) gets one span, written in frame order. The input is checked
     for whole frames, and refused when ``dst`` is the same file, before
-    ``dst`` is touched. A conversion that fails (on a sample out of range,
-    say) removes the regular file it wrote, once every span has stopped, so
-    no shorter clip that looks whole is left at ``dst``.
+    ``dst`` is touched; an old file at ``dst`` is replaced by a new one. A
+    failed conversion (a sample out of range, say) removes the file it wrote
+    once every span has stopped, so no shorter clip that looks whole is left.
     """
     frames = yuv.frame_count(src, fmt)
     out_fmt = fmt.with_bit_depth(8 if fmt.bit_depth == 10 else 10)

@@ -90,6 +90,8 @@ def _read_counter_file(path: Path) -> int:
         text = path.read_text()
     except FileNotFoundError:
         raise RaplUnavailableError(f"missing counter file {path}") from None
+    except OSError as exc:  # energy_uj is root-only since Linux 5.10
+        raise RaplUnavailableError(f"cannot read counter file {path}: {exc.strerror}") from None
     try:
         value = int(text.strip())
     except ValueError:

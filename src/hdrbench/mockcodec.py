@@ -23,8 +23,8 @@ header, the index width, the payload's length against the file size and
 the output depth before it opens the output, then unpacks fixed chunks of
 groups through reused buffers and dequantizes them in place. Both open
 their output through ``yuv.open_output``: an output that is the input is
-refused before either file is touched, and a run that fails part-way
-removes its output.
+refused before either file is touched, an old output is replaced by a new
+file, and a run that fails part-way removes its output.
 
 ``--no-simd`` is accepted and ignored so that variant templates which
 toggle vector instructions produce byte-identical streams, as a real

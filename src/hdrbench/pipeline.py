@@ -331,9 +331,8 @@ class Runner:
         leaves the cells it did not reach for the next run to measure.
 
         Before the first timed phase, the run writes each 8-bit rendition
-        that an uncached cell encodes into a new file (writing over an
-        earlier run's, truncated, is slower) and syncs it, so that no
-        write-back of it falls inside a timed encode.
+        that an uncached cell encodes and syncs it, so that no write-back
+        of it falls inside a timed encode.
         """
         cells = self.plan()
         if self.config.cache == "fresh":
@@ -343,7 +342,6 @@ class Runner:
                       if cell.variant.input_depth == 8 and cell.cache_key not in self.store}
         for rendition, spec in renditions.items():
             rendition.parent.mkdir(parents=True, exist_ok=True)
-            rendition.unlink(missing_ok=True)
             bitdepth.convert_file(spec.path, rendition, spec.fmt)
             with open(rendition, "rb") as fh:
                 os.fsync(fh.fileno())

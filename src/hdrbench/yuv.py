@@ -16,8 +16,8 @@ frames; ``iter_frames`` assembles them from the pieces, and remains as a
 reader for the tests and the benchmark.
 
 ``open_output`` is the one output policy for files streamed from an input
-(depth conversion, mock encode and decode): it refuses an output that is
-the input before opening it, and removes the regular file that a failed
+(depth conversion, mock encode and decode): it refuses the input as output,
+writes a new file in place of an old one, and removes the file that a failed
 write leaves behind. ``write_all`` is the one raw write loop, which resumes a
 short write: depth conversion's pieces and the store's checkpoints go through it.
 """
@@ -223,13 +223,16 @@ def iter_frames(path: str | os.PathLike, fmt: PlaneFormat) -> Iterator[Frame]:
 def open_output(dst: str | os.PathLike, src: str | os.PathLike) -> Iterator:
     """Open ``dst`` for writing a file streamed from ``src``; yield the file.
 
-    A ``dst`` that is ``src`` (the same path, or a link to it) is refused
-    before it is opened, which would truncate the input. If the body fails,
-    a regular file at ``dst`` is removed again, so a failed run leaves no
-    output that looks whole; a pipe or device is left as it is.
+    A ``dst`` that is ``src`` (the same path, or a link to it) is refused. An
+    old regular file at ``dst`` is unlinked and a new one written (the old one
+    truncated, if the unlink fails); a symlink is written through. If the body
+    fails, a regular ``dst`` is removed; a pipe or device is left as it is.
     """
     if os.path.exists(dst) and os.path.samefile(src, dst):
         raise ValidationError(f"output {dst} is the input {src}; write into another file")
+    with contextlib.suppress(OSError):  # a new file is written faster than a truncated one
+        if stat.S_ISREG(os.lstat(dst).st_mode):
+            os.unlink(dst)
     with open(dst, "wb") as fh:
         try:
             yield fh

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ def rapl_tree(tmp_path):
     (domain / "energy_uj").write_text("500000\n")
     (domain / "max_energy_range_uj").write_text("1000000\n")
     return tmp_path / "powercap"
+
+
+def deny_reads_of(monkeypatch, denied, after: int) -> None:
+    """Make ``Path.read_text`` of ``denied`` raise ``PermissionError`` after ``after`` reads."""
+    read_text, reads = Path.read_text, [0]
+
+    def guarded(self, *args, **kwargs):
+        if self == denied:
+            reads[0] += 1
+            if reads[0] > after:
+                raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", guarded)
 
 
 @pytest.fixture

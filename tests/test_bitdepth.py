@@ -1,6 +1,7 @@
 """Bit-depth conversion invariants, checked exhaustively where cheap."""
 
 import errno
+import os
 
 import numpy as np
 import pytest
@@ -212,6 +213,33 @@ class TestStreamedConversion:
         dst.write_bytes(b"x" * (10 * fmt.frame_bytes))
         convert_file(src, dst, fmt)
         assert dst.read_bytes() == per_frame_reference(src, fmt)
+
+    def test_an_existing_output_is_replaced_by_a_new_file(self, tmp_path):
+        # A hard link to the old output keeps its bytes: it was not truncated.
+        fmt = PlaneFormat(32, 16, 10)
+        src, dst, old = tmp_path / "src.yuv", tmp_path / "dst.yuv", tmp_path / "old.yuv"
+        distinct_clip(src, fmt, frames=2)
+        dst.write_bytes(b"an older clip")
+        os.link(dst, old)
+        convert_file(src, dst, fmt)
+        assert old.read_bytes() == b"an older clip"
+        assert dst.read_bytes() == per_frame_reference(src, fmt)
+        assert dst.stat().st_ino != old.stat().st_ino
+
+    def test_an_output_that_cannot_be_unlinked_is_truncated_in_place(self, tmp_path, monkeypatch):
+        def forbidden(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        fmt = PlaneFormat(32, 16, 10)
+        src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
+        distinct_clip(src, fmt, frames=2)
+        dst.write_bytes(b"x" * (10 * fmt.frame_bytes))
+        inode = dst.stat().st_ino
+        monkeypatch.setattr(os, "unlink", forbidden)
+        convert_file(src, dst, fmt)
+        monkeypatch.undo()
+        assert dst.read_bytes() == per_frame_reference(src, fmt)
+        assert dst.stat().st_ino == inode
 
     def test_writes_through_a_symlinked_output(self, tmp_path):
         fmt = PlaneFormat(32, 16, 10)

@@ -13,7 +13,7 @@ import hdrbench.cli as cli
 from hdrbench import yuv
 from hdrbench.store import ResultStore
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import MOCK_ENCODE, write_clip
+from tests.conftest import MOCK_ENCODE, deny_reads_of, write_clip
 from tests.test_pipeline import record_line, short_decoder
 from tests.test_report import synth_store
 
@@ -127,6 +127,14 @@ class TestConvert:
             "--direction", "10to8", "--width", "32", "--height", "32",
         )
         assert rc == 1
+
+    def test_converting_twice_onto_one_output_gives_a_fresh_conversion(self, tmp_path, clip10):
+        path, _ = clip10
+        out, fresh = tmp_path / "o.yuv", tmp_path / "fresh.yuv"
+        geometry = ("--direction", "10to8", "--width", "32", "--height", "32")
+        for target in (out, out, fresh):
+            assert run_cli("convert", "--input", str(path), "--output", str(target), *geometry) == 0
+        assert out.read_bytes() == fresh.read_bytes()
 
     def test_output_onto_input_is_validation_error(self, clip10, capsys):
         path, _ = clip10
@@ -344,6 +352,22 @@ class TestMeasure:
         counter = rapl_tree / "intel-rapl:0" / "energy_uj"
         assert run_cli("measure", "--cmd", f"rm {counter}", "--reps", "1", "--powercap-root", str(rapl_tree)) == 2
         assert capsys.readouterr().err == f"error: missing counter file {counter}\n"
+
+    def test_unreadable_counter_omits_energy_with_a_warning(self, rapl_tree, monkeypatch, capsys):
+        # energy_uj is root-only on Linux 5.10 and later; the tests run as
+        # root, so the read is made to fail instead of the file's mode.
+        counter = rapl_tree / "intel-rapl:0" / "energy_uj"
+        deny_reads_of(monkeypatch, counter, after=0)
+        assert run_cli("measure", "--cmd", "true", "--reps", "1", "--powercap-root", str(rapl_tree)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mean_energy_j"] is None
+        assert payload["warnings"] == [f"energy omitted: cannot read counter file {counter}: Permission denied"]
+
+    def test_counter_that_becomes_unreadable_mid_measurement_is_runtime_error(self, rapl_tree, monkeypatch, capsys):
+        counter = rapl_tree / "intel-rapl:0" / "energy_uj"
+        deny_reads_of(monkeypatch, counter, after=1)  # the phase's probe reads it once
+        assert run_cli("measure", "--cmd", "true", "--reps", "1", "--powercap-root", str(rapl_tree)) == 2
+        assert capsys.readouterr().err == f"error: cannot read counter file {counter}: Permission denied\n"
 
 
 class TestRunAndReport:

@@ -1,6 +1,7 @@
 """Time/energy measurement: counters, aggregation, process supervision."""
 
 import os
+import re
 import signal
 import sys
 import time
@@ -19,6 +20,7 @@ from hdrbench.measure import (
     measure_process,
     read_counter,
 )
+from tests.conftest import deny_reads_of
 
 BUSY = [sys.executable, "-c", "x = sum(i * i for i in range(400_000))"]
 
@@ -36,6 +38,12 @@ class TestCounter:
     def test_missing_counter_file(self, rapl_tree):
         (rapl_tree / "intel-rapl:0" / "energy_uj").unlink()
         with pytest.raises(RaplUnavailableError):
+            read_counter(rapl_tree / "intel-rapl:0")
+
+    def test_unreadable_counter_file(self, rapl_tree, monkeypatch):
+        counter = rapl_tree / "intel-rapl:0" / "energy_uj"
+        deny_reads_of(monkeypatch, counter, after=0)
+        with pytest.raises(RaplUnavailableError, match=re.escape(f"cannot read counter file {counter}: Permission denied")):
             read_counter(rapl_tree / "intel-rapl:0")
 
     def test_garbage_counter(self, rapl_tree):

@@ -42,3 +42,10 @@ def test_study_config_plans_the_cells_of_the_study_built_in_code(tmp_path):
     frame_rate = config.sequences[0].frame_rate
     assert type(frame_rate) is float and frame_rate == 50.0
 
+
+
+def test_a_rerun_with_another_size_rewrites_the_clips(tmp_path):
+    script = load_script()
+    script.write_study(tmp_path, sequences=1, frames=2, size=64, repetitions=1)
+    cells = Runner(load_config(script.write_study(tmp_path, sequences=1, frames=2, size=32, repetitions=1))).plan()
+    assert {(cell.frames, cell.sequence.fmt.width, cell.sequence.fmt.height) for cell in cells} == {(2, 32, 32)}

@@ -35,7 +35,7 @@ from hdrbench.store import (
     to_json_float,
 )
 from hdrbench.yuv import PlaneFormat
-from tests.conftest import MOCK_DECODE, MOCK_ENCODE, write_clip
+from tests.conftest import MOCK_DECODE, MOCK_ENCODE, deny_reads_of, write_clip
 
 LADDER = (22, 27, 32, 37)
 
@@ -730,13 +730,21 @@ class TestExecution:
         assert converts == [full]
         assert os.sched_getaffinity(0) == full
 
-    @pytest.mark.parametrize("powercap", ["fake tree", "missing tree"])
-    def test_every_record_carries_its_phase_warnings(self, tmp_path, rapl_tree, powercap):
-        root = rapl_tree if powercap == "fake tree" else tmp_path / "no-powercap"
+    @pytest.mark.parametrize("powercap", ["fake tree", "missing tree", "root-only counter"])
+    def test_every_record_carries_its_phase_warnings(self, tmp_path, rapl_tree, powercap, monkeypatch):
+        root = tmp_path / "no-powercap" if powercap == "missing tree" else rapl_tree
+        counter = rapl_tree / "intel-rapl:0" / "energy_uj"
+        if powercap == "root-only counter":
+            deny_reads_of(monkeypatch, counter, after=0)
         store = Runner(make_run_config(tmp_path, powercap_root=root)).run()
-        expected = () if powercap == "fake tree" else (f"energy omitted: no powercap domain at {root}/intel-rapl:0",)
+        expected = {
+            "fake tree": (),
+            "missing tree": (f"energy omitted: no powercap domain at {root}/intel-rapl:0",),
+            "root-only counter": (f"energy omitted: cannot read counter file {counter}: Permission denied",),
+        }[powercap]
         assert len(store) == 8
         assert [record.warnings for record in store.records.values()] == [expected] * 8
+        assert all((record.energy_joules is None) == bool(expected) for record in store.records.values())
 
     def test_simd_pair_bitstreams_identical(self, tmp_path):
         # So the nosimd cells take their twins' decodes: one decoder per QP,
