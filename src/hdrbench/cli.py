@@ -85,7 +85,6 @@ def _build_parser() -> _Parser:
 
     p = add("run", "Execute the full benchmark described by a JSON config.")
     p.add_argument("--config", required=True, type=Path)
-    p.add_argument("--store", type=Path, help="override the result store path")
     p.add_argument("--fresh-measurements", action="store_true",
                    help="re-run every cell even if a cached record exists")
 
@@ -164,8 +163,6 @@ def _cmd_measure(args) -> int:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.store:
-        config = replace(config, store_path=args.store)
     if args.fresh_measurements:
         config = replace(config, cache="fresh")
     runner = Runner(config)

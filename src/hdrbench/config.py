@@ -247,7 +247,7 @@ def _read_config(spec: tuple, data: dict, context: str, values: dict | None = No
 
 
 # A sequence entry's keys and types; they differ from SequenceSpec's fields.
-_SEQUENCE_KEYS = {"name": str, "path": str, "width": int, "height": int, "bit_depth": int, "fps": float}
+_SEQUENCE_KEYS = {"name": str, "path": str, "width": int, "height": int, "fps": float}
 _SEQUENCE_FIELDS = tuple((key, key, *_reader(hint, {}), False) for key, hint in _SEQUENCE_KEYS.items())
 _VARIANT_KEYS = frozenset(f.name for f in fields(VariantConfig))
 _CONFIG_KEYS = frozenset(JSON_NAMES.get(f.name, f.name) for f in fields(RunConfig))
@@ -261,7 +261,7 @@ def _parse_sequence(entry: dict, base: Path) -> SequenceSpec:
     fmt = PlaneFormat(
         width=_require(entry, "width", f"sequence {name}"),
         height=_require(entry, "height", f"sequence {name}"),
-        bit_depth=entry.get("bit_depth", 10),
+        bit_depth=10,
     )
     return SequenceSpec(name=name, path=path, fmt=fmt, frame_rate=_require(entry, "fps", f"sequence {name}"))
 
@@ -288,6 +288,8 @@ def load_config(path: str | Path) -> RunConfig:
         data = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

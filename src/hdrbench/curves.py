@@ -248,18 +248,21 @@ def read_curve_csv(path: str | os.PathLike) -> Curve:
     except OSError as exc:
         raise CurveError(f"cannot read curve file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["qp", "quality", "cost"]:
-            raise CurveError(f"{path}: expected header 'qp,quality,cost', got {header}")
-        points = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                points.append(OperatingPoint(int(row[0]), float(row[1]), float(row[2])))
-            except (IndexError, ValueError) as exc:
-                raise CurveError(f"{path}:{line_no}: bad curve row {row}: {exc}") from None
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise CurveError(f"{path}: not UTF-8 text: {exc}") from None
+    header = rows[0] if rows else None
+    if header is None or [h.strip().lower() for h in header[:3]] != ["qp", "quality", "cost"]:
+        raise CurveError(f"{path}: expected header 'qp,quality,cost', got {header}")
+    points = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            points.append(OperatingPoint(int(row[0]), float(row[1]), float(row[2])))
+        except (IndexError, ValueError) as exc:
+            raise CurveError(f"{path}:{line_no}: bad curve row {row}: {exc}") from None
     return Curve.from_points(points, monotone_cost=False)
 
 

@@ -3,9 +3,10 @@
 Energy comes from the powercap sysfs counters (``energy_uj`` and
 ``max_energy_range_uj`` under one RAPL domain directory); hosts without
 them simply get no energy figures. Timed children run one at a time inside
-a ``timed_phase``, which resolves the RAPL domain once and pins the
-measuring thread to one logical CPU, so each child runs on that CPU from
-its first instruction (a warning says where the platform refuses). By
+a ``timed_phase``, which resolves the RAPL domain and reads its range once
+and pins the measuring thread to one logical CPU, so each child runs on
+that CPU from its first instruction (a warning says where the platform
+refuses); each ``run_child`` reads only ``energy_uj``, once on each side. By
 default one minimum and one maximum sample per metric are discarded before
 averaging. Quiescing the host is the operator's job.
 Every child process of the package, timed or not, runs through ``Child``.
@@ -20,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence as Seq
+from typing import NamedTuple, Sequence as Seq
 
 from .errors import ExecutionError, ValidationError
 
@@ -44,35 +45,12 @@ class MeasurementError(ExecutionError):
     """The measured command failed."""
 
 
-@dataclass(frozen=True)
-class EnergyCounterSnapshot:
-    """One reading of a monotone (modulo wraparound) microjoule counter."""
-
-    energy_uj: int
-    max_range_uj: int
-
-    def __post_init__(self):
-        if self.max_range_uj <= 0:
-            raise CounterParseError(f"max_range_uj must be positive, got {self.max_range_uj}")
-        if not (0 <= self.energy_uj < self.max_range_uj):
-            raise CounterParseError(
-                f"energy_uj {self.energy_uj} outside [0, {self.max_range_uj})"
-            )
-
-
-@dataclass(frozen=True)
-class MeasurementSample:
+class MeasurementSample(NamedTuple):
     """One repetition: wall clock, child user+system CPU time, energy."""
 
     wall_time: float
     cpu_time: float
     energy_joules: float | None = None
-
-    def __post_init__(self):
-        if self.wall_time < 0 or self.cpu_time < 0:
-            raise ValidationError("times must be non-negative")
-        if self.energy_joules is not None and self.energy_joules < 0:
-            raise ValidationError("energy must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -101,23 +79,17 @@ def _read_counter_file(path: Path) -> int:
     return value
 
 
-def read_counter(domain_path: str | os.PathLike) -> EnergyCounterSnapshot:
-    """Read one RAPL domain directory (energy_uj + max_energy_range_uj)."""
-    domain = Path(domain_path)
-    if not domain.is_dir():
-        raise RaplUnavailableError(f"no powercap domain at {domain}")
-    max_range = _read_counter_file(domain / "max_energy_range_uj")
+def read_counter(domain: Path, max_range_uj: int) -> int:
+    """One reading of ``domain``'s ``energy_uj``, refused unless below ``max_range_uj``."""
     energy = _read_counter_file(domain / "energy_uj")
-    return EnergyCounterSnapshot(energy_uj=energy, max_range_uj=max_range)
+    if energy >= max_range_uj:
+        raise CounterParseError(f"energy_uj {energy} outside [0, {max_range_uj})")
+    return energy
 
 
-def energy_delta(before: EnergyCounterSnapshot, after: EnergyCounterSnapshot) -> float:
+def energy_delta(before_uj: int, after_uj: int, max_range_uj: int) -> float:
     """Counter difference in joules, tolerating at most one wraparound."""
-    if before.max_range_uj != after.max_range_uj:
-        raise ValidationError(
-            f"snapshots from different counters: range {before.max_range_uj} vs {after.max_range_uj}"
-        )
-    return ((after.energy_uj - before.energy_uj) % before.max_range_uj) / MICROJOULES_PER_JOULE
+    return ((after_uj - before_uj) % max_range_uj) / MICROJOULES_PER_JOULE
 
 
 def _trimmed_mean(values: list[float], trim: bool) -> tuple[float, int]:
@@ -206,16 +178,22 @@ class Child:
 def timed_phase(rapl_domain: str | os.PathLike | None = None, powercap_root: str | os.PathLike | None = None):
     """Hold the measurement lock and pin this thread to ``min(os.sched_getaffinity(0))``,
     so each child ``run_child`` starts inherits the pin; on exit, whatever was
-    raised, restore the thread's CPU mask. Yields ``(domain, warnings)``: the
-    RAPL directory ``powercap_root``/``rapl_domain`` (None: the defaults) for
-    ``run_child``, or None when it is unreadable, and the phase's warnings."""
+    raised, restore the thread's CPU mask. Yields ``(counter, warnings)``: the
+    RAPL directory ``powercap_root``/``rapl_domain`` (None: the defaults) and
+    its ``max_energy_range_uj``, read once here, for ``run_child``, or None
+    when the counter is unreadable; and the phase's warnings."""
     domain = Path(powercap_root or DEFAULT_POWERCAP_ROOT) / (rapl_domain or DEFAULT_RAPL_DOMAIN)
-    warnings: list[str] = []
+    counter, warnings = None, []
     try:
-        read_counter(domain)
+        if not domain.is_dir():
+            raise RaplUnavailableError(f"no powercap domain at {domain}")
+        max_range = _read_counter_file(domain / "max_energy_range_uj")
+        if max_range <= 0:
+            raise CounterParseError(f"max_range_uj must be positive, got {max_range}")
+        read_counter(domain, max_range)
+        counter = (domain, max_range)
     except RaplUnavailableError as exc:
         warnings.append(f"energy omitted: {exc}")
-        domain = None
     with _MEASUREMENT_LOCK, contextlib.ExitStack() as restore:
         if not hasattr(os, "sched_setaffinity"):
             warnings.append("cpu pinning unsupported on this platform")
@@ -226,29 +204,29 @@ def timed_phase(rapl_domain: str | os.PathLike | None = None, powercap_root: str
                 restore.callback(os.sched_setaffinity, 0, mask)
             except OSError as exc:
                 warnings.append(f"cpu pinning failed: {exc}")
-        yield domain, tuple(warnings)
+        yield counter, tuple(warnings)
 
 
-def run_child(argv: Seq[str], rapl_domain: Path | None, logs: str | os.PathLike | None) -> MeasurementSample:
+def run_child(argv: Seq[str], counter: tuple[Path, int] | None, logs: str | os.PathLike | None) -> MeasurementSample:
     """One repetition inside a ``timed_phase``: run ``argv`` to completion
-    and take its user+system CPU time, wall time and ``rapl_domain`` energy
-    delta. A nonzero exit raises ``MeasurementError`` with the tail of the
-    output left in ``<logs>.stdout.log`` and ``<logs>.stderr.log``."""
+    and take its user+system CPU time, wall time and, with the phase's
+    ``counter``, its energy from one ``energy_uj`` read on each side. A
+    nonzero exit raises ``MeasurementError`` with the tail of the output left
+    in ``<logs>.stdout.log`` and ``<logs>.stderr.log``."""
     with Child(argv, logs) as child:
-        before = read_counter(rapl_domain) if rapl_domain else None
+        before = read_counter(*counter) if counter else None
         start = time.perf_counter()
         try:
             child.start()
         except OSError as exc:
             raise MeasurementError(f"command failed to start: {argv[0]}: {exc}") from exc
         returncode, rusage = child.wait()
-        cpu_time = rusage.ru_utime + rusage.ru_stime
         wall_time = time.perf_counter() - start
-        after = read_counter(rapl_domain) if rapl_domain else None
+        after = read_counter(*counter) if counter else None
     if returncode != 0:
         raise MeasurementError("measured command " + child.failure(returncode, f": {' '.join(argv)}"))
-    energy = energy_delta(before, after) if before is not None else None
-    return MeasurementSample(wall_time=wall_time, cpu_time=max(cpu_time, 0.0), energy_joules=energy)
+    energy = energy_delta(before, after, counter[1]) if counter else None
+    return MeasurementSample(wall_time, rusage.ru_utime + rusage.ru_stime, energy)
 
 
 def measure_process(
@@ -267,6 +245,6 @@ def measure_process(
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     if not command:
         raise ValidationError("empty command")
-    with timed_phase(rapl_domain, powercap_root) as (domain, warnings):
-        samples = [run_child(command, domain, logs) for _ in range(repetitions)]
+    with timed_phase(rapl_domain, powercap_root) as (counter, warnings):
+        samples = [run_child(command, counter, logs) for _ in range(repetitions)]
     return aggregate(samples, trim=trim_outliers, warnings=warnings)

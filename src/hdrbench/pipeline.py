@@ -91,7 +91,7 @@ class Runner:
 
     The runner loads its store from ``config.store_path`` and checkpoints
     into the same file; a run on another store is a config with another
-    ``store_path``, as ``hdrbench run --store`` makes it.
+    ``store_path``.
     """
 
     def __init__(self, config: RunConfig):
@@ -142,7 +142,7 @@ class Runner:
             return None
         for log_path in log_paths:
             try:
-                text = log_path.read_text()
+                text = log_path.read_text(errors="replace")
             except OSError:
                 continue
             match = re.search(pattern, text)
@@ -157,8 +157,9 @@ class Runner:
         """The timed half of cells, in order. First, outside the timed phase,
         empty each cell's directory and render its encoder command; each
         cell's input is already written (see ``run``). Then one
-        ``timed_phase`` (the RAPL domain resolved once, this thread pinned to
-        one CPU, which each encoder inherits) times each repetition in turn."""
+        ``timed_phase`` (the RAPL domain resolved and its range read once,
+        this thread pinned to one CPU, which each encoder inherits) times each
+        repetition in turn, reading ``energy_uj`` before and after each."""
         config = self.config
         jobs = []
         for cell in cells:
@@ -172,9 +173,9 @@ class Runner:
             jobs.append((cell, _command(cell.variant.encoder_template, cell, cell.source, cell.bitstream, depth)))
 
         encoded = []
-        with timed_phase(config.rapl_domain, config.powercap_root) as (domain, warnings):
+        with timed_phase(config.rapl_domain, config.powercap_root) as (counter, warnings):
             for cell, argv in jobs:
-                samples = [run_child(argv, domain, cell.cell_dir / "encoder") for _ in range(config.repetitions)]
+                samples = [run_child(argv, counter, cell.cell_dir / "encoder") for _ in range(config.repetitions)]
                 self.encoder_invocations += config.repetitions
                 if not cell.bitstream.is_file() or cell.bitstream.stat().st_size == 0:
                     raise PipelineError(f"encoder produced no bitstream for {cell.where}")
@@ -289,9 +290,7 @@ class Runner:
             wall_time=measurement.mean_wall_time,
             cpu_time=measurement.mean_cpu_time,
             energy_joules=measurement.mean_energy_joules,
-            samples=tuple(
-                (s.wall_time, s.cpu_time, s.energy_joules) for s in measurement.samples
-            ),
+            samples=measurement.samples,
             retained_count=measurement.retained_count,
             quality=quality,
             reported_rate_kbps=reported,

@@ -14,7 +14,7 @@ import pytest
 from hdrbench.bitdepth import convert_file
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.curves import Curve, OperatingPoint, bd_delta, find_intersections, rcd
-from hdrbench.measure import EnergyCounterSnapshot, MeasurementSample, aggregate, energy_delta
+from hdrbench.measure import MeasurementSample, aggregate, energy_delta
 from hdrbench.metrics import psnr_yuv
 from hdrbench.pipeline import Runner
 from hdrbench.report import ReportTable, SequenceRow, build_table, render_text
@@ -162,9 +162,7 @@ def test_criterion_5_summary_table_averages(announce):
 
 
 def test_criterion_6_energy_counter_fixture(announce):
-    before = EnergyCounterSnapshot(energy_uj=999_990, max_range_uj=10**6)
-    after = EnergyCounterSnapshot(energy_uj=10, max_range_uj=10**6)
-    wrap = energy_delta(before, after)
+    wrap = energy_delta(before_uj=999_990, after_uj=10, max_range_uj=10**6)
     wrap_ok = wrap == 20e-6
 
     samples = [

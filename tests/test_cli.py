@@ -44,7 +44,8 @@ class TestParsing:
         ("bd", "--curve-a", "a.csv", "--curve-b", "b.csv", "--intersections"),
         ("convert", "--in", "i.yuv", "--out", "o.yuv", "--direction", "10to8",
          "--width", "32", "--height", "32", "--fps", "50"),
-    ], ids=["bd-intersections", "convert-fps"])
+        ("run", "--config", "study.json", "--store", "x.jsonl"),
+    ], ids=["bd-intersections", "convert-fps", "run-store"])
     def test_deleted_flags_are_usage_errors(self, argv, capsys):
         assert run_cli(*argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -210,6 +211,18 @@ class TestQuality:
         assert list(payload) == ["frames", "psnr_y", "psnr_u", "psnr_v", "psnr_yuv", "external_score"]
         assert payload["external_score"] == 9.5
 
+    @pytest.mark.parametrize("tool, message", [
+        ("/no/such/metric", "error: metric command failed to start: "),
+        ("true", "error: metric command printed nothing on stdout\n"),
+    ], ids=["missing", "silent"])
+    def test_metric_cmd_that_gives_no_score_is_runtime_error(self, clip10, capsys, tool, message):
+        path, _ = clip10
+        assert run_cli(
+            "quality", "--ref", str(path), "--test", str(path),
+            "--width", "32", "--height", "32", "--metric-cmd", f"{tool} {{REF}} {{TEST}}",
+        ) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_frame_count_mismatch(self, tmp_path, clip10, capsys):
         path, frames = clip10
         short = tmp_path / "short.yuv"
@@ -313,6 +326,14 @@ class TestBd:
         err = capsys.readouterr().err
         assert err.startswith("error: mean log10-cost gap of ") and "quality overlap [30.94554531359933," in err
 
+    def test_curve_file_that_is_not_utf8_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"qp,quality,cost\n\xff,1,2\n")
+        good = Path(__file__).parent / "data" / "coincident_a.csv"
+        assert run_cli("bd", "--curve-a", str(bad), "--curve-b", str(good)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ") and err.count("\n") == 1
+
     def test_missing_curve_file(self, tmp_path):
         assert run_cli(
             "bd", "--curve-a", str(tmp_path / "a.csv"), "--curve-b", str(tmp_path / "b.csv")
@@ -336,6 +357,10 @@ class TestMeasure:
         assert payload["mean_energy_j"] == 0.0
         assert payload["samples"][0]["energy_j"] == 0.0
         assert payload["warnings"] == []
+
+    def test_empty_command_is_validation_error(self, capsys):
+        assert run_cli("measure", "--cmd", "", "--reps", "1") == 1
+        assert capsys.readouterr().err == "error: empty command\n"
 
     def test_failing_command_is_runtime_error(self, capsys):
         assert run_cli("measure", "--cmd", "false", "--reps", "1") == 2
@@ -439,6 +464,45 @@ class TestRunAndReport:
         assert run_cli("run", "--config", str(study / "run.json")) == 1
         assert capsys.readouterr().err == "error: sequence name '../../outside' is not a single path component\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["clip.yuv", "run.json", "study"]
+
+    def test_config_that_is_not_utf8_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b'\xff\xfe{"a":1}')
+        assert run_cli("run", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {config} is not UTF-8 text: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda data: data.update(sequences=[]), "no sequences configured"),
+        (lambda data: data.update(variants=[]), "no variants configured"),
+        (lambda data: data["sequences"].append(dict(data["sequences"][0])), "duplicate sequence names"),
+        (lambda data: data["variants"].append(dict(data["variants"][0])), "duplicate variant names"),
+        (lambda data: data["variants"].append(dict(data["variants"][0], name="exotic", input_depth=12,
+                                                   internal_depth=10)),
+         "variant exotic: depths must be 8 or 10"),
+    ], ids=["no-sequences", "no-variants", "duplicate-sequence", "duplicate-variant", "depth-12"])
+    def test_inconsistent_config_is_validation_error(self, tmp_path, capsys, change, message):
+        from tests.test_config import config_dict
+
+        data = config_dict(tmp_path)
+        change(data)
+        (tmp_path / "run.json").write_text(json.dumps(data))
+        assert run_cli("run", "--config", str(tmp_path / "run.json")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_that_is_a_json_list_is_validation_error(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text("[1, 2]\n")
+        assert run_cli("run", "--config", str(tmp_path / "run.json")) == 1
+        assert capsys.readouterr().err == f"error: config {tmp_path / 'run.json'}: top level must be an object\n"
+
+    def test_empty_source_fails_before_any_encode(self, tmp_path, capsys):
+        from tests.test_config import write_config
+
+        config = write_config(tmp_path, repetitions=1, qp_ladder=[22])
+        (tmp_path / "clip.yuv").write_bytes(b"")
+        assert run_cli("run", "--config", str(config)) == 1
+        assert capsys.readouterr().err == f"error: sequence clip: no complete frames in {tmp_path / 'clip.yuv'}\n"
+        assert not (tmp_path / "work").exists()
 
     def test_missing_config(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 1

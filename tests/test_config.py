@@ -133,6 +133,15 @@ class TestLoadConfig:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="frame_rate"):
             load_config(path)
+        # Sources are 10-bit: no key states their depth.
+        del data["sequences"][0]["frame_rate"]
+        data["sequences"][0]["bit_depth"] = 10
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            "sequence: unknown key(s) ['bit_depth']; allowed: ['fps', 'height', 'name', 'path', 'width']"
+        )
 
     def test_unknown_variant_key_rejected(self, tmp_path):
         data = config_dict(tmp_path)
@@ -224,7 +233,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("entry, key, value", [
         ("variants", "input_depth", "8"), ("variants", "simd_enabled", 1),
         ("variants", "encoder_template", None), ("sequences", "width", "32"),
-        ("sequences", "fps", "50"), ("sequences", "bit_depth", 10.0), ("sequences", "path", 1),
+        ("sequences", "fps", "50"), ("sequences", "path", 1),
     ])
     def test_entry_value_of_the_wrong_json_type_is_rejected(self, tmp_path, entry, key, value):
         data = config_dict(tmp_path)

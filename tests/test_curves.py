@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,17 @@ class TestCsv:
         curve = read_curve_csv(path)
         assert [p.qp for p in curve.points] == [37, 32, 27, 22]
         assert curve.costs.tolist() == [100.0, 180.0, 600.0, 700.0]
+
+    def test_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("qp,quality,cost\n37,30.0,100\n\n , \n32,33.0,180\n27,34.0,600\n22,38.5,700\n")
+        assert [p.qp for p in read_curve_csv(path).points] == [37, 32, 27, 22]
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("qp,quality,cost\n37,30.0,100\n32,33.0\n")
+        with pytest.raises(CurveError, match=rf"^{re.escape(str(path))}:3: bad curve row \['32', '33.0'\]"):
+            read_curve_csv(path)
 
     def test_export_comparison(self, tmp_path):
         a = scaled_curve(1.0)

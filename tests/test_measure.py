@@ -1,5 +1,6 @@
 """Time/energy measurement: counters, aggregation, process supervision."""
 
+import collections
 import os
 import re
 import signal
@@ -8,10 +9,11 @@ import time
 
 import pytest
 
+from pathlib import Path
+
 from hdrbench.measure import (
     AggregatedMeasurement,
     CounterParseError,
-    EnergyCounterSnapshot,
     MeasurementError,
     MeasurementSample,
     RaplUnavailableError,
@@ -19,57 +21,110 @@ from hdrbench.measure import (
     energy_delta,
     measure_process,
     read_counter,
+    run_child,
+    timed_phase,
 )
 from tests.conftest import deny_reads_of
 
 BUSY = [sys.executable, "-c", "x = sum(i * i for i in range(400_000))"]
 
 
+def probe(root):
+    """The counter and the energy warnings of a ``timed_phase`` on ``root``."""
+    with timed_phase("intel-rapl:0", root) as (counter, warnings):
+        return counter, [w for w in warnings if w.startswith("energy")]
+
+
 class TestCounter:
     def test_read_fixture_tree(self, rapl_tree):
-        snap = read_counter(rapl_tree / "intel-rapl:0")
-        assert snap.energy_uj == 500000
-        assert snap.max_range_uj == 1000000
+        counter, warnings = probe(rapl_tree)
+        assert counter == (rapl_tree / "intel-rapl:0", 1_000_000)
+        assert warnings == []
+        assert read_counter(*counter) == 500_000
 
     def test_missing_domain(self, tmp_path):
-        with pytest.raises(RaplUnavailableError):
-            read_counter(tmp_path / "intel-rapl:9")
+        assert probe(tmp_path) == (None, [f"energy omitted: no powercap domain at {tmp_path / 'intel-rapl:0'}"])
 
     def test_missing_counter_file(self, rapl_tree):
+        for name in ("energy_uj", "max_energy_range_uj"):
+            counter = rapl_tree / "intel-rapl:0" / name
+            counter.unlink()
+            assert probe(rapl_tree) == (None, [f"energy omitted: missing counter file {counter}"])
+            counter.write_text("500000\n" if name == "energy_uj" else "1000000\n")
         (rapl_tree / "intel-rapl:0" / "energy_uj").unlink()
         with pytest.raises(RaplUnavailableError):
-            read_counter(rapl_tree / "intel-rapl:0")
+            read_counter(rapl_tree / "intel-rapl:0", 1_000_000)
 
     def test_unreadable_counter_file(self, rapl_tree, monkeypatch):
         counter = rapl_tree / "intel-rapl:0" / "energy_uj"
         deny_reads_of(monkeypatch, counter, after=0)
-        with pytest.raises(RaplUnavailableError, match=re.escape(f"cannot read counter file {counter}: Permission denied")):
-            read_counter(rapl_tree / "intel-rapl:0")
+        assert probe(rapl_tree) == (None, [f"energy omitted: cannot read counter file {counter}: Permission denied"])
 
     def test_garbage_counter(self, rapl_tree):
-        (rapl_tree / "intel-rapl:0" / "energy_uj").write_text("banana\n")
-        with pytest.raises(CounterParseError):
-            read_counter(rapl_tree / "intel-rapl:0")
+        for name in ("energy_uj", "max_energy_range_uj"):
+            counter = rapl_tree / "intel-rapl:0" / name
+            good = counter.read_text()
+            counter.write_text("banana\n")
+            with pytest.raises(CounterParseError, match=re.escape(f"{counter}: not an integer: 'banana'")):
+                probe(rapl_tree)
+            counter.write_text(good)
 
-    def test_snapshot_range_validation(self):
-        with pytest.raises(Exception):
-            EnergyCounterSnapshot(energy_uj=2_000_000, max_range_uj=1_000_000)
+    def test_energy_at_or_above_the_range_is_refused(self, rapl_tree):
+        for energy in (1_000_000, 2_000_000):
+            (rapl_tree / "intel-rapl:0" / "energy_uj").write_text(f"{energy}\n")
+            message = re.escape(f"energy_uj {energy} outside [0, 1000000)")
+            with pytest.raises(CounterParseError, match=message):
+                read_counter(rapl_tree / "intel-rapl:0", 1_000_000)
+            with pytest.raises(CounterParseError, match=message):
+                probe(rapl_tree)
+
+    def test_non_positive_range_is_refused(self, rapl_tree):
+        (rapl_tree / "intel-rapl:0" / "max_energy_range_uj").write_text("0\n")
+        with pytest.raises(CounterParseError, match=r"^max_range_uj must be positive, got 0$"):
+            probe(rapl_tree)
+
+    def test_range_read_once_per_phase_energy_twice_per_repetition(self, rapl_tree, monkeypatch):
+        reads, read_text = collections.Counter(), Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads[self.name] += 1
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        result = measure_process(["true"], repetitions=3, powercap_root=rapl_tree)
+        assert result.mean_energy_joules == 0.0
+        assert reads == {"max_energy_range_uj": 1, "energy_uj": 1 + 2 * 3}
+
+    def test_each_repetition_takes_the_reads_on_either_side_of_its_child(self, rapl_tree, monkeypatch):
+        # The probe reads 999_000; each repetition reads before and after its child.
+        values = iter([999_000, 999_990, 10, 10, 2_510])
+        read_text = Path.read_text
+
+        def advancing(self, *args, **kwargs):
+            return f"{next(values)}\n" if self.name == "energy_uj" else read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", advancing)
+        with timed_phase("intel-rapl:0", rapl_tree) as (counter, _):
+            samples = [run_child(["true"], counter, None) for _ in range(2)]
+        assert [s.energy_joules for s in samples] == [20e-6, 2.5e-3]
+
+    def test_energy_at_the_range_during_the_phase_is_refused(self, rapl_tree):
+        counter = rapl_tree / "intel-rapl:0" / "energy_uj"
+        with timed_phase("intel-rapl:0", rapl_tree) as (rapl, _):
+            counter.write_text("1000000\n")
+            with pytest.raises(CounterParseError, match=re.escape("energy_uj 1000000 outside [0, 1000000)")):
+                run_child(["true"], rapl, None)
 
 
 class TestEnergyDelta:
     def test_simple_difference(self):
-        before = EnergyCounterSnapshot(100, 10**6)
-        after = EnergyCounterSnapshot(2600, 10**6)
-        assert energy_delta(before, after) == pytest.approx(2.5e-3)
+        assert energy_delta(100, 2600, 10**6) == pytest.approx(2.5e-3)
 
     def test_wraparound(self):
-        before = EnergyCounterSnapshot(999_990, 10**6)
-        after = EnergyCounterSnapshot(10, 10**6)
-        assert energy_delta(before, after) == pytest.approx(20e-6, abs=0)
+        assert energy_delta(999_990, 10, 10**6) == pytest.approx(20e-6, abs=0)
 
     def test_zero(self):
-        snap = EnergyCounterSnapshot(42, 10**6)
-        assert energy_delta(snap, snap) == 0.0
+        assert energy_delta(42, 42, 10**6) == 0.0
 
 
 class TestAggregate:

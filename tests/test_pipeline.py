@@ -1156,3 +1156,30 @@ class TestReportedRate:
         config = make_run_config(tmp_path, reported_rate_regex=r"rate ([0-9.]+)")
         runner = Runner(config)
         assert runner._parse_reported_rate(tmp_path / "absent.log") is None
+
+    def rate_run(self, tmp_path, rate) -> RunRecord:
+        """One 10-10 cell in ``tmp_path`` whose encoder prints ``<rate> kb/s``
+        to stderr after an invalid UTF-8 byte, then runs the mock encoder."""
+        prints = f"""sh -c 'printf "d\\351bit {rate} kb/s\\n" >&2; exec "$@"' sh """
+        variant = VariantConfig("10-10", 10, 10, True, prints + MOCK_ENCODE, MOCK_DECODE)
+        config = replace(make_run_config(tmp_path, qp_ladder=(22,), reported_rate_regex="([0-9.]+) kb/s"),
+                         variants=(variant,))
+        (record,) = Runner(config).run().records.values()
+        return record
+
+    def test_a_log_that_is_not_utf8_still_gives_the_rate(self, tmp_path):
+        record = self.rate_run(tmp_path, 12.5)
+        assert b"d\xe9bit" in (tmp_path / "work" / "clip" / "10-10" / "qp22" / "encoder.stderr.log").read_bytes()
+        assert record.reported_rate_kbps == 12.5
+        assert abs(12.5 - record.bitrate_kbps) > 0.1 * record.bitrate_kbps
+        deviation = f"encoder-reported rate 12.500 kbps deviates from derived {record.bitrate_kbps:.3f} kbps"
+        assert record.warnings[-1] == deviation
+
+    def test_a_rate_within_ten_percent_of_the_derived_one_adds_no_warning(self, tmp_path):
+        (tmp_path / "first").mkdir()
+        (tmp_path / "second").mkdir()
+        derived = self.rate_run(tmp_path / "first", 12.5).bitrate_kbps
+        record = self.rate_run(tmp_path / "second", f"{derived * 1.09:.3f}")
+        assert record.bitrate_kbps == derived
+        assert record.reported_rate_kbps == pytest.approx(derived * 1.09, abs=1e-3)
+        assert not [w for w in record.warnings if w.startswith("encoder-reported rate")]

@@ -203,6 +203,10 @@ class TestBuildTable:
         assert table.rows[0].bdt_percent["linux"] == pytest.approx(-75.0, abs=1e-6)
         assert table.rows[1].intersection_quality == pytest.approx(45.0 / 6.0, abs=0.05)
 
+    def test_unknown_quality_axis_rejected(self):
+        with pytest.raises(ReportError, match=r"^unknown quality axis 'ssim'$"):
+            build_table(synth_store(), quality_axis="ssim")
+
     def test_external_axis_needs_scores(self):
         with pytest.raises(ReportError, match="external score"):
             build_table(synth_store(with_scores=False), quality_axis="external")
