@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 import shlex
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -118,7 +117,6 @@ class RunConfig:
     work_dir: Path = Path("work")
     cache: str = "reuse"  # or "fresh"
     metric_command: str | None = None
-    reported_rate_regex: str | None = None
 
     def __post_init__(self):
         if not self.sequences:
@@ -143,13 +141,6 @@ class RunConfig:
             "{REF}" in self.metric_command and "{TEST}" in self.metric_command
         ):
             raise ConfigError("metric_command must contain {REF} and {TEST}")
-        if self.reported_rate_regex is not None:
-            try:
-                re.compile(self.reported_rate_regex)
-            except re.error as exc:
-                raise ConfigError(
-                    f"reported_rate_regex {self.reported_rate_regex!r} is not a valid pattern: {exc}"
-                ) from None
 
 
 def _require(mapping: dict, key: str, context: str):

@@ -20,7 +20,6 @@ import datetime
 import hashlib
 import itertools
 import os
-import re
 import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -135,23 +134,6 @@ class Runner:
         return cells
 
     # -- execution ---------------------------------------------------------
-
-    def _parse_reported_rate(self, *log_paths: Path) -> float | None:
-        pattern = self.config.reported_rate_regex
-        if not pattern:
-            return None
-        for log_path in log_paths:
-            try:
-                text = log_path.read_text(errors="replace")
-            except OSError:
-                continue
-            match = re.search(pattern, text)
-            if match:
-                try:
-                    return float(match.group(1) if match.groups() else match.group(0))
-                except (TypeError, ValueError):  # TypeError: group 1 took no part
-                    return None
-        return None
 
     def _encode(self, cells: list[PlanCell]) -> list[tuple[PlanCell, AggregatedMeasurement]]:
         """The timed half of cells, in order. First, outside the timed phase,
@@ -270,10 +252,9 @@ class Runner:
     def _record(
         self, cell: PlanCell, measurement: AggregatedMeasurement, digest: str, quality: QualityRecord
     ) -> RunRecord:
-        """A scored cell's record: its own measurement, bitstream and logs, and ``quality``."""
-        spec, variant, cell_dir = cell.sequence, cell.variant, cell.cell_dir
-        reported = self._parse_reported_rate(cell_dir / "encoder.stderr.log", cell_dir / "encoder.stdout.log")
-        record = RunRecord(
+        """A scored cell's record: its own measurement and bitstream, and ``quality``."""
+        spec, variant = cell.sequence, cell.variant
+        return RunRecord(
             cache_key=cell.cache_key,
             sequence=spec.name,
             variant=variant.name,
@@ -293,15 +274,9 @@ class Runner:
             samples=measurement.samples,
             retained_count=measurement.retained_count,
             quality=quality,
-            reported_rate_kbps=reported,
             warnings=measurement.warnings,
             created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         )
-        derived = record.bitrate_kbps
-        if reported is not None and derived > 0 and abs(reported - derived) / derived > 0.1:
-            deviation = f"encoder-reported rate {reported:.3f} kbps deviates from derived {derived:.3f} kbps"
-            record = replace(record, warnings=record.warnings + (deviation,))
-        return record
 
     def run(self, progress=None) -> ResultStore:
         """Execute every planned cell; a cell with a stored record is reused
@@ -310,11 +285,12 @@ class Runner:
         Cells run in groups: the consecutive planned cells of one (sequence,
         variant), one QP ladder. First the group's uncached cells are encoded
         and timed in one ``timed_phase``, which pins this thread to one CPU
-        (see ``_encode``), with no other child of this process alive. Then
-        their bitstreams are hashed and their decoders run, up to one per CPU,
-        while this thread walks the group in plan order: it checks and scores
-        each decoded cell, and checkpoints its record by appending it to the
-        store file (see ``ResultStore.save``). One decoder runs per distinct
+        (see ``_encode``), with no other child of this process alive; a
+        fully cached group opens none. Then their bitstreams are hashed and
+        their decoders run, up to one per CPU, while this thread walks the
+        group in plan order: it checks and scores each decoded cell, and
+        checkpoints its record by appending it to the store file (see
+        ``ResultStore.save``). One decoder runs per distinct
         bitstream and decoder command of the run: a cell that repeats an
         earlier decoded cell's (see ``_decode_and_score``) takes that cell's
         quality, so ``8-8-nosimd`` reuses ``8-8``'s decodes. So ``progress``
@@ -347,7 +323,9 @@ class Runner:
         numbered = enumerate(cells, start=1)
         for _, group in itertools.groupby(numbered, key=lambda item: (item[1].sequence.name, item[1].variant.name)):
             group = list(group)
-            encoded = self._encode([cell for _, cell in group if cell.cache_key not in self.store])
+            uncached = [cell for _, cell in group if cell.cache_key not in self.store]
+            # A fully cached group opens no timed phase; its generator below never starts.
+            encoded = self._encode(uncached) if uncached else []
             with contextlib.closing(self._decode_and_score(encoded)) as records:
                 for index, cell in group:
                     if cell.cache_key in self.store:

@@ -39,14 +39,6 @@ def to_json_float(value: float | None):
     return value
 
 
-def _file_signature(path: str) -> tuple[int, int, int] | None:
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        return None
-    return st.st_ino, st.st_size, st.st_mtime_ns
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """Everything measured and derived for one executed cell."""
@@ -70,7 +62,6 @@ class RunRecord:
     samples: tuple[tuple[float, float, float | None], ...]
     retained_count: int
     quality: QualityRecord
-    reported_rate_kbps: float | None = None
     warnings: tuple[str, ...] = ()
     created_at: str = ""
 
@@ -125,15 +116,17 @@ class ResultStore:
     Records are only ever added; ``records`` is a read-only view, and a
     store without some of them is a new store from a filtered copy. ``save``
     appends the records added since this store last loaded or wrote the
-    same file, when the file is as this store left it (same inode, size and
-    mtime): one ``os.write`` of the new lines, on a descriptor opened without
-    ``O_CREAT``, so a store removed after that check is rewritten whole. New
-    keys sit last in ``records``, so the file ends up as a full rewrite would
-    leave it; lines already in it are not serialised again. Otherwise
-    ``save`` rewrites the whole file through a unique temporary file and
-    ``os.replace``. ``load`` drops a last line that a crash cut short. There
-    is no lock: of two concurrent writers the last full rewrite wins, and a
-    rewrite in place to the same size within one mtime tick goes unnoticed.
+    same file: it opens the file with ``O_APPEND`` and without ``O_CREAT``,
+    and when ``fstat`` of that descriptor finds the file as this store left
+    it (same inode, size and mtime), makes one ``os.write`` of the new
+    lines. New keys sit last in ``records``, so the file ends up as a full
+    rewrite would leave it; lines already in it are not serialised again.
+    Otherwise (the file is missing, another writer changed or replaced it,
+    or it was removed during the append) ``save`` rewrites the whole file
+    through a unique temporary file and ``os.replace``. ``load`` drops a
+    last line that a crash cut short. There is no lock: of two concurrent
+    writers the last full rewrite wins, and a rewrite in place to the same
+    size within one mtime tick goes unnoticed.
     """
 
     def __init__(self, records: dict[str, RunRecord] | None = None):
@@ -214,29 +207,36 @@ class ResultStore:
         """Write the store to ``path``: append the new records, or rewrite."""
         where = os.path.abspath(path)
         synced = self._synced
-        if synced is not None and synced[:2] == (where, _file_signature(where)):
-            _, (_, size, _), persisted = synced
-            self._append(where, persisted, size)
-        else:
+        if synced is None or synced[0] != where or not self._append(where, *synced[1:]):
             self._rewrite(where)
 
-    def _append(self, where: str, persisted: int, size: int) -> None:
+    def _append(self, where: str, signature: tuple[int, int, int], persisted: int) -> bool:
+        """Append the records added since the last sync, if the file at
+        ``where`` is as that sync left it and still there after the write;
+        else return False, for ``save`` to rewrite."""
         # Serialise first, so a record that fails to serialise leaves the
         # file untouched, then write it in one call. The new records are the
         # newest keys: walk back from the end, not past every saved one.
         newest_first = itertools.islice(reversed(self._records.values()), len(self._records) - persisted)
         data = "".join(reversed([_store_line(record) for record in newest_first])).encode()
-        try:  # no O_CREAT: a store removed since the check is rewritten whole
+        try:  # no O_CREAT: a removed store is rewritten whole
             fd = os.open(where, os.O_WRONLY | os.O_APPEND)
         except FileNotFoundError:
-            self._rewrite(where)
-            return
+            return False
         try:
+            # The check is on the opened file, so the append cannot land in
+            # a file that replaced the checked one.
+            st = os.fstat(fd)
+            if (st.st_ino, st.st_size, st.st_mtime_ns) != signature:
+                return False
             yuv.write_all(fd, data)
             st = os.fstat(fd)
         finally:
             os.close(fd)
-        self._mark_synced(where, st, size + len(data))
+        if not st.st_nlink:  # removed after the check: the lines went to a file with no name
+            return False
+        self._mark_synced(where, st, signature[1] + len(data))
+        return True
 
     def _rewrite(self, where: str) -> None:
         path = Path(where)

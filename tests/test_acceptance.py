@@ -180,7 +180,7 @@ def test_criterion_6_energy_counter_fixture(announce):
     )
 
 
-def test_criterion_7_end_to_end_mock_study(announce, tmp_path):
+def test_criterion_7_end_to_end_mock_study(announce, capsys, tmp_path):
     start = time.perf_counter()
     fmt = PlaneFormat(64, 64, 10)
     specs = []
@@ -222,10 +222,14 @@ def test_criterion_7_end_to_end_mock_study(announce, tmp_path):
 
     elapsed = time.perf_counter() - start
     ok = cells_ok and table_ok and cache_ok and elapsed < 30.0
+    # The duration varies from run to run: it goes on a line of its own, so
+    # that the verdict lines print the same on every run.
+    with capsys.disabled():
+        print(f"time: criterion 7's study took {elapsed:.1f} s")
     announce(
         "criterion 7: end-to-end mock study with warm cache",
         ok,
-        f"24 cells in {elapsed:.1f} s, warm-run invocations={warm.encoder_invocations}",
+        f"24 cells under 30 s, warm-run invocations={warm.encoder_invocations}",
     )
 
 

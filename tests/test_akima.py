@@ -67,6 +67,12 @@ class TestConstruction:
         with pytest.raises(InterpolationError):
             AkimaSpline([0, 1, 2, 3], [0, 1, np.inf, 3])
 
+    @pytest.mark.parametrize("x, y", [([0, 1, 2, 3], [0, 1, 2]), ([[0, 1], [2, 3]], [[0, 1], [2, 3]])],
+                             ids=["lengths differ", "not 1-D"])
+    def test_rejects_knots_of_other_shapes(self, x, y):
+        with pytest.raises(InterpolationError, match="^knots must be matching 1-D arrays, got "):
+            AkimaSpline(x, y)
+
 
 class TestAgainstReference:
     def test_hundred_random_knot_sets(self):

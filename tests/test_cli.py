@@ -507,6 +507,37 @@ class TestRunAndReport:
     def test_missing_config(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 1
 
+    def test_the_retired_reported_rate_key_is_refused(self, tmp_path, capsys):
+        from tests.test_config import write_config
+
+        config = write_config(tmp_path, repetitions=1, qp_ladder=[22], reported_rate_regex="([0-9.]+) kbps")
+        assert run_cli("run", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {config}: unknown key(s) ['reported_rate_regex']; ")
+        assert not (tmp_path / "work").exists()
+
+    def test_a_store_with_the_retired_reported_rate_still_reports_and_is_reused(self, tmp_path, capsys):
+        # Older stores wrote "reported_rate_kbps" after "external_score" on every line.
+        from tests.test_config import write_config
+
+        config = write_config(tmp_path, repetitions=1, qp_ladder=[22, 27, 32, 37])
+        assert run_cli("run", "--config", str(config)) == 0
+        capsys.readouterr()
+        store = tmp_path / "results.jsonl"
+        assert run_cli("report", "--store", str(store)) == 0
+        table = capsys.readouterr().out
+        lines = []
+        for line in store.read_text().splitlines():
+            record = json.loads(line)
+            at = list(record).index("external_score") + 1
+            items = list(record.items())
+            lines.append(json.dumps(dict(items[:at] + [("reported_rate_kbps", 12.5)] + items[at:])) + "\n")
+        store.write_text("".join(lines))
+        assert len(ResultStore.load(store)) == 8
+        assert run_cli("report", "--store", str(store)) == 0
+        assert capsys.readouterr().out == table
+        assert run_cli("run", "--config", str(config)) == 0
+        assert "done: 0 cell(s) measured, 8 reused, 0 encoder invocation(s)" in capsys.readouterr().out
+
     def test_report_merges_stores(self, tmp_path, capsys):
         synth_store(hosts=("linux",)).save(tmp_path / "linux.jsonl")
         synth_store(hosts=("windows",), energy_hosts=()).save(tmp_path / "windows.jsonl")

@@ -186,14 +186,13 @@ class TestLoadConfig:
         config = load_config(write_config(
             tmp_path, qp_ladder=[22, 27], repetitions=3, rapl_domain="package-0",
             powercap_root="/sys/class/powercap", work_dir="w", cache="fresh",
-            metric_command="m {REF} {TEST}", reported_rate_regex="([0-9.]+) kbps",
+            metric_command="m {REF} {TEST}",
         ))
         assert config.qp_ladder == (22, 27) and config.repetitions == 3
         assert config.rapl_domain == "package-0" and config.cache == "fresh"
         assert str(config.powercap_root) == "/sys/class/powercap"
         assert config.work_dir == tmp_path / "w"
         assert config.metric_command == "m {REF} {TEST}"
-        assert config.reported_rate_regex == "([0-9.]+) kbps"
 
     def test_unknown_key_message_lists_the_allowed_keys(self, tmp_path):
         with pytest.raises(ConfigError) as info:
@@ -201,11 +200,12 @@ class TestLoadConfig:
         assert str(info.value).endswith(
             "unknown key(s) ['stores']; allowed: ['cache', 'host_label', 'metric_command', "
             "'powercap_root', 'qp_ladder', 'rapl_domain', 'repetitions', "
-            "'reported_rate_regex', 'sequences', 'store', 'variants', 'work_dir']"
+            "'sequences', 'store', 'variants', 'work_dir']"
         )
         # Every encode is pinned to one CPU and trimmed: no key switches either.
+        # The bitrate is the bitstream's bytes: no key greps a rate from the logs.
         for key, value in (("trim_outliers", True), ("trim_outliers", False), ("pin_cpu", True),
-                           ("pin_cpu", False), ("pin_cpu", "no")):
+                           ("pin_cpu", False), ("pin_cpu", "no"), ("reported_rate_regex", "([0-9.]+) kbps")):
             with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]; allowed: "):
                 load_config(write_config(tmp_path, **{key: value}))
         data = config_dict(tmp_path)
@@ -224,7 +224,7 @@ class TestLoadConfig:
         ("qp_ladder", ["22"]), ("host_label", 7), ("rapl_domain", 0), ("store", 5),
         ("work_dir", None), ("powercap_root", []), ("cache", None), ("qp_ladder", [22, None]),
         ("metric_command", False), ("metric_command", ["m", "{REF}", "{TEST}"]),
-        ("reported_rate_regex", 1), ("sequences", {}), ("sequences", [5]), ("variants", "8-8"),
+        ("host_label", None), ("sequences", {}), ("sequences", [5]), ("variants", "8-8"),
     ])
     def test_value_of_the_wrong_json_type_is_rejected(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=rf"^config: {key}: expected "):
@@ -322,10 +322,6 @@ class TestRunConfigValidation:
     def test_bad_cache_policy_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cache"):
             self.make(tmp_path, cache="maybe")
-
-    def test_invalid_reported_rate_regex_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"reported_rate_regex '\(\[' is not a valid pattern"):
-            self.make(tmp_path, reported_rate_regex="([")
 
     @pytest.mark.parametrize("command", ["metric {REF}", "metric {TEST}", "metric a b"])
     def test_metric_command_without_placeholders_rejected(self, tmp_path, command):

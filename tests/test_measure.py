@@ -64,9 +64,10 @@ class TestCounter:
         for name in ("energy_uj", "max_energy_range_uj"):
             counter = rapl_tree / "intel-rapl:0" / name
             good = counter.read_text()
-            counter.write_text("banana\n")
-            with pytest.raises(CounterParseError, match=re.escape(f"{counter}: not an integer: 'banana'")):
-                probe(rapl_tree)
+            for text, problem in (("banana", "not an integer: 'banana'"), ("-5", "counters are unsigned, got -5")):
+                counter.write_text(f"{text}\n")
+                with pytest.raises(CounterParseError, match=re.escape(f"{counter}: {problem}")):
+                    probe(rapl_tree)
             counter.write_text(good)
 
     def test_energy_at_or_above_the_range_is_refused(self, rapl_tree):

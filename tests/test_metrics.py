@@ -46,6 +46,10 @@ class TestMse:
         with pytest.raises(PlaneMismatchError):
             mse_plane(np.zeros((2, 2), np.uint8), np.zeros((2, 2), np.uint16))
 
+    def test_empty_planes(self):
+        with pytest.raises(PlaneMismatchError, match="^cannot score an empty plane$"):
+            mse_plane(np.zeros((0, 4), np.uint16), np.zeros((0, 4), np.uint16))
+
     def test_no_unsigned_wraparound(self):
         ref = np.array([[0]], dtype=np.uint16)
         test = np.array([[1023]], dtype=np.uint16)

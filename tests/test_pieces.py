@@ -399,3 +399,32 @@ def test_every_span_before_the_first_failure_runs_to_its_end(monkeypatch):
             assert threading.active_count() == before
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_without_an_affinity_api_every_cpu_is_usable(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert yuv.usable_cpus() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("target", ["run_spans", "convert"])
+def test_a_span_thread_that_fails_to_start_stops_the_others_and_leaves_nothing(tmp_path, monkeypatch, target):
+    # Three spans: the first span's thread starts, the second span's does not.
+    spans_of(monkeypatch, 3)
+    start = threading.Thread.start
+
+    def start_all_but_the_second_span(thread):
+        if thread.name == "hdrbench-span-2":
+            raise RuntimeError("can't start new thread")
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_all_but_the_second_span)
+    fmt = PlaneFormat(WIDTH, HEIGHT, 10)
+    src, dst = tmp_path / "src.yuv", tmp_path / "dst.yuv"
+    noise_clip(src, 47, fmt, frames=3)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        if target == "run_spans":
+            yuv.run_spans(3, lambda: None, lambda span, buffers, stopped: span)
+        else:
+            convert_file(src, dst, fmt)
+    assert not [thread.name for thread in threading.enumerate() if thread.name.startswith("hdrbench-span-")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["src.yuv"]
