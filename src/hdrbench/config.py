@@ -143,20 +143,6 @@ class RunConfig:
             raise ConfigError("metric_command must contain {REF} and {TEST}")
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return mapping[key]
-
-
-def _reject_unknown_keys(mapping: dict, allowed, context: str) -> None:
-    if type(mapping) is not dict:
-        raise TypeError(f"expected an object, got {mapping!r}")
-    unknown = sorted(set(mapping).difference(allowed))
-    if unknown:
-        raise ConfigError(f"{context}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
 def _reader(hint, leaves: dict) -> tuple[frozenset, object]:
     """(types, read) for a field's type hint. A JSON value whose exact type
     is in ``types`` (a bool is no int) is already what the field holds;
@@ -227,45 +213,58 @@ def read_json(spec: tuple, data: dict, values: dict | None = None) -> dict:
     return values
 
 
-def _read_config(spec: tuple, data: dict, context: str, values: dict | None = None) -> dict:
-    """``read_json`` that raises ConfigError naming the context and the key."""
+def _read_config(spec: tuple, data, kind: str, name) -> dict:
+    """Field values of one config object by ``json_fields`` ``spec``: the top
+    level, a sequence entry or a variant entry. A non-object raises TypeError,
+    for the key that holds it to name. A key outside ``spec``, a missing
+    required key and a value of the wrong JSON type raise ConfigError after
+    ``kind`` and ``name(data)``, which name the object."""
+    if type(data) is not dict:
+        raise TypeError(f"expected an object, got {data!r}")
+    label = name(data)
+    context = f"{kind} {label}" if label else kind
+    keys = sorted(key for _, key, *_ in spec)
+    unknown = sorted(set(data).difference(keys))
+    if unknown:
+        raise ConfigError(f"{context}: unknown key(s) {unknown}; allowed: {keys}")
     try:
-        return read_json(spec, data, values)
+        return read_json(spec, data)
     except KeyError as exc:
         raise ConfigError(f"{context}: missing required key {exc.args[0]!r}") from None
     except TypeError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
-# A sequence entry's keys and types; they differ from SequenceSpec's fields.
-_SEQUENCE_KEYS = {"name": str, "path": str, "width": int, "height": int, "fps": float}
-_SEQUENCE_FIELDS = tuple((key, key, *_reader(hint, {}), False) for key, hint in _SEQUENCE_KEYS.items())
-_VARIANT_KEYS = frozenset(f.name for f in fields(VariantConfig))
-_CONFIG_KEYS = frozenset(JSON_NAMES.get(f.name, f.name) for f in fields(RunConfig))
+# A sequence entry's keys and types, which differ from SequenceSpec's fields;
+# only the name may be left out.
+_SEQUENCE_FIELDS = tuple((key, key, *_reader(hint, {}), key != "name") for key, hint in
+                         {"name": str, "path": str, "width": int, "height": int, "fps": float}.items())
+# A standard variant name implies its depths and SIMD flag, so its entry may leave them out.
+_IMPLIED = ("input_depth", "internal_depth", "simd_enabled")
+_VARIANT_FIELDS = tuple((name, key, types, read, required and name not in _IMPLIED)
+                        for name, key, types, read, required in json_fields(VariantConfig))
 
 
-def _parse_sequence(entry: dict, base: Path) -> SequenceSpec:
-    _reject_unknown_keys(entry, _SEQUENCE_KEYS, "sequence")
-    entry = _read_config(_SEQUENCE_FIELDS, entry, "sequence")
-    path = base / _require(entry, "path", "sequence")
-    name = entry.get("name") or path.stem
-    fmt = PlaneFormat(
-        width=_require(entry, "width", f"sequence {name}"),
-        height=_require(entry, "height", f"sequence {name}"),
-        bit_depth=10,
-    )
-    return SequenceSpec(name=name, path=path, fmt=fmt, frame_rate=_require(entry, "fps", f"sequence {name}"))
+def _sequence_name(entry: dict):
+    """A sequence entry's name: its ``name``, else its file's stem."""
+    path = entry.get("path")
+    return entry.get("name") or (Path(path).stem if type(path) is str else None)
 
 
-def _parse_variant(entry: dict) -> VariantConfig:
-    _reject_unknown_keys(entry, _VARIANT_KEYS, "variant")
-    name = _require(entry, "name", "variant")
-    known = KNOWN_VARIANTS.get(name) if isinstance(name, str) else None
-    if known is None and not all(k in entry for k in ("input_depth", "internal_depth")):
+def _parse_sequence(entry, base: Path) -> SequenceSpec:
+    values = _read_config(_SEQUENCE_FIELDS, entry, "sequence", _sequence_name)
+    fmt = PlaneFormat(width=values["width"], height=values["height"], bit_depth=10)
+    return SequenceSpec(_sequence_name(values), base / values["path"], fmt, values["fps"])
+
+
+def _parse_variant(entry) -> VariantConfig:
+    values = _read_config(_VARIANT_FIELDS, entry, "variant", lambda entry: entry.get("name"))
+    name = values["name"]
+    known = KNOWN_VARIANTS.get(name)
+    if known is None and not {"input_depth", "internal_depth"} <= values.keys():
         raise ConfigError(f"unknown variant name {name!r}: specify input_depth and internal_depth")
-    standard = known or (entry["input_depth"], entry["internal_depth"], True)
-    values = dict(zip(("input_depth", "internal_depth", "simd_enabled"), standard))
-    return VariantConfig(**_read_config(json_fields(VariantConfig), entry, f"variant {name}", values))
+    standard = known or (values["input_depth"], values["internal_depth"], True)
+    return VariantConfig(**{**dict(zip(_IMPLIED, standard)), **values})
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -285,10 +284,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    _reject_unknown_keys(data, _CONFIG_KEYS, f"config {path}")
 
     base = path.parent
     leaves = {SequenceSpec: (frozenset(), lambda entry: _parse_sequence(entry, base)),
               VariantConfig: (frozenset(), _parse_variant)}
-    config = RunConfig(**_read_config(json_fields(RunConfig, leaves), data, "config"))
+    config = RunConfig(**_read_config(json_fields(RunConfig, leaves), data, "config", lambda _: path))
     return replace(config, **{k: base / v for k, v in vars(config).items() if isinstance(v, Path)})

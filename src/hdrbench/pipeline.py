@@ -301,7 +301,8 @@ class Runner:
         stay. A crash during an append can leave a torn last line; the next
         load drops it, so a resumed run measures that cell again.
 
-        A fresh run first drops the planned cells' records: its first
+        A fresh run first drops every record of a planned cell on this host,
+        whatever its key, so records of an older setup go too: its first
         checkpoint rewrites the file, later ones append. Stopped early, it
         leaves the cells it did not reach for the next run to measure.
 
@@ -311,8 +312,10 @@ class Runner:
         """
         cells = self.plan()
         if self.config.cache == "fresh":
-            planned = {cell.cache_key for cell in cells}
-            self.store = ResultStore({k: r for k, r in self.store.records.items() if k not in planned})
+            host = self.config.host_label
+            planned = {(cell.sequence.name, cell.variant.name, cell.qp, host) for cell in cells}
+            self.store = ResultStore({k: r for k, r in self.store.records.items()
+                                      if (r.sequence, r.variant, r.qp, r.host) not in planned})
         renditions = {cell.source: cell.sequence for cell in cells
                       if cell.variant.input_depth == 8 and cell.cache_key not in self.store}
         for rendition, spec in renditions.items():

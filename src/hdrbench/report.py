@@ -45,49 +45,37 @@ def _quality_value(record: RunRecord, axis: str) -> float:
 
 
 def collect(store: ResultStore) -> dict[str, dict[str, dict[str, list[RunRecord]]]]:
-    """Group records as sequence -> variant -> host -> records (QP ascending)."""
-    grouped: dict[str, dict[str, dict[str, list[RunRecord]]]] = {}
+    """Group records as sequence -> variant -> host -> records (QP ascending),
+    in the one pass that checks a store is reportable: each (sequence,
+    variant, host, QP) cell has one record, a cell's bitstream digest agrees
+    across hosts, and every variant and host of a sequence covers the same QPs."""
+    cells: dict[tuple[str, str, str, int], RunRecord] = {}
+    digests: dict[tuple[str, str, int], str] = {}
+    ladders: dict[str, set[int]] = {}
     for record in store.records.values():
-        grouped.setdefault(record.sequence, {}).setdefault(record.variant, {}).setdefault(
-            record.host, []
-        ).append(record)
-    for variants in grouped.values():
-        for hosts in variants.values():
-            for records in hosts.values():
-                records.sort(key=lambda r: r.qp)
+        sequence, variant, host, qp = cell = record.sequence, record.variant, record.host, record.qp
+        first = cells.setdefault(cell, record)
+        if first is not record:
+            keys = " and ".join(sorted(r.cache_key[:12] for r in (first, record)))
+            raise ReportError(
+                f"{sequence}/{variant}/qp{qp} on host {host}: two records, keys {keys}; "
+                f"a run with --fresh-measurements on host {host} replaces both"
+            )
+        if digests.setdefault((sequence, variant, qp), record.bitstream_sha256) != record.bitstream_sha256:
+            raise ReportError(f"{sequence}/{variant}/qp{qp}: bitstream digests disagree across hosts")
+        ladders.setdefault(sequence, set()).add(qp)
+    grouped: dict[str, dict[str, dict[str, list[RunRecord]]]] = {}
+    for (sequence, variant, host, _), record in sorted(cells.items()):
+        grouped.setdefault(sequence, {}).setdefault(variant, {}).setdefault(host, []).append(record)
+    for sequence, variants in grouped.items():
+        for variant, hosts in variants.items():
+            for host, records in hosts.items():
+                missing = sorted(ladders[sequence].difference(r.qp for r in records))
+                if missing:
+                    raise ReportError(
+                        f"incomplete ladder for {sequence}/{variant} on host {host}: missing QP {missing}"
+                    )
     return grouped
-
-
-def _check_ladders(sequence: str, variants: dict[str, dict[str, list[RunRecord]]]) -> tuple[int, ...]:
-    """All variant/host groups of a sequence must cover the same QP set."""
-    expected: set[int] = set()
-    for hosts in variants.values():
-        for records in hosts.values():
-            expected.update(r.qp for r in records)
-    for variant, hosts in variants.items():
-        for host, records in hosts.items():
-            have = {r.qp for r in records}
-            if have != expected:
-                missing = sorted(expected - have)
-                raise ReportError(
-                    f"incomplete ladder for {sequence}/{variant} on host {host}: "
-                    f"missing QP {missing}"
-                )
-    return tuple(sorted(expected))
-
-
-def _check_digests(sequence: str, variants: dict[str, dict[str, list[RunRecord]]]) -> None:
-    """Across hosts, the same cell must have produced the same bitstream."""
-    for variant, hosts in variants.items():
-        per_qp: dict[int, set[str]] = {}
-        for records in hosts.values():
-            for record in records:
-                per_qp.setdefault(record.qp, set()).add(record.bitstream_sha256)
-        for qp, digests in per_qp.items():
-            if len(digests) > 1:
-                raise ReportError(
-                    f"{sequence}/{variant}/qp{qp}: bitstream digests disagree across hosts"
-                )
 
 
 def _curve(records: list[RunRecord], axis: str, cost_kind: str) -> Curve:
@@ -175,10 +163,8 @@ def build_table(
         for needed in (baseline, contender):
             if needed not in variants:
                 raise ReportError(f"sequence {sequence}: no records for variant {needed}")
-        _check_ladders(sequence, variants)
-        _check_digests(sequence, variants)
 
-        # Rate and quality are host-independent (digests were just checked),
+        # Rate and quality are host-independent (collect checked the digests),
         # so each rate curve comes from whichever host sorts first.
         extras = [v for v in EXTRA_RATE_VARIANTS if v in variants and v not in (baseline, contender)]
         reference, rate, *extra_rates = (

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import hdrbench.cli as cli
-from hdrbench import yuv
+from hdrbench import pipeline, yuv
+from hdrbench.measure import MeasurementSample
 from hdrbench.store import ResultStore
 from hdrbench.yuv import PlaneFormat
 from tests.conftest import MOCK_ENCODE, deny_reads_of, write_clip
@@ -421,6 +423,48 @@ class TestRunAndReport:
         text = capsys.readouterr().out
         assert "Reference 10-10 vs 8-8" in text
         assert "Average" in text
+
+    def test_an_edited_setup_is_refused_until_a_fresh_run_replaces_the_old(self, tmp_path, capsys, monkeypatch):
+        # Each encode reads a time that follows its QP and depth, so that two
+        # runs of one config print one table.
+        encode = pipeline.run_child
+
+        def steady(argv, counter, logs):
+            encode(argv, counter, logs)
+            qp, depth = (int(argv[argv.index(flag) + 1]) for flag in ("--qp", "--bit-depth"))
+            seconds = (61 - qp) / (100 if depth == 10 else 400)
+            return MeasurementSample(seconds, seconds, None)
+
+        monkeypatch.setattr(pipeline, "run_child", steady)
+        from tests.test_config import config_dict
+
+        def write_study(where, suffix=""):
+            data = config_dict(where, repetitions=1, qp_ladder=[22, 27, 32, 37])
+            for variant in data["variants"]:
+                variant["encoder_template"] += suffix
+            (where / "run.json").write_text(json.dumps(data))
+            return str(where / "run.json")
+
+        config, store = write_study(tmp_path), tmp_path / "results.jsonl"
+        assert run_cli("run", "--config", config) == 0
+        config = write_study(tmp_path, " --no-simd")  # a new setup: every cell gets a new key
+        assert run_cli("run", "--config", config) == 0
+        assert "done: 8 cell(s) measured, 0 reused" in capsys.readouterr().out
+        assert run_cli("report", "--store", str(store)) == 1
+        assert re.fullmatch(r"error: clip/10-10/qp\d\d on host testhost: two records, keys [0-9a-f]{12} and "
+                            r"[0-9a-f]{12}; a run with --fresh-measurements on host testhost replaces both\n",
+                            capsys.readouterr().err)
+        assert run_cli("run", "--config", config, "--fresh-measurements") == 0
+        assert len(store.read_text().splitlines()) == 8
+        capsys.readouterr()
+        assert run_cli("report", "--store", str(store)) == 0
+        table = capsys.readouterr().out
+        first = tmp_path / "first"
+        first.mkdir()
+        assert run_cli("run", "--config", write_study(first, " --no-simd")) == 0
+        capsys.readouterr()
+        assert run_cli("report", "--store", str(first / "results.jsonl")) == 0
+        assert capsys.readouterr().out == table
 
     @pytest.mark.parametrize("nbytes, fill", [(4608, 0), (3072, 0), (6144, 0xFF)],
                              ids=["partial frame", "one frame short", "samples out of range"])

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -140,7 +141,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value) == (
-            "sequence: unknown key(s) ['bit_depth']; allowed: ['fps', 'height', 'name', 'path', 'width']"
+            "sequence clip: unknown key(s) ['bit_depth']; allowed: ['fps', 'height', 'name', 'path', 'width']"
         )
 
     def test_unknown_variant_key_rejected(self, tmp_path):
@@ -215,7 +216,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value) == (
-            "variant: unknown key(s) ['simd']; allowed: ['decoder_template', 'encoder_template', "
+            "variant 10-10: unknown key(s) ['simd']; allowed: ['decoder_template', 'encoder_template', "
             "'input_depth', 'internal_depth', 'name', 'simd_enabled']"
         )
 
@@ -227,8 +228,9 @@ class TestLoadConfig:
         ("host_label", None), ("sequences", {}), ("sequences", [5]), ("variants", "8-8"),
     ])
     def test_value_of_the_wrong_json_type_is_rejected(self, tmp_path, key, value):
-        with pytest.raises(ConfigError, match=rf"^config: {key}: expected "):
-            load_config(write_config(tmp_path, **{key: value}))
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=rf"^config {re.escape(str(path))}: {key}: expected "):
+            load_config(path)
 
     @pytest.mark.parametrize("entry, key, value", [
         ("variants", "input_depth", "8"), ("variants", "simd_enabled", 1),
@@ -240,7 +242,8 @@ class TestLoadConfig:
         data[entry][0][key] = value
         path = tmp_path / "run.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match=rf": {key}: expected "):
+        context = {"variants": "variant 10-10", "sequences": "sequence clip"}[entry]
+        with pytest.raises(ConfigError, match=rf"^{context}: {key}: expected "):
             load_config(path)
 
     @pytest.mark.parametrize("fps", [0, -25, float("inf"), float("nan")])
@@ -257,7 +260,7 @@ class TestLoadConfig:
         del data["variants"]
         path = tmp_path / "run.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match=r"^config: missing required key 'variants'$"):
+        with pytest.raises(ConfigError, match=rf"^config {re.escape(str(path))}: missing required key 'variants'$"):
             load_config(path)
         data["variants"] = [{"name": "10-10", "decoder_template": MOCK_DECODE}]
         path.write_text(json.dumps(data))
@@ -267,6 +270,17 @@ class TestLoadConfig:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=r"^sequence clip: missing required key 'width'$"):
             load_config(path)
+
+    def test_the_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("\n## Real studies\n"):]
+        example = section[section.index("```json\n") + len("```json\n"):]
+        path = tmp_path / "study.json"
+        path.write_text(example[:example.index("```")])
+        config = load_config(path)
+        assert [v.name for v in config.variants] == ["10-10", "8-8"]
+        assert config.host_label == "linux-i7"
+        assert config.store_path == tmp_path / "results.jsonl"
 
 
 class TestRunConfigValidation:

@@ -7,10 +7,14 @@ sequence additionally has a rate crossing engineered at quality 45.
 """
 
 import csv
+import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdrbench.metrics import QualityRecord
 from hdrbench.report import (
@@ -191,6 +195,19 @@ class TestBuildTable:
         with pytest.raises(ReportError, match="digests disagree"):
             build_table(store)
 
+    def test_a_second_record_of_a_cell_is_refused(self):
+        # Another setup's record of one cell, under another key: blended into
+        # the 10-10 curve, it would move every BD column of alpha.
+        store = synth_store()
+        first = next(r for r in store.records.values() if (r.sequence, r.variant, r.qp) == ("alpha", "10-10", 27))
+        store.add(replace(first, cache_key="0123456789abcdef", bitstream_bytes=first.bitstream_bytes + 40))
+        with pytest.raises(ReportError) as info:
+            build_table(store)
+        assert str(info.value) == (
+            "alpha/10-10/qp27 on host linux: two records, keys 0123456789ab and alpha|10-10|; "
+            "a run with --fresh-measurements on host linux replaces both"
+        )
+
     def test_empty_store_rejected(self):
         with pytest.raises(ReportError, match="empty"):
             build_table(ResultStore())
@@ -215,6 +232,57 @@ class TestBuildTable:
         assert has_external_scores(synth_store(with_scores=True))
         assert not has_external_scores(synth_store(with_scores=False))
         assert not has_external_scores(ResultStore())
+
+
+def planted(fault, store):
+    """``store`` with one fault planted in alpha's 8-8 ladder on host linux."""
+    records = dict(store.records)
+    key, record = next((k, r) for k, r in records.items()
+                       if (r.sequence, r.variant, r.qp, r.host) == ("alpha", "8-8", 27, "linux"))
+    if fault == "missing QP":
+        del records[key]
+    elif fault == "disagreeing digest":
+        records[key] = replace(record, bitstream_sha256="tampered")
+    else:  # a duplicate cell: a second record under another key
+        records["another setup"] = replace(record, cache_key="another setup", cpu_time=record.cpu_time * 2)
+    return ResultStore(records)
+
+
+class TestRecordOrder:
+    """The table depends on a store's records, not on their order or on how
+    stores were split and merged; a fault is refused in every order."""
+
+    @staticmethod
+    def shuffled(store, seed: int, parts: int) -> ResultStore:
+        """``store``'s records shuffled, dealt into ``parts`` stores, merged in shuffled order."""
+        rng = random.Random(seed)
+        records = list(store.records.values())
+        rng.shuffle(records)
+        stores = [ResultStore({r.cache_key: r for r in records[i::parts]}) for i in range(parts)]
+        rng.shuffle(stores)
+        merged = ResultStore()
+        for part in stores:
+            merged.merge(part)
+        return merged
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 4),
+           hosts=st.sampled_from([("linux",), ("linux", "windows")]))
+    def test_the_table_ignores_record_order(self, seed, parts, hosts):
+        store = synth_store(hosts=hosts)
+        text = render_text(build_table(store))
+        assert render_text(build_table(self.shuffled(store, seed, parts))) == text
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), parts=st.integers(1, 4),
+           hosts=st.sampled_from([("linux",), ("linux", "windows")]),
+           fault=st.sampled_from(["missing QP", "disagreeing digest", "duplicate cell"]))
+    def test_a_fault_is_refused_in_every_order(self, seed, parts, hosts, fault):
+        store = planted(fault, synth_store(hosts=hosts))
+        if fault == "disagreeing digest" and len(hosts) == 1:
+            store.merge(synth_store(hosts=("windows",)))  # the digest needs a host to disagree with
+        with pytest.raises(ReportError):
+            build_table(self.shuffled(store, seed, parts))
 
 
 class TestRendering:
