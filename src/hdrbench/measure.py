@@ -8,29 +8,31 @@ and pins the measuring thread to one logical CPU, so each child runs on
 that CPU from its first instruction (a warning says where the platform
 refuses); each ``run_child`` reads only ``energy_uj``, once on each side. By
 default one minimum and one maximum sample per metric are discarded before
-averaging. Quiescing the host is the operator's job.
+averaging. ``measure_process`` and ``Runner.run`` hold the ``host_lock``;
+quiescing the rest of the host is the operator's job.
 Every child process of the package, timed or not, runs through ``Child``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import os
 import subprocess
-import threading
+import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence as Seq
 
+from . import yuv
 from .errors import ExecutionError, ValidationError
 
 DEFAULT_POWERCAP_ROOT = Path("/sys/class/powercap")
 DEFAULT_RAPL_DOMAIN = "intel-rapl:0"
 MICROJOULES_PER_JOULE = 1_000_000.0
 TRIM_MIN_SAMPLES = 4
-
-_MEASUREMENT_LOCK = threading.Lock()
 
 
 class RaplUnavailableError(ExecutionError):
@@ -175,8 +177,32 @@ class Child:
 
 
 @contextlib.contextmanager
+def host_lock():
+    """Hold an advisory ``flock(LOCK_EX)`` on ``hdrbench.lock`` in the temp dir
+    (``tempfile.gettempdir()``) until the block ends or the holder dies. It is
+    not re-entrant: each entry opens the file anew, so other threads wait too,
+    as would the holder. A waiter prints the file and the holder's pid."""
+    path = Path(tempfile.gettempdir()) / "hdrbench.lock"
+    try:  # O_RDWR | O_CREAT, mode 0o666 less the umask; a planted symlink is refused, not truncated
+        fh = open(path, "a+b", opener=lambda name, flags: os.open(name, flags | os.O_NOFOLLOW, 0o666))
+    except PermissionError:  # another user's file: flock needs only a read descriptor
+        fh = open(path, "rb")
+    with fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.pread(fh.fileno(), 32, 0).decode(errors="replace").strip() or "unknown"
+            print(f"hdrbench: waiting for {path}, held by pid {holder}", file=sys.stderr, flush=True)
+            fcntl.flock(fh, fcntl.LOCK_EX)
+        if fh.writable():
+            fh.truncate(0)
+            yuv.write_all(fh.fileno(), f"{os.getpid()}\n".encode())
+        yield
+
+
+@contextlib.contextmanager
 def timed_phase(rapl_domain: str | os.PathLike | None = None, powercap_root: str | os.PathLike | None = None):
-    """Hold the measurement lock and pin this thread to ``min(os.sched_getaffinity(0))``,
+    """Pin this thread, under its caller's ``host_lock``, to ``min(os.sched_getaffinity(0))``,
     so each child ``run_child`` starts inherits the pin; on exit, whatever was
     raised, restore the thread's CPU mask. Yields ``(counter, warnings)``: the
     RAPL directory ``powercap_root``/``rapl_domain`` (None: the defaults) and
@@ -194,7 +220,7 @@ def timed_phase(rapl_domain: str | os.PathLike | None = None, powercap_root: str
         counter = (domain, max_range)
     except RaplUnavailableError as exc:
         warnings.append(f"energy omitted: {exc}")
-    with _MEASUREMENT_LOCK, contextlib.ExitStack() as restore:
+    with contextlib.ExitStack() as restore:
         if not hasattr(os, "sched_setaffinity"):
             warnings.append("cpu pinning unsupported on this platform")
         else:
@@ -238,13 +264,13 @@ def measure_process(
     logs: str | os.PathLike | None = None,
 ) -> AggregatedMeasurement:
     """Run ``command`` ``repetitions`` times with ``run_child`` in one
-    ``timed_phase`` and aggregate the samples. With ``logs``, the last
-    repetition's output is left in ``<logs>.stdout.log`` and
-    ``<logs>.stderr.log`` (see ``Child``)."""
+    ``timed_phase``, under the ``host_lock``, and aggregate the samples.
+    With ``logs``, the last repetition's output is left in
+    ``<logs>.stdout.log`` and ``<logs>.stderr.log`` (see ``Child``)."""
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     if not command:
         raise ValidationError("empty command")
-    with timed_phase(rapl_domain, powercap_root) as (counter, warnings):
+    with host_lock(), timed_phase(rapl_domain, powercap_root) as (counter, warnings):
         samples = [run_child(command, counter, logs) for _ in range(repetitions)]
     return aggregate(samples, trim=trim_outliers, warnings=warnings)

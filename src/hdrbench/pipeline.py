@@ -27,7 +27,7 @@ from pathlib import Path
 from . import bitdepth, yuv
 from .config import RunConfig, SequenceSpec, VariantConfig, render_template
 from .errors import ExecutionError, ValidationError
-from .measure import AggregatedMeasurement, Child, aggregate, run_child, timed_phase
+from .measure import AggregatedMeasurement, Child, aggregate, host_lock, run_child, timed_phase
 # psnr_plane is unused here; perfbench's tracer test reads pipeline.psnr_plane.
 from .metrics import QualityRecord, external_metric, psnr_plane, score_files
 from .store import ResultStore, RunRecord, cell_cache_key
@@ -88,14 +88,13 @@ def _command(template: str, cell: PlanCell, path_in, path_out, depth: int) -> li
 class Runner:
     """Plans and executes all cells of a run configuration.
 
-    The runner loads its store from ``config.store_path`` and checkpoints
-    into the same file; a run on another store is a config with another
+    ``run`` loads its store from ``config.store_path`` and checkpoints into
+    the same file; a run on another store is a config with another
     ``store_path``.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.store = ResultStore.load(config.store_path)
         self.encoder_invocations = 0
         self.decoder_invocations = 0
         self.executed_cells = 0
@@ -279,66 +278,73 @@ class Runner:
         )
 
     def run(self, progress=None) -> ResultStore:
-        """Execute every planned cell; a cell with a stored record is reused
-        unless the config's ``cache`` is ``"fresh"``.
+        """Execute every planned cell, holding the ``host_lock`` throughout; a
+        cell with a stored record is reused unless ``cache`` is ``"fresh"``.
 
         Cells run in groups: the consecutive planned cells of one (sequence,
         variant), one QP ladder. First the group's uncached cells are encoded
         and timed in one ``timed_phase``, which pins this thread to one CPU
-        (see ``_encode``), with no other child of this process alive; a
-        fully cached group opens none. Then their bitstreams are hashed and
-        their decoders run, up to one per CPU, while this thread walks the
-        group in plan order: it checks and scores each decoded cell, and
-        checkpoints its record by appending it to the store file (see
-        ``ResultStore.save``). One decoder runs per distinct
-        bitstream and decoder command of the run: a cell that repeats an
-        earlier decoded cell's (see ``_decode_and_score``) takes that cell's
-        quality, so ``8-8-nosimd`` reuses ``8-8``'s decodes. So ``progress``
-        calls arrive in bursts after each group's encodes, and an interrupted
-        run loses the measured but not yet checkpointed encodes of one group,
-        up to one QP ladder. Any exception kills and reaps the group's
-        decoders before it propagates; the records checkpointed before it
-        stay. A crash during an append can leave a torn last line; the next
-        load drops it, so a resumed run measures that cell again.
+        (see ``_encode``), with no other child of this process alive; a fully
+        cached group opens none. Then their bitstreams are hashed and their
+        decoders run, up to one per CPU and one per distinct decode (see
+        ``_decode_and_score``), so ``8-8-nosimd`` reuses ``8-8``'s decodes,
+        while this thread walks the group in plan order: it checks and scores
+        each decoded cell, and checkpoints its record by appending it to the
+        store file (see ``ResultStore.save``). So ``progress`` calls arrive in
+        bursts after each group's encodes, and an interrupted run loses the
+        measured but not yet checkpointed encodes of one group, up to one QP
+        ladder. Any exception kills and reaps the group's decoders before it
+        propagates; the records checkpointed before it stay, and the next load
+        drops a torn last line, so a resumed run measures that cell again.
 
-        A fresh run first drops every record of a planned cell on this host,
-        whatever its key, so records of an older setup go too: its first
-        checkpoint rewrites the file, later ones append. Stopped early, it
-        leaves the cells it did not reach for the next run to measure.
+        A plain run that finds a planned cell's record on this host only under
+        another setup's key (``report`` would refuse both) raises
+        ``ValidationError`` before it writes or times anything. A fresh run
+        drops every record of a planned cell on this host: its first checkpoint
+        rewrites the file, later ones append; stopped early, it leaves the rest.
 
         Before the first timed phase, the run writes each 8-bit rendition
         that an uncached cell encodes and syncs it, so that no write-back
         of it falls inside a timed encode.
         """
-        cells = self.plan()
-        if self.config.cache == "fresh":
+        with host_lock():
+            cells = self.plan()
+            self.store = ResultStore.load(self.config.store_path)
             host = self.config.host_label
-            planned = {(cell.sequence.name, cell.variant.name, cell.qp, host) for cell in cells}
-            self.store = ResultStore({k: r for k, r in self.store.records.items()
-                                      if (r.sequence, r.variant, r.qp, r.host) not in planned})
-        renditions = {cell.source: cell.sequence for cell in cells
-                      if cell.variant.input_depth == 8 and cell.cache_key not in self.store}
-        for rendition, spec in renditions.items():
-            rendition.parent.mkdir(parents=True, exist_ok=True)
-            bitdepth.convert_file(spec.path, rendition, spec.fmt)
-            with open(rendition, "rb") as fh:
-                os.fsync(fh.fileno())
-        numbered = enumerate(cells, start=1)
-        for _, group in itertools.groupby(numbered, key=lambda item: (item[1].sequence.name, item[1].variant.name)):
-            group = list(group)
-            uncached = [cell for _, cell in group if cell.cache_key not in self.store]
-            # A fully cached group opens no timed phase; its generator below never starts.
-            encoded = self._encode(uncached) if uncached else []
-            with contextlib.closing(self._decode_and_score(encoded)) as records:
-                for index, cell in group:
-                    if cell.cache_key in self.store:
-                        self.reused_cells += 1
+            planned = {(cell.sequence.name, cell.variant.name, cell.qp, host): cell for cell in cells}
+            if self.config.cache == "fresh":
+                self.store = ResultStore({k: r for k, r in self.store.records.items()
+                                          if (r.sequence, r.variant, r.qp, r.host) not in planned})
+            else:
+                stored = {(r.sequence, r.variant, r.qp, r.host): r.cache_key for r in self.store.records.values()}
+                for place, cell in planned.items():
+                    if place in stored and cell.cache_key not in self.store:
+                        raise ValidationError(f"{cell.where} on host {host}: the store holds another setup's record, "
+                                              f"key {stored[place][:12]}; a run with --fresh-measurements on host "
+                                              f"{host} replaces it")
+            renditions = {cell.source: cell.sequence for cell in cells
+                          if cell.variant.input_depth == 8 and cell.cache_key not in self.store}
+            for rendition, spec in renditions.items():
+                rendition.parent.mkdir(parents=True, exist_ok=True)
+                bitdepth.convert_file(spec.path, rendition, spec.fmt)
+                with open(rendition, "rb") as fh:
+                    os.fsync(fh.fileno())
+            numbered = enumerate(cells, start=1)
+            for _, group in itertools.groupby(numbered, key=lambda item: (item[1].sequence.name, item[1].variant.name)):
+                group = list(group)
+                uncached = [cell for _, cell in group if cell.cache_key not in self.store]
+                # A fully cached group opens no timed phase; its generator below never starts.
+                encoded = self._encode(uncached) if uncached else []
+                with contextlib.closing(self._decode_and_score(encoded)) as records:
+                    for index, cell in group:
+                        if cell.cache_key in self.store:
+                            self.reused_cells += 1
+                            if progress:
+                                progress(index, len(cells), cell, "cached")
+                            continue
+                        self.store.add(next(records))
+                        self.store.save(self.config.store_path)
+                        self.executed_cells += 1
                         if progress:
-                            progress(index, len(cells), cell, "cached")
-                        continue
-                    self.store.add(next(records))
-                    self.store.save(self.config.store_path)
-                    self.executed_cells += 1
-                    if progress:
-                        progress(index, len(cells), cell, "measured")
-        return self.store
+                            progress(index, len(cells), cell, "measured")
+            return self.store

@@ -115,27 +115,21 @@ class ResultStore:
 
     Records are only ever added; ``records`` is a read-only view, and a
     store without some of them is a new store from a filtered copy. ``save``
-    appends the records added since this store last loaded or wrote the
-    same file: it opens the file with ``O_APPEND`` and without ``O_CREAT``,
-    and when ``fstat`` of that descriptor finds the file as this store left
-    it (same inode, size and mtime), makes one ``os.write`` of the new
-    lines. New keys sit last in ``records``, so the file ends up as a full
-    rewrite would leave it; lines already in it are not serialised again.
-    Otherwise (the file is missing, another writer changed or replaced it,
-    or it was removed during the append) ``save`` rewrites the whole file
-    through a unique temporary file and ``os.replace``. ``load`` drops a
-    last line that a crash cut short. There is no lock: of two concurrent
-    writers the last full rewrite wins, and a rewrite in place to the same
-    size within one mtime tick goes unnoticed.
+    appends the records added since this store's own clean load or save of
+    the same file, in one write with ``O_APPEND`` and without ``O_CREAT``:
+    new keys sit last, so the file ends up as a full rewrite would leave it.
+    Otherwise it rewrites the file through a unique temporary file and
+    ``os.replace``. ``load`` drops a last line that a crash cut short. Only
+    ``Runner.run`` writes a store, under ``measure.host_lock``, so no other
+    writer is looked for; ``report`` reads without the lock.
     """
 
     def __init__(self, records: dict[str, RunRecord] | None = None):
         self._records: dict[str, RunRecord] = dict(records or {})
         self.records = types.MappingProxyType(self._records)
-        # What this store's last load or save left on disk: (absolute path,
-        # (st_ino, st_size, st_mtime_ns), records in the file), or None when
-        # the next save must rewrite.
-        self._synced: tuple[str, tuple[int, int, int], int] | None = None
+        # (absolute path, records in the file) after this store's own clean
+        # load or save of that file, or None when the next save must rewrite.
+        self._persisted: tuple[str, int] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -155,12 +149,9 @@ class ResultStore:
         store = cls()
         path = Path(path)
         try:
-            fh = open(path, "rb")
+            data = path.read_bytes()
         except FileNotFoundError:
             return store
-        with fh:
-            data = fh.read()
-            st = os.fstat(fh.fileno())
         try:
             lines = data.decode().split("\n")
         except UnicodeDecodeError as exc:  # save writes ASCII: not even a torn tail
@@ -183,7 +174,7 @@ class ResultStore:
         # Appendable only if every newline-terminated line is one distinct
         # record and nothing follows the last newline.
         if lines[-1] == "" and len(lines) - 1 == len(store):
-            store._mark_synced(os.path.abspath(path), st, len(data))
+            store._persisted = (os.path.abspath(path), len(store))
         return store
 
     def add(self, record: RunRecord) -> None:
@@ -206,36 +197,26 @@ class ResultStore:
     def save(self, path: str | os.PathLike) -> None:
         """Write the store to ``path``: append the new records, or rewrite."""
         where = os.path.abspath(path)
-        synced = self._synced
-        if synced is None or synced[0] != where or not self._append(where, *synced[1:]):
+        if self._persisted is None or self._persisted[0] != where or not self._append(where):
             self._rewrite(where)
+        self._persisted = (where, len(self._records))
 
-    def _append(self, where: str, signature: tuple[int, int, int], persisted: int) -> bool:
-        """Append the records added since the last sync, if the file at
-        ``where`` is as that sync left it and still there after the write;
-        else return False, for ``save`` to rewrite."""
+    def _append(self, where: str) -> bool:
+        """Append the records added since the last load or save to the file
+        at ``where``; return False, for ``save`` to rewrite, if it is gone."""
         # Serialise first, so a record that fails to serialise leaves the
         # file untouched, then write it in one call. The new records are the
         # newest keys: walk back from the end, not past every saved one.
-        newest_first = itertools.islice(reversed(self._records.values()), len(self._records) - persisted)
+        newest_first = itertools.islice(reversed(self._records.values()), len(self._records) - self._persisted[1])
         data = "".join(reversed([_store_line(record) for record in newest_first])).encode()
         try:  # no O_CREAT: a removed store is rewritten whole
             fd = os.open(where, os.O_WRONLY | os.O_APPEND)
         except FileNotFoundError:
             return False
         try:
-            # The check is on the opened file, so the append cannot land in
-            # a file that replaced the checked one.
-            st = os.fstat(fd)
-            if (st.st_ino, st.st_size, st.st_mtime_ns) != signature:
-                return False
             yuv.write_all(fd, data)
-            st = os.fstat(fd)
         finally:
             os.close(fd)
-        if not st.st_nlink:  # removed after the check: the lines went to a file with no name
-            return False
-        self._mark_synced(where, st, signature[1] + len(data))
         return True
 
     def _rewrite(self, where: str) -> None:
@@ -248,25 +229,11 @@ class ResultStore:
         try:
             with fh:
                 fh.writelines(map(_store_line, self.records.values()))
-                fh.flush()
-                st = os.fstat(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-        self._mark_synced(where, st, st.st_size)
-
-    def _mark_synced(self, where: str, st: os.stat_result, size: int) -> None:
-        """Record the file state this store's own read or write of ``where`` left.
-
-        ``size`` is the size that read or write accounts for; a file of
-        another size was also written by someone else, so it is not synced.
-        """
-        self._synced = None
-        if st.st_size == size:
-            signature = (st.st_ino, st.st_size, st.st_mtime_ns)
-            self._synced = (where, signature, len(self.records))
 
 
 def cell_cache_key(sequence_digest: str, variant: VariantConfig, qp: int, host: str) -> str:

@@ -4,6 +4,7 @@ quantization-noise sweep of the 10->8 tonemap."""
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,14 @@ MOCK_DECODE = (
     f"{sys.executable} -m hdrbench.mockcodec decode --input {{INPUT}} "
     "--output {OUTPUT} --output-depth {BITDEPTH}"
 )
+
+
+@pytest.fixture(autouse=True)
+def private_host_lock(tmp_path_factory, monkeypatch):
+    """Runs and measurements of the tests take the host lock in the session's
+    temp dir, so a run elsewhere on the machine and the tests never wait for
+    each other. A test that starts ``hdrbench`` processes passes ``TMPDIR``."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path_factory.getbasetemp()))
 
 
 def make_frame(rng: np.random.Generator, fmt: PlaneFormat) -> Frame:

@@ -447,13 +447,14 @@ class TestRunAndReport:
 
         config, store = write_study(tmp_path), tmp_path / "results.jsonl"
         assert run_cli("run", "--config", config) == 0
+        before = store.read_bytes()
+        capsys.readouterr()
         config = write_study(tmp_path, " --no-simd")  # a new setup: every cell gets a new key
-        assert run_cli("run", "--config", config) == 0
-        assert "done: 8 cell(s) measured, 0 reused" in capsys.readouterr().out
-        assert run_cli("report", "--store", str(store)) == 1
-        assert re.fullmatch(r"error: clip/10-10/qp\d\d on host testhost: two records, keys [0-9a-f]{12} and "
-                            r"[0-9a-f]{12}; a run with --fresh-measurements on host testhost replaces both\n",
-                            capsys.readouterr().err)
+        assert run_cli("run", "--config", config) == 1
+        out, err = capsys.readouterr()
+        assert "measured" not in out and store.read_bytes() == before
+        assert re.fullmatch(r"error: clip/10-10/qp37 on host testhost: the store holds another setup's record, "
+                            r"key [0-9a-f]{12}; a run with --fresh-measurements on host testhost replaces it\n", err)
         assert run_cli("run", "--config", config, "--fresh-measurements") == 0
         assert len(store.read_text().splitlines()) == 8
         capsys.readouterr()

@@ -233,8 +233,10 @@ class TestResultStore:
 
 
 class TestStoreCheckpoints:
-    """save appends the records added since the store last synced the file
-    when that is exact, and rewrites the whole file otherwise."""
+    """save appends the records added since the store's own clean load or
+    save of the file, and rewrites the whole file otherwise. Another writer
+    is excluded by the host lock, not detected: after one, a store is loaded
+    again, as the next locked run loads it."""
 
     def test_checkpoint_into_a_loaded_store_appends(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -357,46 +359,6 @@ class TestStoreCheckpoints:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
 
-    def test_a_write_racing_an_append_forces_the_next_save_to_rewrite(self, tmp_path, monkeypatch):
-        path = tmp_path / "store.jsonl"
-        ResultStore({"k1": make_record(cache_key="k1")}).save(path)
-        store = ResultStore.load(path)
-        store.add(make_record(cache_key="k2"))
-        write_all = yuv.write_all
-
-        def write_then_another_append(fd, data):
-            write_all(fd, data)
-            with open(path, "a") as fh:
-                fh.write(json.dumps(make_record(cache_key="other").to_dict()) + "\n")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(yuv, "write_all", write_then_another_append)
-            store.save(path)
-        store.add(make_record(cache_key="k3"))
-        store.save(path)
-        assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
-
-    def test_a_store_removed_after_the_check_is_rewritten_whole(self, tmp_path, monkeypatch):
-        # The store is removed once the append's fstat found it as this store
-        # left it: the new lines go to a file with no name, so save rewrites.
-        path = tmp_path / "store.jsonl"
-        ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
-        store = ResultStore.load(path)
-        store.add(make_record(cache_key="k3", qp=27))
-        real_fstat, calls = os.fstat, []
-
-        def fstat_then_unlink(fd):
-            calls.append(fd)
-            st = real_fstat(fd)
-            if len(calls) == 1:
-                os.unlink(path)
-            return st
-
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "fstat", fstat_then_unlink)
-            store.save(path)
-        assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
-
     def test_a_store_deleted_between_load_and_save_is_rewritten_whole(self, tmp_path):
         path = tmp_path / "store.jsonl"
         ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
@@ -404,28 +366,6 @@ class TestStoreCheckpoints:
         path.unlink()
         store.add(make_record(cache_key="k3", qp=27))
         store.save(path)
-        assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
-
-    def test_a_store_replaced_before_the_append_opens_it_is_rewritten_whole(self, tmp_path, monkeypatch):
-        # Another writer's full rewrite lands between save's decision to
-        # append and its open: the opened file is not the one this store
-        # synced with, so its new line must not join the other writer's.
-        path, other = tmp_path / "store.jsonl", tmp_path / "other.jsonl"
-        ResultStore({k: make_record(cache_key=k) for k in ("k1", "k2")}).save(path)
-        store = ResultStore.load(path)
-        store.add(make_record(cache_key="k3", qp=27))
-        ResultStore({"x1": make_record(cache_key="x1")}).save(other)
-        real_open = os.open
-
-        def replace_then_open(where, *args, **kwargs):
-            if where == str(path):
-                os.replace(other, where)
-            return real_open(where, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "open", replace_then_open)
-            store.save(path)
-        assert list(ResultStore.load(path).records) == ["k1", "k2", "k3"]
         assert path.read_bytes() == full_rewrite(store, tmp_path / "ref.jsonl")
 
     @pytest.mark.parametrize("most", [1, 5])
@@ -471,8 +411,12 @@ class TestStoreCheckpoints:
     def test_every_save_writes_what_a_full_rewrite_writes(self, steps):
         with tempfile.TemporaryDirectory() as tmp:
             path, ref = Path(tmp) / "store.jsonl", Path(tmp) / "ref.jsonl"
-            store, fresh = ResultStore(), itertools.count()
+            store, fresh, ended = ResultStore(), itertools.count(), False
             for step, n in steps:
+                if ended and step in ("new", "keep", "drop", "save"):
+                    # Another writer changed the file: this store's run is
+                    # over, and the next run loads the file under the lock.
+                    store, ended = ResultStore.load(path), False
                 keys = list(store.records)
                 if step == "new":
                     store.add(make_record(cache_key=f"k{next(fresh)}", wall_time=float(n)))
@@ -487,16 +431,15 @@ class TestStoreCheckpoints:
                     assert path.read_bytes() == full_rewrite(store, ref)
                     assert list(ResultStore.load(path).records.items()) == list(store.records.items())
                 elif step == "load":
-                    store = ResultStore.load(path)
+                    store, ended = ResultStore.load(path), False
                 elif step == "outside":
-                    # Another writer's full rewrite. Its one record's line is
-                    # longer than any line of ``store``, so the file's size
-                    # changes: a rewrite in place to the same size within one
-                    # mtime tick is the change the stat check cannot see.
+                    # Another writer's full rewrite.
                     outside = make_record(cache_key=f"outside-writer-{n:04d}-" + "x" * 40)
                     ResultStore({outside.cache_key: outside}).save(path)
+                    ended = True
                 elif step == "truncate" and path.exists():
                     cut_tail(path, n % (path.stat().st_size + 1))
+                    ended = True
 
 
 class TestCacheKey:
@@ -581,6 +524,28 @@ class TestExecution:
         rerun.run()
         assert rerun.executed_cells == 8
         assert len(config.store_path.read_text().splitlines()) == 8
+
+    def test_an_edited_setup_is_refused_before_anything_is_written_or_timed(self, tmp_path, spawns):
+        config = make_run_config(tmp_path)
+        Runner(config).run()
+        store, rendition = config.store_path.read_bytes(), config.work_dir / "inputs" / "clip_8bit.yuv"
+        written = rendition.stat().st_mtime_ns
+        edited = tuple(replace(v, encoder_template=v.encoder_template + " --no-simd") for v in config.variants)
+        spawns.clear()
+        runner = Runner(replace(config, variants=edited))
+        with pytest.raises(ValidationError, match=r"^clip/10-10/qp37 on host testhost: the store holds another "
+                           r"setup's record, key [0-9a-f]{12}; a run with --fresh-measurements on host testhost "
+                           r"replaces it$"):
+            runner.run()
+        assert (spawns, runner.encoder_invocations) == ([], 0)
+        assert config.store_path.read_bytes() == store
+        assert rendition.stat().st_mtime_ns == written
+
+    def test_a_new_cell_beside_stored_ones_is_no_other_setup(self, tmp_path):
+        Runner(make_run_config(tmp_path)).run()
+        longer = Runner(make_run_config(tmp_path, qp_ladder=LADDER + (42,)))
+        longer.run()
+        assert (longer.executed_cells, longer.reused_cells) == (2, 8)
 
     def test_fresh_rerun_rewrites_once_then_appends(self, tmp_path, monkeypatch):
         config = make_run_config(tmp_path)
@@ -821,7 +786,7 @@ class TestExecution:
         message = {"encoder": r"^encoder produced no bitstream for clip/10-10/qp22$",
                    "decoder": r"^unusable reconstruction for clip/10-10/qp22: cannot read .*/qp22/recon_10bit\.yuv: "}
         with pytest.raises(PipelineError, match=message[silent]):
-            Runner(replace(config, variants=(variant,))).run()
+            Runner(replace(config, variants=(variant,), cache="fresh")).run()
         assert len(ResultStore.load(config.store_path)) == 1
 
     def test_failing_decoder_reported(self, tmp_path):
