@@ -61,11 +61,12 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
     one span per usable CPU (``yuv.run_spans``). Each span converts every
     piece ``read_pieces`` yields into a piece-sized buffer and writes it at
     its place in ``dst`` with ``os.pwrite``. A ``dst`` that cannot seek (a
-    pipe, say) gets one span, written in frame order. The input is checked
-    for whole frames, and refused when ``dst`` is the same file, before
-    ``dst`` is touched; an old file at ``dst`` is replaced by a new one. A
-    failed conversion (a sample out of range, say) removes the file it wrote
-    once every span has stopped, so no shorter clip that looks whole is left.
+    pipe, say) is written by the calling thread alone, in frame order. The
+    input is checked for whole frames, and refused when ``dst`` is the same
+    file, before ``dst`` is touched; an old file at ``dst`` is replaced by a
+    new one. A failed conversion (a sample out of range, say) removes the
+    file it wrote once every span has stopped, so no shorter clip that looks
+    whole is left.
     """
     frames = yuv.frame_count(src, fmt)
     out_fmt = fmt.with_bit_depth(8 if fmt.bit_depth == 10 else 10)
@@ -92,5 +93,8 @@ def convert_file(src: str | os.PathLike, dst: str | os.PathLike, fmt: PlaneForma
                 yuv.write_all(fd, converted, offset if seekable else None)
                 offset += converted.nbytes
 
-        yuv.run_spans(frames, buffers, convert, parallel=seekable)
+        if seekable:
+            yuv.run_spans(frames, buffers, convert)
+        else:
+            convert(range(frames), buffers(), lambda: False)
     return frames

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__, bitdepth, report, yuv
 from .config import load_config
-from .curves import compare, export_comparison_csv, read_curve_csv
+from .curves import bd_delta, ceil_qp, export_comparison_csv, find_intersections, overlap_range, read_curve_csv
 from .errors import ExecutionError, ValidationError
 from .measure import measure_process
 # psnr_plane is unused here; perfbench's tracer test reads cli.psnr_plane.
@@ -72,8 +72,6 @@ def _build_parser() -> _Parser:
     p = add("bd", "Compare two rate/quality curves stored as qp,quality,cost CSV.")
     p.add_argument("--curve-a", required=True, type=Path, help="reference curve")
     p.add_argument("--curve-b", required=True, type=Path, help="contender curve")
-    p.add_argument("--rcd-grid", type=int, default=0, metavar="N",
-                   help="sample the relative curve difference at N points")
     p.add_argument("--export", type=Path, metavar="CSV",
                    help="write interpolated curves and RCD for plotting")
 
@@ -120,15 +118,13 @@ def _cmd_quality(args) -> int:
 def _cmd_bd(args) -> int:
     curve_a = read_curve_csv(args.curve_a)
     curve_b = read_curve_csv(args.curve_b)
-    result = compare(curve_a, curve_b, rcd_grid_size=args.rcd_grid)
+    crossings = find_intersections(curve_a, curve_b)
     payload = {
-        "bd_percent": result.bd_percent,
-        "overlap": list(result.overlap),
-        "intersections": list(result.intersections),
-        "ceil_qp": result.ceil_qp,
+        "bd_percent": bd_delta(curve_a, curve_b),
+        "overlap": list(overlap_range(curve_a, curve_b)),
+        "intersections": crossings,
+        "ceil_qp": ceil_qp(crossings, curve_a),
     }
-    if args.rcd_grid:
-        payload["rcd"] = [list(pair) for pair in result.rcd_samples]
     if args.export:
         export_comparison_csv(curve_a, curve_b, args.export)
     print(json.dumps(payload, indent=2))

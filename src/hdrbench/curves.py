@@ -4,7 +4,8 @@ Akima fits in (quality, log10 cost) space, one per curve; exact
 Bjontegaard deltas over an arbitrary cost axis (rate, time, or energy),
 relative curve differences, curve intersections, and the next-QP mapping;
 ``qp,quality,cost`` curve files in and interpolated comparisons out.
-Report rows and tables are built from these in ``report``. Curves carry
+Callers compose these functions directly: ``report`` builds its rows from
+them, and ``hdrbench bd`` prints them for one curve pair. Curves carry
 no axis labels: pairing only curves of the same quality and cost axes is
 the caller's job.
 
@@ -184,12 +185,16 @@ def find_intersections(curve_a: Curve, curve_b: Curve) -> list[float]:
     return roots
 
 
-def ceil_qp(intersection_quality: float, reference_curve: Curve) -> int:
-    """Smallest tested QP whose measured quality lies strictly below the crossing.
+def ceil_qp(crossings: Seq[float], reference_curve: Curve) -> int | None:
+    """Smallest tested QP whose measured quality lies strictly below the
+    highest of ``find_intersections``' ``crossings``; None if there are none.
 
     Higher QP means lower quality, so this is the first ladder rung inside
     the region where the cheaper-at-low-quality variant wins.
     """
+    if not crossings:
+        return None
+    intersection_quality = crossings[-1]
     lo, hi = reference_curve.quality_range
     if not (lo <= intersection_quality <= hi):
         raise CurveError(
@@ -199,42 +204,6 @@ def ceil_qp(intersection_quality: float, reference_curve: Curve) -> int:
     if not below:
         raise CurveError(f"no tested QP below intersection quality {intersection_quality}")
     return min(below)
-
-
-@dataclass(frozen=True)
-class BdReport:
-    """Full comparison of one curve pair on one cost axis."""
-
-    bd_percent: float
-    overlap: tuple[float, float]
-    rcd_samples: tuple[tuple[float, float], ...] = ()
-    intersections: tuple[float, ...] = ()
-    ceil_qp: int | None = None
-
-
-def compare(curve_a: Curve, curve_b: Curve, rcd_grid_size: int = 0) -> BdReport:
-    """Assemble the BD percentage, optional RCD samples, intersections, and
-    the next-QP value (anchored on curve_a)."""
-    if rcd_grid_size < 0:
-        raise CurveError(f"RCD grid size must be non-negative, got {rcd_grid_size}")
-    lo, hi = overlap_range(curve_a, curve_b)
-    report_rcd: tuple[tuple[float, float], ...] = ()
-    if rcd_grid_size:
-        grid = np.linspace(lo, hi, rcd_grid_size)
-        report_rcd = tuple(rcd(curve_a, curve_b, grid))
-    roots = tuple(find_intersections(curve_a, curve_b))
-    qp_value = None
-    if roots:
-        # When a curve pair crosses more than once, the ceiling QP is anchored
-        # on the highest-quality crossing.
-        qp_value = ceil_qp(roots[-1], curve_a)
-    return BdReport(
-        bd_percent=bd_delta(curve_a, curve_b),
-        overlap=(lo, hi),
-        rcd_samples=report_rcd,
-        intersections=roots,
-        ceil_qp=qp_value,
-    )
 
 
 def read_curve_csv(path: str | os.PathLike) -> Curve:
@@ -267,8 +236,8 @@ def read_curve_csv(path: str | os.PathLike) -> Curve:
 
 
 def export_comparison_csv(curve_a: Curve, curve_b: Curve, path: str | os.PathLike) -> None:
-    """Write interpolated costs and the RCD at 201 evenly spaced qualities
-    over the overlap, for plotting.
+    """Write interpolated costs and the RCD (``rcd``) at 201 evenly spaced
+    qualities over the overlap, for plotting.
 
     Columns: quality, cost_a, cost_b, rcd_percent.
     """
@@ -279,5 +248,5 @@ def export_comparison_csv(curve_a: Curve, curve_b: Curve, path: str | os.PathLik
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["quality", "cost_a", "cost_b", "rcd_percent"])
-        for q, ca, cb in zip(grid, cost_a, cost_b):
-            writer.writerow([f"{q:.6f}", f"{ca:.6f}", f"{cb:.6f}", f"{100.0 * (cb - ca) / ca:.6f}"])
+        for (q, pct), ca, cb in zip(rcd(curve_a, curve_b, grid), cost_a, cost_b):
+            writer.writerow([f"{q:.6f}", f"{ca:.6f}", f"{cb:.6f}", f"{pct:.6f}"])

@@ -6,10 +6,11 @@ sequence's tone-mapped 8-bit rendition, which the run writes and syncs
 before its first timed encode, and the source's frame count. Executing a
 cell empties its directory, runs the encoder under measurement, decodes,
 and scores the reconstruction, which ``score_files`` checks, against the
-untouched 10-bit source; a cell whose bitstream and decoder command repeat
-an earlier cell's of the run takes that cell's scores instead. Each cell's
-record is checkpointed into the run's result store (see ``store``), whose
-records let a repeated run reuse finished cells instead of re-encoding.
+untouched 10-bit source, then removes it; a cell whose bitstream and
+decoder command repeat an earlier cell's of the run takes that cell's
+scores instead. Each cell's record is checkpointed into the run's result
+store (see ``store``), whose records let a repeated run reuse finished
+cells instead of re-encoding.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ class Runner:
         checks at plan time, so its ``ValidationError`` is a ``PipelineError``
         naming the cell. Only an external metric, which reads files, gets an
         8-bit reconstruction written out expanded, as ``recon_10bit.yuv``.
+        A scored cell's reconstructions are removed (its decoder command
+        rebuilds them from the kept bitstream); a failed score leaves them.
         """
         spec, recon = cell.sequence, cell.recon
         recon_fmt = spec.fmt.with_bit_depth(cell.variant.internal_depth)
@@ -239,13 +242,15 @@ class Runner:
             quality = score_files(spec.path, recon, recon_fmt)
         except ValidationError as exc:
             raise PipelineError(f"unusable reconstruction for {cell.where}: {exc}") from exc
+        recon10 = recon
         if self.config.metric_command:
-            recon10 = recon
             if recon_fmt.bit_depth == 8:
                 recon10 = cell.cell_dir / "recon_10bit.yuv"
                 bitdepth.convert_file(recon, recon10, recon_fmt)
             score = external_metric(spec.path, recon10, self.config.metric_command, cell.cell_dir / "metric")
             quality = replace(quality, external_score=score)
+        for path in {recon, recon10}:
+            path.unlink()
         return quality
 
     def _record(

@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .curves import Curve, OperatingPoint, bd_delta, compare
+from .curves import Curve, OperatingPoint, bd_delta, ceil_qp, find_intersections
 from .errors import ValidationError
 from .store import ResultStore, RunRecord
 
@@ -167,13 +167,12 @@ def build_table(
         # Rate and quality are host-independent (collect checked the digests),
         # so each rate curve comes from whichever host sorts first.
         extras = [v for v in EXTRA_RATE_VARIANTS if v in variants and v not in (baseline, contender)]
-        reference, rate, *extra_rates = (
+        reference, *rates = (
             _curve(variants[v][min(variants[v])], quality_axis, "bitrate")
             for v in (baseline, contender, *extras)
         )
-        crossing = compare(reference, rate)
-        bd_rates = {contender: crossing.bd_percent}
-        bd_rates.update((v, bd_delta(reference, c)) for v, c in zip(extras, extra_rates))
+        crossings = find_intersections(reference, rates[0])
+        bd_rates = {v: bd_delta(reference, c) for v, c in zip((contender, *extras), rates)}
 
         bdt, bdee = {}, {}
         for host in sorted(set(variants[baseline]) & set(variants[contender])):
@@ -186,8 +185,8 @@ def build_table(
 
         rows.append(SequenceRow(
             sequence=sequence,
-            intersection_quality=crossing.intersections[-1] if crossing.intersections else None,
-            ceil_qp=crossing.ceil_qp,
+            intersection_quality=crossings[-1] if crossings else None,
+            ceil_qp=ceil_qp(crossings, reference),
             bdt_percent=bdt,
             bdee_percent=bdee,
             bd_rate_percent=bd_rates,

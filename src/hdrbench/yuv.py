@@ -266,19 +266,17 @@ def run_spans(
     frames: int,
     buffers: Callable[[], object],
     work: Callable[[range, object, Callable[[], bool]], object],
-    parallel: bool = True,
 ) -> list:
     """Run ``work`` over contiguous spans of ``range(frames)``; return its results in span order.
 
-    There are ``min(usable_cpus(), frames)`` spans, or at most one when
-    ``parallel`` is false. ``buffers()`` is called once per span, here in
-    the calling thread, so that no worker allocates a buffer (each would
-    grow a malloc arena of its own). Then ``work(span, buffers, stopped)``
-    runs the first span in the calling thread and every other span on a
-    thread of its own: numpy's kernels, ``readinto`` and ``os.pwrite``
-    release the GIL. ``work`` calls ``stopped()`` once per piece and
-    returns early when it is true: an earlier span has failed, or the
-    caller was interrupted.
+    There are ``min(usable_cpus(), frames)`` spans. ``buffers()`` is called
+    once per span, here in the calling thread, so that no worker allocates a
+    buffer (each would grow a malloc arena of its own). Then
+    ``work(span, buffers, stopped)`` runs the first span in the calling
+    thread and every other span on a thread of its own: numpy's kernels,
+    ``readinto`` and ``os.pwrite`` release the GIL. ``work`` calls
+    ``stopped()`` once per piece and returns early when it is true: an
+    earlier span has failed, or the caller was interrupted.
 
     Every thread is joined before this returns or raises, an interrupt of
     the calling thread included, so no worker outlives the call. A span
@@ -286,7 +284,7 @@ def run_spans(
     earlier span, so the error raised, that of the first span that failed,
     is the first one in file order.
     """
-    count = min(usable_cpus() if parallel else 1, frames)
+    count = min(usable_cpus(), frames)
     spans = [range(frames * k // count, frames * (k + 1) // count) for k in range(count)]
     states = [buffers() for _ in spans]
     results: list = [None] * count

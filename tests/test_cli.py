@@ -269,20 +269,20 @@ class TestBd:
         assert payload["ceil_qp"] is None
 
     def test_rcd_grid_and_export(self, curve_files, tmp_path, capsys):
+        # --export's CSV is the one RCD output; no flag prints it.
         a, b = curve_files
         out = tmp_path / "cmp.csv"
-        assert run_cli(
-            "bd", "--curve-a", str(a), "--curve-b", str(b),
-            "--rcd-grid", "7", "--export", str(out),
-        ) == 0
+        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--export", str(out)) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["rcd"]) == 7
-        assert out.is_file()
+        assert "rcd" not in payload
+        assert len(out.read_text().splitlines()) == 202
+        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--rcd-grid", "3") == 1
+        assert "unrecognized arguments: --rcd-grid 3" in capsys.readouterr().err
 
     def test_intersection_flags(self, curve_files, capsys):
         # The crossings and ceil(QP) are always printed; no flag leaves them out.
         a, b = curve_files
-        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--rcd-grid", "3") == 0
+        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b)) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["intersections"] == [] and payload["ceil_qp"] is None
         assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--no-intersections") == 1
@@ -294,10 +294,25 @@ class TestBd:
         assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--export", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_negative_rcd_grid_is_validation_error(self, curve_files, capsys):
-        a, b = curve_files
-        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--rcd-grid", "-3") == 1
-        assert "error: RCD grid size must be non-negative" in capsys.readouterr().err
+    def test_curves_that_cross_three_times(self, tmp_path, capsys):
+        # CI's exact-integral curves: the ceiling QP is anchored on the highest crossing.
+        a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "cmp.csv"
+        a.write_text("qp,quality,cost\n37,30.0,100\n32,33.0,180\n27,34.0,600\n22,38.5,700\n17,40.0,3000\n")
+        b.write_text("qp,quality,cost\n37,31.0,150\n32,32.0,160\n27,36.0,900\n22,37.0,950\n17,41.0,2500\n")
+        assert run_cli("bd", "--curve-a", str(a), "--curve-b", str(b), "--export", str(out)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["bd_percent", "overlap", "intersections", "ceil_qp"]
+        assert payload["overlap"] == [31.0, 40.0]
+        # np.roots goes through LAPACK, so the roots are compared within a tolerance.
+        assert payload["intersections"] == pytest.approx(
+            [33.393989679188905, 35.45438606660029, 39.515365889659556], rel=0, abs=1e-9
+        )
+        assert payload["bd_percent"] == pytest.approx(24.2077258478268, rel=0, abs=1e-9)
+        assert payload["ceil_qp"] == 22
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["quality", "cost_a", "cost_b", "rcd_percent"]
+        assert len(rows) == 202
 
     def test_coincident_stretch_reports_one_crossing(self, capsys):
         data = Path(__file__).parent / "data"

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from hdrbench.curves import (
-    BdReport,
     Curve,
     CurveError,
     OperatingPoint,
     bd_delta,
     ceil_qp,
-    compare,
     export_comparison_csv,
     find_intersections,
     overlap_range,
@@ -90,7 +88,9 @@ def reference_intersections(curve_a, curve_b):
 
     roots = []
     nonzero = np.nonzero(g)[0]
-    for i in range(REFERENCE_SCAN_POINTS - 1):
+    # Only a zero or a sign change between nonzero neighbours can hold a root.
+    flips = (g[:-1] != 0.0) & (g[1:] != 0.0) & ((g[:-1] < 0.0) != (g[1:] < 0.0))
+    for i in np.nonzero((g[:-1] == 0.0) | flips)[0]:
         gi, gj = g[i], g[i + 1]
         if gi == 0.0:
             before = nonzero[nonzero < i]
@@ -322,40 +322,46 @@ class TestCeilQp:
         # Qualities 30..46 with qp = 50 - quality; knots below 39.0 carry
         # QPs {20, 16, 12}, and the smallest of those is the answer.
         curve = scaled_curve(1.0)
-        assert ceil_qp(39.0, curve) == 12
+        assert ceil_qp([39.0], curve) == 12
+
+    def test_anchors_on_the_highest_crossing(self):
+        curve = scaled_curve(1.0)
+        assert ceil_qp([31.0, 35.0, 39.0], curve) == 12
+        assert ceil_qp([39.0, 43.0], curve) == 8
+
+    def test_no_crossing_gives_none(self):
+        assert ceil_qp([], scaled_curve(1.0)) is None
 
     def test_crossing_outside_range_raises(self):
         curve = scaled_curve(1.0)
-        with pytest.raises(CurveError):
-            ceil_qp(50.0, curve)
+        with pytest.raises(CurveError, match=r"^intersection quality 50\.0 outside the curve range"):
+            ceil_qp([50.0], curve)
 
     def test_no_point_below_raises(self):
         curve = scaled_curve(1.0)
-        with pytest.raises(CurveError):
-            ceil_qp(30.0, curve)
+        with pytest.raises(CurveError, match=r"^no tested QP below intersection quality 30\.0$"):
+            ceil_qp([30.0], curve)
 
 
 class TestCompare:
+    """The calls that ``report`` and ``hdrbench bd`` make on one curve pair."""
+
     def test_reports_everything(self):
         a = line_curve(slope=1.0)
         b = line_curve(slope=-1.0, offset=10.0)
-        result = compare(a, b, rcd_grid_size=11)
-        assert isinstance(result, BdReport)
-        assert result.overlap == (1.0, 9.0)
-        assert len(result.rcd_samples) == 11
-        assert result.intersections[0] == pytest.approx(5.0, abs=1e-6)
+        assert overlap_range(a, b) == (1.0, 9.0)
+        assert len(rcd(a, b, np.linspace(1.0, 9.0, 11))) == 11
+        crossings = find_intersections(a, b)
+        assert crossings[0] == pytest.approx(5.0, abs=1e-6)
         # Knots below quality 5.0 carry QPs {38, 34}; the smaller one wins.
-        assert result.ceil_qp == 34
-
-    def test_negative_rcd_grid_raises(self):
-        a = scaled_curve(1.0)
-        with pytest.raises(CurveError, match="non-negative"):
-            compare(a, a, rcd_grid_size=-3)
+        assert ceil_qp(crossings, a) == 34
 
     def test_fits_each_curve_once(self, spline_fits):
         a = line_curve(slope=1.0)
         b = line_curve(slope=-1.0, offset=10.0)
-        compare(a, b, rcd_grid_size=5)
+        bd_delta(a, b)
+        ceil_qp(find_intersections(a, b), a)
+        rcd(a, b, np.linspace(1.0, 9.0, 5))
         assert len(spline_fits) == 2
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdrbench import bitdepth, measure, pipeline, yuv
+from hdrbench import bitdepth, measure, mockcodec, pipeline, yuv
 from hdrbench.config import RunConfig, SequenceSpec, VariantConfig
 from hdrbench.errors import ValidationError
 from hdrbench.measure import MeasurementError
@@ -627,7 +627,8 @@ class TestExecution:
         Runner(config).run()
         cell_dirs = sorted((config.work_dir / "clip" / "10-10").iterdir())
         own = {d: sorted(p.name for p in d.iterdir()) for d in cell_dirs}
-        assert "recon_10bit.yuv" in own[cell_dirs[0]]
+        # A scored reconstruction is removed; the bitstream stays.
+        assert "bitstream.bin" in own[cell_dirs[0]] and "recon_10bit.yuv" not in own[cell_dirs[0]]
         for cell_dir in cell_dirs:
             (cell_dir / "stray.txt").write_text("not this run's")
             (cell_dir / "recon_8bit.yuv").write_bytes(b"stale")
@@ -1067,9 +1068,10 @@ class TestDecodeReuse:
         assert len({r.bitstream_sha256 for r in records}) == 1
         assert all(r.quality == records[0].quality for r in records)
         cell_dirs = sorted((config.work_dir / "clip" / "10-10").iterdir())
-        # QP 37 comes first in plan order: its cell is the one decoded.
-        assert [(d / "recon_10bit.yuv").is_file() for d in cell_dirs] == [False, False, False, True]
+        # QP 37 comes first in plan order: its cell is the one decoded, and
+        # its reconstruction is removed once scored.
         assert [d.name for d in cell_dirs if (d / "decoder.stderr.log").exists()] == ["qp37"]
+        assert not list(config.work_dir.rglob("recon_*"))
 
     def test_the_external_metric_runs_once_per_distinct_decode(self, tmp_path):
         calls = tmp_path / "metric_calls.txt"
@@ -1096,7 +1098,8 @@ class TestDecodeReuse:
 
 class TestEightBitScoring:
     """An 8-bit reconstruction is expanded inside the scoring loop; it goes to
-    disk as recon_10bit.yuv only for an external metric, which reads files."""
+    disk as recon_10bit.yuv only for an external metric, which reads files.
+    Every reconstruction is removed once its cell is scored."""
 
     def run_cell(self, tmp_path, metric_command=None):
         tmp_path.mkdir()
@@ -1106,25 +1109,34 @@ class TestEightBitScoring:
         (record,) = Runner(config).run().records.values()
         return record, config.work_dir / "clip" / "8-8" / "qp22"
 
-    def test_recon_10bit_written_only_for_an_external_metric(self, tmp_path):
-        plain, plain_dir = self.run_cell(tmp_path / "plain")
-        assert (plain_dir / "recon_8bit.yuv").is_file()
-        assert not (plain_dir / "recon_10bit.yuv").exists()
+    def test_recon_10bit_written_only_for_an_external_metric(self, tmp_path, monkeypatch):
+        converts, convert_file = [], bitdepth.convert_file
 
-        args_log = tmp_path / "metric_args.txt"
+        def spy_convert_file(src, dst, fmt):
+            converts.append(Path(dst).name)
+            return convert_file(src, dst, fmt)
+
+        monkeypatch.setattr(bitdepth, "convert_file", spy_convert_file)
+        plain, _ = self.run_cell(tmp_path / "plain")
+        assert "recon_10bit.yuv" not in converts
+
+        args_log, copy = tmp_path / "metric_args.txt", tmp_path / "metric_test.yuv"
         script = tmp_path / "metric.py"
         script.write_text(
-            "import pathlib, sys\n"
+            "import pathlib, shutil, sys\n"
             f"pathlib.Path({str(args_log)!r}).write_text('\\n'.join(sys.argv[1:]))\n"
+            f"shutil.copyfile(sys.argv[2], {str(copy)!r})\n"
             "print('5.0')\n"
         )
         scored, scored_dir = self.run_cell(
             tmp_path / "scored", metric_command=f"{sys.executable} {script} {{REF}} {{TEST}}"
         )
-        recon10 = scored_dir / "recon_10bit.yuv"
-        recon8 = np.fromfile(scored_dir / "recon_8bit.yuv", dtype=np.uint8)
-        assert recon10.read_bytes() == (recon8.astype("<u2") * 4).tobytes()
-        assert args_log.read_text().splitlines()[1] == str(recon10)
+        assert "recon_10bit.yuv" in converts
+        recon8_path = tmp_path / "recon_8bit.yuv"
+        mockcodec.decode(scored_dir / "bitstream.bin", recon8_path)
+        recon8 = np.fromfile(recon8_path, dtype=np.uint8)
+        assert copy.read_bytes() == (recon8.astype("<u2") * 4).tobytes()
+        assert args_log.read_text().splitlines()[1] == str(scored_dir / "recon_10bit.yuv")
         assert scored.quality.external_score == 5.0
         assert (scored_dir / "metric.stdout.log").read_text() == "5.0\n"
 
@@ -1132,3 +1144,15 @@ class TestEightBitScoring:
         assert [getattr(scored.quality, f) for f in fields] == [
             getattr(plain.quality, f) for f in fields
         ]
+
+    @pytest.mark.parametrize("metric", [False, True])
+    def test_a_run_leaves_no_reconstruction(self, tmp_path, metric):
+        script = tmp_path / "metric.py"
+        script.write_text("print('5.0')\n")
+        config = make_run_config(
+            tmp_path, qp_ladder=(22, 27),
+            metric_command=f"{sys.executable} -S {script} {{REF}} {{TEST}}" if metric else None,
+        )
+        assert len(Runner(config).run().records) == 4
+        assert len(list(config.work_dir.rglob("bitstream.bin"))) == 4
+        assert not list(config.work_dir.rglob("recon_*"))
