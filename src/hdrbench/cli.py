@@ -78,8 +78,7 @@ def _build_parser() -> _Parser:
     p = add("measure", "Measure wall time, CPU time and RAPL energy of a command.")
     p.add_argument("--cmd", required=True, help="command line to run (quoted)")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--rapl-domain")
-    p.add_argument("--powercap-root", type=Path)
+    p.add_argument("--rapl-domain", metavar="NAME|PATH", help="a name under /sys/class/powercap, or an absolute path")
 
     p = add("run", "Execute the full benchmark described by a JSON config.")
     p.add_argument("--config", required=True, type=Path)
@@ -107,7 +106,9 @@ def _cmd_quality(args) -> int:
     fmt = PlaneFormat(args.width, args.height, 10)
     quality = score_files(args.ref, args.test, fmt)
     if args.metric_cmd:
-        quality = replace(quality, external_score=external_metric(args.ref, args.test, args.metric_cmd))
+        with tempfile.TemporaryDirectory(prefix="hdrbench-metric-") as tmp:
+            score = external_metric(args.ref, args.test, args.metric_cmd, Path(tmp) / "metric")
+        quality = replace(quality, external_score=score)
     payload = _QUALITY_JSON(quality, {"frames": yuv.frame_count(args.ref, fmt)})
     if not args.metric_cmd:
         del payload["external_score"]
@@ -138,7 +139,6 @@ def _cmd_measure(args) -> int:
             shlex.split(args.cmd),
             repetitions=args.reps,
             rapl_domain=args.rapl_domain,
-            powercap_root=args.powercap_root,
             logs=Path(tmp) / "command",
         )
     payload = {

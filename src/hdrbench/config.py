@@ -111,8 +111,7 @@ class RunConfig:
     qp_ladder: tuple[int, ...] = DEFAULT_QP_LADDER
     repetitions: int = 5
     host_label: str = "local"
-    rapl_domain: str | None = None
-    powercap_root: Path | None = None
+    rapl_domain: str | None = None  # a name under /sys/class/powercap, or an absolute path
     store_path: Path = Path("results.jsonl")
     work_dir: Path = Path("work")
     cache: str = "reuse"  # or "fresh"
@@ -192,11 +191,11 @@ def json_fields(cls, leaves: dict | None = None) -> tuple:
     return tuple(spec)
 
 
-def read_json(spec: tuple, data: dict, values: dict | None = None) -> dict:
-    """Field values of a JSON object by ``json_fields`` ``spec``, added to
-    ``values``. A missing required key raises KeyError, and a value of the
-    wrong JSON type TypeError naming its key."""
-    values = {} if values is None else values
+def read_json(spec: tuple, data: dict) -> dict:
+    """Field values of a JSON object by ``json_fields`` ``spec``. A missing
+    required key raises KeyError, and a value of the wrong JSON type
+    TypeError naming its key."""
+    values = {}
     for name, key, types, read, required in spec:
         if types is None:  # a flattened dataclass
             values[name] = key(**read_json(read, data))
@@ -208,7 +207,7 @@ def read_json(spec: tuple, data: dict, values: dict | None = None) -> dict:
                 except TypeError as exc:
                     raise TypeError(f"{key}: {exc}") from None
             values[name] = value
-        elif required and name not in values:
+        elif required:
             raise KeyError(key)
     return values
 

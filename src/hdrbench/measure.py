@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence as Seq
 from . import yuv
 from .errors import ExecutionError, ValidationError
 
-DEFAULT_POWERCAP_ROOT = Path("/sys/class/powercap")
+POWERCAP_ROOT = Path("/sys/class/powercap")
 DEFAULT_RAPL_DOMAIN = "intel-rapl:0"
 MICROJOULES_PER_JOULE = 1_000_000.0
 TRIM_MIN_SAMPLES = 4
@@ -201,14 +201,14 @@ def host_lock():
 
 
 @contextlib.contextmanager
-def timed_phase(rapl_domain: str | os.PathLike | None = None, powercap_root: str | os.PathLike | None = None):
+def timed_phase(rapl_domain: str | os.PathLike | None = None):
     """Pin this thread, under its caller's ``host_lock``, to ``min(os.sched_getaffinity(0))``,
     so each child ``run_child`` starts inherits the pin; on exit, whatever was
     raised, restore the thread's CPU mask. Yields ``(counter, warnings)``: the
-    RAPL directory ``powercap_root``/``rapl_domain`` (None: the defaults) and
-    its ``max_energy_range_uj``, read once here, for ``run_child``, or None
-    when the counter is unreadable; and the phase's warnings."""
-    domain = Path(powercap_root or DEFAULT_POWERCAP_ROOT) / (rapl_domain or DEFAULT_RAPL_DOMAIN)
+    RAPL directory ``rapl_domain`` (a name under ``POWERCAP_ROOT``, by default
+    ``DEFAULT_RAPL_DOMAIN``, or an absolute path) and its ``max_energy_range_uj``,
+    read once here, for ``run_child``, or None when unreadable; and the phase's warnings."""
+    domain = POWERCAP_ROOT / (rapl_domain or DEFAULT_RAPL_DOMAIN)  # an absolute path replaces the root
     counter, warnings = None, []
     try:
         if not domain.is_dir():
@@ -259,7 +259,6 @@ def measure_process(
     command: Seq[str],
     repetitions: int = 5,
     rapl_domain: str | os.PathLike | None = None,
-    powercap_root: str | os.PathLike | None = None,
     trim_outliers: bool = True,
     logs: str | os.PathLike | None = None,
 ) -> AggregatedMeasurement:
@@ -271,6 +270,6 @@ def measure_process(
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     if not command:
         raise ValidationError("empty command")
-    with host_lock(), timed_phase(rapl_domain, powercap_root) as (counter, warnings):
+    with host_lock(), timed_phase(rapl_domain) as (counter, warnings):
         samples = [run_child(command, counter, logs) for _ in range(repetitions)]
     return aggregate(samples, trim=trim_outliers, warnings=warnings)

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -204,20 +202,17 @@ def aggregate_frame_psnrs(
     return QualityRecord(py, pu, pv, psnr_yuv(py, pu, pv))
 
 
-def external_metric(ref_path, test_path, command_template: str, logs=None) -> float:
+def external_metric(ref_path, test_path, command_template: str, logs: str | os.PathLike) -> float:
     """Run an external quality metric and parse its score from stdout.
 
     The template must contain {REF} and {TEST}; any further arguments (viewing
     parameters and the like) are the invoked tool's business and pass through
     verbatim. Placeholders are substituted after shell-style tokenization, so
     paths with spaces survive. The tool's output goes to ``<logs>.stdout.log``
-    and ``<logs>.stderr.log``, in a temporary directory when ``logs`` is None.
+    and ``<logs>.stderr.log``.
     """
     if "{REF}" not in command_template or "{TEST}" not in command_template:
         raise ValidationError("metric command template must contain {REF} and {TEST}")
-    if logs is None:
-        with tempfile.TemporaryDirectory(prefix="hdrbench-metric-") as tmp:
-            return external_metric(ref_path, test_path, command_template, Path(tmp) / "metric")
     argv = render_template(command_template, {"{REF}": str(ref_path), "{TEST}": str(test_path)})
     with Child(argv, logs) as child:
         try:

@@ -28,9 +28,9 @@ from pathlib import Path
 from . import bitdepth, yuv
 from .config import RunConfig, SequenceSpec, VariantConfig, render_template
 from .errors import ExecutionError, ValidationError
-from .measure import AggregatedMeasurement, Child, aggregate, host_lock, run_child, timed_phase
+from .measure import AggregatedMeasurement, Child, MeasurementError, aggregate, host_lock, run_child, timed_phase
 # psnr_plane is unused here; perfbench's tracer test reads pipeline.psnr_plane.
-from .metrics import QualityRecord, external_metric, psnr_plane, score_files
+from .metrics import ExternalMetricError, QualityRecord, external_metric, psnr_plane, score_files
 from .store import ResultStore, RunRecord, cell_cache_key
 
 _HASH_CHUNK = 1 << 20
@@ -155,9 +155,12 @@ class Runner:
             jobs.append((cell, _command(cell.variant.encoder_template, cell, cell.source, cell.bitstream, depth)))
 
         encoded = []
-        with timed_phase(config.rapl_domain, config.powercap_root) as (counter, warnings):
+        with timed_phase(config.rapl_domain) as (counter, warnings):
             for cell, argv in jobs:
-                samples = [run_child(argv, counter, cell.cell_dir / "encoder") for _ in range(config.repetitions)]
+                try:
+                    samples = [run_child(argv, counter, cell.cell_dir / "encoder") for _ in range(config.repetitions)]
+                except MeasurementError as exc:
+                    raise PipelineError(f"{cell.where}: {exc}") from exc
                 self.encoder_invocations += config.repetitions
                 if not cell.bitstream.is_file() or cell.bitstream.stat().st_size == 0:
                     raise PipelineError(f"encoder produced no bitstream for {cell.where}")
@@ -247,7 +250,10 @@ class Runner:
             if recon_fmt.bit_depth == 8:
                 recon10 = cell.cell_dir / "recon_10bit.yuv"
                 bitdepth.convert_file(recon, recon10, recon_fmt)
-            score = external_metric(spec.path, recon10, self.config.metric_command, cell.cell_dir / "metric")
+            try:
+                score = external_metric(spec.path, recon10, self.config.metric_command, cell.cell_dir / "metric")
+            except ExternalMetricError as exc:
+                raise PipelineError(f"{cell.where}: {exc}") from exc
             quality = replace(quality, external_score=score)
         for path in {recon, recon10}:
             path.unlink()

@@ -149,7 +149,7 @@ def build_table(
 
     The baseline/contender rate pair gives the crossing, ``ceil(QP)`` and
     the contender's BD-rate; each host both variants ran on gives a BDT
-    column, and an energy column too when all its records carry energy.
+    column, and an energy column too when all its records carry positive energy.
     """
     if quality_axis not in QUALITY_AXES:
         raise ReportError(f"unknown quality axis {quality_axis!r}")
@@ -178,7 +178,7 @@ def build_table(
         for host in sorted(set(variants[baseline]) & set(variants[contender])):
             ref, con = variants[baseline][host], variants[contender][host]
             bdt[host] = bd_delta(_curve(ref, quality_axis, "time"), _curve(con, quality_axis, "time"))
-            if all(r.energy_joules is not None for r in ref + con):
+            if all(r.energy_joules is not None and r.energy_joules > 0 for r in ref + con):
                 bdee[host] = bd_delta(
                     _curve(ref, quality_axis, "energy"), _curve(con, quality_axis, "energy")
                 )

@@ -199,7 +199,7 @@ def test_criterion_7_end_to_end_mock_study(announce, capsys, tmp_path):
         host_label="gatehost",
         store_path=tmp_path / "results.jsonl",
         work_dir=tmp_path / "work",
-        powercap_root=tmp_path / "no-powercap",
+        rapl_domain=str(tmp_path / "no-powercap" / "intel-rapl:0"),
     )
     runner = Runner(config)
     store = runner.run()

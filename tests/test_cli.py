@@ -367,7 +367,7 @@ class TestMeasure:
     def test_energy_from_a_powercap_tree(self, rapl_tree, capsys):
         assert run_cli(
             "measure", "--cmd", "true", "--reps", "1",
-            "--powercap-root", str(rapl_tree), "--rapl-domain", "intel-rapl:0",
+            "--rapl-domain", str(rapl_tree / "intel-rapl:0"),
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         # The fixture counter never advances, so the energy is exactly zero.
@@ -392,7 +392,8 @@ class TestMeasure:
 
     def test_counter_that_vanishes_mid_measurement_is_runtime_error(self, rapl_tree, capsys):
         counter = rapl_tree / "intel-rapl:0" / "energy_uj"
-        assert run_cli("measure", "--cmd", f"rm {counter}", "--reps", "1", "--powercap-root", str(rapl_tree)) == 2
+        domain = str(counter.parent)
+        assert run_cli("measure", "--cmd", f"rm {counter}", "--reps", "1", "--rapl-domain", domain) == 2
         assert capsys.readouterr().err == f"error: missing counter file {counter}\n"
 
     def test_unreadable_counter_omits_energy_with_a_warning(self, rapl_tree, monkeypatch, capsys):
@@ -400,7 +401,7 @@ class TestMeasure:
         # root, so the read is made to fail instead of the file's mode.
         counter = rapl_tree / "intel-rapl:0" / "energy_uj"
         deny_reads_of(monkeypatch, counter, after=0)
-        assert run_cli("measure", "--cmd", "true", "--reps", "1", "--powercap-root", str(rapl_tree)) == 0
+        assert run_cli("measure", "--cmd", "true", "--reps", "1", "--rapl-domain", str(rapl_tree / "intel-rapl:0")) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mean_energy_j"] is None
         assert payload["warnings"] == [f"energy omitted: cannot read counter file {counter}: Permission denied"]
@@ -408,7 +409,7 @@ class TestMeasure:
     def test_counter_that_becomes_unreadable_mid_measurement_is_runtime_error(self, rapl_tree, monkeypatch, capsys):
         counter = rapl_tree / "intel-rapl:0" / "energy_uj"
         deny_reads_of(monkeypatch, counter, after=1)  # the phase's probe reads it once
-        assert run_cli("measure", "--cmd", "true", "--reps", "1", "--powercap-root", str(rapl_tree)) == 2
+        assert run_cli("measure", "--cmd", "true", "--reps", "1", "--rapl-domain", str(rapl_tree / "intel-rapl:0")) == 2
         assert capsys.readouterr().err == f"error: cannot read counter file {counter}: Permission denied\n"
 
 
@@ -438,6 +439,22 @@ class TestRunAndReport:
         text = capsys.readouterr().out
         assert "Reference 10-10 vs 8-8" in text
         assert "Average" in text
+
+    def test_a_counter_that_never_advances_gives_a_report_without_energy(self, tmp_path, rapl_tree, capsys):
+        # Some VMs expose RAPL but never advance it: every encode reads 0 J.
+        from tests.test_config import write_config
+
+        domain = rapl_tree / "intel-rapl:0"
+        config = write_config(tmp_path, repetitions=1, qp_ladder=[22, 27, 32, 37], rapl_domain=str(domain))
+        assert run_cli("run", "--config", str(config)) == 0
+        store = ResultStore.load(tmp_path / "results.jsonl")
+        assert [r.energy_joules for r in store.records.values()] == [0.0] * 8
+        assert all(r.warnings == () for r in store.records.values())
+        capsys.readouterr()
+        assert run_cli("report", "--store", str(tmp_path / "results.jsonl")) == 0
+        text = capsys.readouterr().out
+        assert "BDT[testhost]" in text and "BD-Rate[8-8]" in text
+        assert "BDEE" not in text
 
     def test_an_edited_setup_is_refused_until_a_fresh_run_replaces_the_old(self, tmp_path, capsys, monkeypatch):
         # Each encode reads a time that follows its QP and depth, so that two

@@ -181,17 +181,15 @@ class TestLoadConfig:
         config = load_config(path)
         assert config.store_path == sub / "results.jsonl"
         assert config.work_dir == sub / "work"
-        assert config.powercap_root is None
+        assert config.rapl_domain is None
 
     def test_keys_set_map_to_fields(self, tmp_path):
         config = load_config(write_config(
             tmp_path, qp_ladder=[22, 27], repetitions=3, rapl_domain="package-0",
-            powercap_root="/sys/class/powercap", work_dir="w", cache="fresh",
-            metric_command="m {REF} {TEST}",
+            work_dir="w", cache="fresh", metric_command="m {REF} {TEST}",
         ))
         assert config.qp_ladder == (22, 27) and config.repetitions == 3
         assert config.rapl_domain == "package-0" and config.cache == "fresh"
-        assert str(config.powercap_root) == "/sys/class/powercap"
         assert config.work_dir == tmp_path / "w"
         assert config.metric_command == "m {REF} {TEST}"
 
@@ -200,13 +198,15 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, stores="x"))
         assert str(info.value).endswith(
             "unknown key(s) ['stores']; allowed: ['cache', 'host_label', 'metric_command', "
-            "'powercap_root', 'qp_ladder', 'rapl_domain', 'repetitions', "
+            "'qp_ladder', 'rapl_domain', 'repetitions', "
             "'sequences', 'store', 'variants', 'work_dir']"
         )
         # Every encode is pinned to one CPU and trimmed: no key switches either.
         # The bitrate is the bitstream's bytes: no key greps a rate from the logs.
+        # rapl_domain alone names the energy counter: no key names its root.
         for key, value in (("trim_outliers", True), ("trim_outliers", False), ("pin_cpu", True),
-                           ("pin_cpu", False), ("pin_cpu", "no"), ("reported_rate_regex", "([0-9.]+) kbps")):
+                           ("pin_cpu", False), ("pin_cpu", "no"), ("reported_rate_regex", "([0-9.]+) kbps"),
+                           ("powercap_root", "/sys/class/powercap")):
             with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]; allowed: "):
                 load_config(write_config(tmp_path, **{key: value}))
         data = config_dict(tmp_path)
@@ -223,7 +223,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("key, value", [
         ("repetitions", "5"), ("repetitions", 5.0), ("repetitions", True), ("qp_ladder", 22),
         ("qp_ladder", ["22"]), ("host_label", 7), ("rapl_domain", 0), ("store", 5),
-        ("work_dir", None), ("powercap_root", []), ("cache", None), ("qp_ladder", [22, None]),
+        ("work_dir", None), ("rapl_domain", []), ("cache", None), ("qp_ladder", [22, None]),
         ("metric_command", False), ("metric_command", ["m", "{REF}", "{TEST}"]),
         ("host_label", None), ("sequences", {}), ("sequences", [5]), ("variants", "8-8"),
     ])

@@ -132,7 +132,7 @@ def test_two_threads_measure_in_turn(tmp_path):
 
     def measure_sleeper():
         try:
-            measure.measure_process(sleeper, repetitions=3, powercap_root=tmp_path / "no-powercap")
+            measure.measure_process(sleeper, repetitions=3, rapl_domain=str(tmp_path / "no-powercap" / "intel-rapl:0"))
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 

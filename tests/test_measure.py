@@ -30,8 +30,8 @@ BUSY = [sys.executable, "-c", "x = sum(i * i for i in range(400_000))"]
 
 
 def probe(root):
-    """The counter and the energy warnings of a ``timed_phase`` on ``root``."""
-    with timed_phase("intel-rapl:0", root) as (counter, warnings):
+    """The counter and the energy warnings of a ``timed_phase`` on ``root``'s ``intel-rapl:0``."""
+    with timed_phase(str(root / "intel-rapl:0")) as (counter, warnings):
         return counter, [w for w in warnings if w.startswith("energy")]
 
 
@@ -41,6 +41,11 @@ class TestCounter:
         assert counter == (rapl_tree / "intel-rapl:0", 1_000_000)
         assert warnings == []
         assert read_counter(*counter) == 500_000
+
+    def test_a_name_is_a_domain_under_sys_class_powercap(self):
+        with timed_phase("hdrbench-no-such-domain") as (counter, warnings):
+            assert counter is None
+            assert warnings[0] == "energy omitted: no powercap domain at /sys/class/powercap/hdrbench-no-such-domain"
 
     def test_missing_domain(self, tmp_path):
         assert probe(tmp_path) == (None, [f"energy omitted: no powercap domain at {tmp_path / 'intel-rapl:0'}"])
@@ -92,7 +97,7 @@ class TestCounter:
             return read_text(self, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", counting)
-        result = measure_process(["true"], repetitions=3, powercap_root=rapl_tree)
+        result = measure_process(["true"], repetitions=3, rapl_domain=str(rapl_tree / "intel-rapl:0"))
         assert result.mean_energy_joules == 0.0
         assert reads == {"max_energy_range_uj": 1, "energy_uj": 1 + 2 * 3}
 
@@ -105,13 +110,13 @@ class TestCounter:
             return f"{next(values)}\n" if self.name == "energy_uj" else read_text(self, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", advancing)
-        with timed_phase("intel-rapl:0", rapl_tree) as (counter, _):
+        with timed_phase(str(rapl_tree / "intel-rapl:0")) as (counter, _):
             samples = [run_child(["true"], counter, None) for _ in range(2)]
         assert [s.energy_joules for s in samples] == [20e-6, 2.5e-3]
 
     def test_energy_at_the_range_during_the_phase_is_refused(self, rapl_tree):
         counter = rapl_tree / "intel-rapl:0" / "energy_uj"
-        with timed_phase("intel-rapl:0", rapl_tree) as (rapl, _):
+        with timed_phase(str(rapl_tree / "intel-rapl:0")) as (rapl, _):
             counter.write_text("1000000\n")
             with pytest.raises(CounterParseError, match=re.escape("energy_uj 1000000 outside [0, 1000000)")):
                 run_child(["true"], rapl, None)
@@ -169,7 +174,7 @@ class TestAggregate:
 
 class TestMeasureProcess:
     def test_busy_command(self, tmp_path):
-        result = measure_process(BUSY, repetitions=2, powercap_root=tmp_path / "nope")
+        result = measure_process(BUSY, repetitions=2, rapl_domain=tmp_path / "nope")
         assert isinstance(result, AggregatedMeasurement)
         assert len(result.samples) == 2
         assert result.mean_cpu_time > 0.0
@@ -181,13 +186,13 @@ class TestMeasureProcess:
         result = measure_process(
             [sys.executable, "-c", "import time; time.sleep(0.2)"],
             repetitions=1,
-            powercap_root=tmp_path / "nope",
+            rapl_domain=tmp_path / "nope",
         )
         assert result.mean_wall_time >= 0.2
         assert result.mean_cpu_time < 0.15
 
     def test_energy_from_fixture_tree(self, rapl_tree):
-        result = measure_process(BUSY, repetitions=1, rapl_domain="intel-rapl:0", powercap_root=rapl_tree)
+        result = measure_process(BUSY, repetitions=1, rapl_domain=str(rapl_tree / "intel-rapl:0"))
         # The fixture counter never advances, so the delta is exactly zero.
         assert result.mean_energy_joules == 0.0
         assert result.warnings == ()
@@ -197,23 +202,25 @@ class TestMeasureProcess:
             measure_process(
                 [sys.executable, "-c", "import sys; sys.exit(3)"],
                 repetitions=1,
-                powercap_root=tmp_path / "nope",
+                rapl_domain=tmp_path / "nope",
             )
 
     def test_missing_binary(self, tmp_path):
         with pytest.raises(MeasurementError):
-            measure_process(["/no/such/binary"], repetitions=1, powercap_root=tmp_path / "nope")
+            measure_process(["/no/such/binary"], repetitions=1, rapl_domain=tmp_path / "nope")
 
-    def test_no_powercap_root_reads_the_default_root(self):
-        # Whether or not this machine has RAPL, None and no argument agree.
+    def test_no_rapl_domain_reads_the_default_domain(self):
+        # Whether or not this machine has RAPL, None, no argument and the default's path agree.
         omitted = measure_process(["true"], repetitions=1)
-        explicit = measure_process(["true"], repetitions=1, powercap_root=None)
+        explicit = measure_process(["true"], repetitions=1, rapl_domain=None)
+        default = measure_process(["true"], repetitions=1, rapl_domain="/sys/class/powercap/intel-rapl:0")
+        assert explicit.warnings == default.warnings
         assert explicit.warnings == omitted.warnings
         assert (explicit.mean_energy_joules is None) == (omitted.mean_energy_joules is None)
 
     def test_repetition_validation(self, tmp_path):
         with pytest.raises(Exception):
-            measure_process(BUSY, repetitions=0, powercap_root=tmp_path / "nope")
+            measure_process(BUSY, repetitions=0, rapl_domain=tmp_path / "nope")
 
     def test_output_capture(self, tmp_path):
         out = tmp_path / "cmd.stdout.log"
@@ -221,7 +228,7 @@ class TestMeasureProcess:
         measure_process(
             [sys.executable, "-c", "import sys; print('to out'); print('to err', file=sys.stderr)"],
             repetitions=2,
-            powercap_root=tmp_path / "nope",
+            rapl_domain=tmp_path / "nope",
             logs=tmp_path / "cmd",
         )
         assert out.read_text().strip() == "to out"
@@ -232,7 +239,7 @@ class TestMeasureProcess:
         argv = [sys.executable, "-c", script]
         with pytest.raises(MeasurementError) as info:
             measure_process(
-                argv, repetitions=1, powercap_root=tmp_path / "nope",
+                argv, repetitions=1, rapl_domain=tmp_path / "nope",
                 logs=tmp_path / "cmd",
             )
         assert str(info.value) == f"measured command exited 1: {' '.join(argv)}: b | c | qp 999 does not fit"
@@ -252,7 +259,7 @@ class TestMeasureProcess:
             with pytest.raises(Interrupted):
                 measure_process(
                     [sys.executable, "-c", "import time; time.sleep(30)"],
-                    repetitions=1, powercap_root=tmp_path / "nope",
+                    repetitions=1, rapl_domain=tmp_path / "nope",
                 )
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -268,7 +275,7 @@ class TestMeasureProcess:
         # the parent pinned it.
         code = "import os; x = sum(i * i for i in range(400_000)); print(len(os.sched_getaffinity(0)))"
         result = measure_process(
-            [sys.executable, "-c", code], repetitions=2, powercap_root=tmp_path / "nope",
+            [sys.executable, "-c", code], repetitions=2, rapl_domain=tmp_path / "nope",
             logs=tmp_path / "cmd",
         )
         assert result.mean_cpu_time > 0.0
@@ -280,7 +287,7 @@ class TestMeasureProcess:
             raise PermissionError("not allowed")
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
-        result = measure_process(BUSY, repetitions=2, powercap_root=tmp_path / "nope")
+        result = measure_process(BUSY, repetitions=2, rapl_domain=tmp_path / "nope")
         assert len(result.samples) == 2
         assert [w for w in result.warnings if w.startswith("cpu pinning")] == ["cpu pinning failed: not allowed"]
 
@@ -293,7 +300,7 @@ class TestTimedPhase:
 
     def test_every_repetition_starts_on_one_cpu(self, spawns, tmp_path):
         mask = os.sched_getaffinity(0)
-        result = measure_process(["true"], repetitions=3, powercap_root=tmp_path / "nope")
+        result = measure_process(["true"], repetitions=3, rapl_domain=tmp_path / "nope")
         assert len(result.samples) == 3
         assert spawns == [(["true"], {min(mask)})] * 3
         assert os.sched_getaffinity(0) == mask
@@ -302,6 +309,6 @@ class TestTimedPhase:
     def test_a_failed_command_gives_the_mask_back(self, spawns, tmp_path, argv):
         mask = os.sched_getaffinity(0)
         with pytest.raises(MeasurementError):
-            measure_process(argv, repetitions=2, powercap_root=tmp_path / "nope")
+            measure_process(argv, repetitions=2, rapl_domain=tmp_path / "nope")
         assert spawns == [(argv, {min(mask)})]
         assert os.sched_getaffinity(0) == mask

@@ -246,32 +246,32 @@ def metric_script(tmp_path):
 
 
 class TestExternalMetric:
-    def test_parses_score(self, metric_script, clip10_path):
+    def test_parses_score(self, metric_script, clip10_path, tmp_path):
         path = clip10_path
         template = metric_script("print('7.25')\n")
-        assert external_metric(path, path, template) == 7.25
+        assert external_metric(path, path, template, tmp_path / "metric") == 7.25
 
-    def test_last_line_wins(self, metric_script, clip10_path):
+    def test_last_line_wins(self, metric_script, clip10_path, tmp_path):
         path = clip10_path
         template = metric_script("print('loading model...')\nprint('8.5')\n")
-        assert external_metric(path, path, template) == 8.5
+        assert external_metric(path, path, template, tmp_path / "metric") == 8.5
 
-    def test_nonzero_exit(self, metric_script, clip10_path):
+    def test_nonzero_exit(self, metric_script, clip10_path, tmp_path):
         path = clip10_path
         template = metric_script("sys.exit(3)\n")
         with pytest.raises(ExternalMetricError):
-            external_metric(path, path, template)
+            external_metric(path, path, template, tmp_path / "metric")
 
-    def test_failure_quotes_the_end_of_stderr(self, metric_script, clip10_path):
+    def test_failure_quotes_the_end_of_stderr(self, metric_script, clip10_path, tmp_path):
         path = clip10_path
         template = metric_script("print('x' * 600, file=sys.stderr)\nprint('fatal: no model', file=sys.stderr)\nsys.exit(2)\n")
         with pytest.raises(ExternalMetricError, match=r"^metric command exited 2: x{600} \| fatal: no model$"):
-            external_metric(path, path, template)
+            external_metric(path, path, template, tmp_path / "metric")
 
-    def test_output_that_is_not_utf8(self, metric_script, clip10_path):
+    def test_output_that_is_not_utf8(self, metric_script, clip10_path, tmp_path):
         path = clip10_path
         template = metric_script("sys.stdout.buffer.write(b'\\xff banner\\n7.5\\n')\n")
-        assert external_metric(path, path, template) == 7.5
+        assert external_metric(path, path, template, tmp_path / "metric") == 7.5
 
     def test_logs_go_where_asked(self, metric_script, clip10_path, tmp_path):
         path = clip10_path
@@ -280,18 +280,18 @@ class TestExternalMetric:
         assert (tmp_path / "metric.stdout.log").read_text() == "6.0\n"
         assert (tmp_path / "metric.stderr.log").read_text() == "to err\n"
 
-    def test_unparsable_output(self, metric_script, clip10_path):
+    def test_unparsable_output(self, metric_script, clip10_path, tmp_path):
         path = clip10_path
         template = metric_script("print('no score here')\n")
         with pytest.raises(ExternalMetricError):
-            external_metric(path, path, template)
+            external_metric(path, path, template, tmp_path / "metric")
 
-    def test_out_of_range_score(self, metric_script, clip10_path):
+    def test_out_of_range_score(self, metric_script, clip10_path, tmp_path):
         path = clip10_path
         template = metric_script("print('11.0')\n")
         with pytest.raises(ExternalMetricError):
-            external_metric(path, path, template)
+            external_metric(path, path, template, tmp_path / "metric")
 
     def test_template_must_mention_both_files(self, tmp_path):
         with pytest.raises(Exception):
-            external_metric(tmp_path / "a", tmp_path / "b", "metric {REF}")
+            external_metric(tmp_path / "a", tmp_path / "b", "metric {REF}", tmp_path / "metric")

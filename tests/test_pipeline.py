@@ -110,9 +110,9 @@ def make_run_config(tmp_path, variants=("10-10", "8-8"), sequences=("clip",), **
         host_label="testhost",
         store_path=tmp_path / "results.jsonl",
         work_dir=tmp_path / "work",
-        # Point at an empty powercap root so energy is deterministically
+        # Point at a missing powercap domain so energy is deterministically
         # absent regardless of the machine the tests run on.
-        powercap_root=tmp_path / "no-powercap",
+        rapl_domain=str(tmp_path / "no-powercap" / "intel-rapl:0"),
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
@@ -738,7 +738,7 @@ class TestExecution:
             deny_reads_of(monkeypatch, counter, after=0)
         if powercap == "no affinity api":  # a platform without sched_setaffinity: energy is still read
             monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        store = Runner(make_run_config(tmp_path, powercap_root=root)).run()
+        store = Runner(make_run_config(tmp_path, rapl_domain=str(root / "intel-rapl:0"))).run()
         expected = {
             "fake tree": (),
             "missing tree": (f"energy omitted: no powercap domain at {root}/intel-rapl:0",),
@@ -820,9 +820,28 @@ class TestExecution:
 
     def test_failing_encoder_quotes_its_reason(self, tmp_path):
         config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(999,))
-        with pytest.raises(MeasurementError, match=r"^measured command exited 1: .* --qp 999: "
+        with pytest.raises(PipelineError, match=r"^clip/10-10/qp999: measured command exited 1: .* --qp 999: "
                            r"mockcodec: qp 999 does not fit the header's signed byte \(-128\.\.127\)$"):
             Runner(config).run()
+
+    def test_encoder_that_cannot_start_names_its_cell(self, tmp_path):
+        config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22,))
+        (variant,) = config.variants
+        broken = replace(variant, encoder_template="/no/such/encoder {INPUT} {OUTPUT}")
+        failed = r"^clip/10-10/qp22: command failed to start: /no/such/encoder: "
+        with pytest.raises(PipelineError, match=failed) as info:
+            Runner(replace(config, variants=(broken,))).run()
+        assert isinstance(info.value.__cause__, MeasurementError)
+        assert len(ResultStore.load(config.store_path)) == 0
+
+    def test_failing_metric_names_its_cell(self, tmp_path):
+        script = tmp_path / "metric.py"
+        script.write_text("import sys\nprint('fatal: no model', file=sys.stderr)\nsys.exit(2)\n")
+        config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22,),
+                                 metric_command=f"{sys.executable} -S {script} {{REF}} {{TEST}}")
+        with pytest.raises(PipelineError, match=r"^clip/10-10/qp22: metric command exited 2: fatal: no model$"):
+            Runner(config).run()
+        assert len(ResultStore.load(config.store_path)) == 0
 
     def test_decoder_that_cannot_start_names_its_cell(self, tmp_path):
         config = make_run_config(tmp_path, variants=("10-10",), qp_ladder=(22,))

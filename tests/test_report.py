@@ -130,6 +130,21 @@ class TestBuildTable:
         assert row.bdt_percent["windows"] == pytest.approx(-75.0, abs=1e-6)
         assert "windows" not in row.bdee_percent
 
+    def test_a_host_whose_counter_never_advanced_gets_no_energy_column(self):
+        # Some VMs expose RAPL but never advance it, so every encode reads 0 J.
+        def frozen(store, where):
+            return ResultStore({key: replace(r, energy_joules=0.0, samples=((r.wall_time, r.cpu_time, 0.0),))
+                                if where(r) else r for key, r in store.records.items()})
+
+        both = synth_store(hosts=("linux", "windows"), energy_hosts=("linux", "windows"))
+        without = build_table(synth_store(hosts=("linux", "windows"), energy_hosts=("linux",)))
+        assert build_table(frozen(both, lambda r: r.host == "windows")) == without
+        # One 0 J record leaves out its host's energy for its sequence alone.
+        one = ("windows", "alpha", "8-8", 22)
+        table = build_table(frozen(both, lambda r: (r.host, r.sequence, r.variant, r.qp) == one))
+        assert table.energy_hosts == ("linux", "windows")
+        assert [set(row.bdee_percent) for row in table.rows] == [{"linux"}, {"linux", "windows"}]
+
     def test_rate_columns_only_for_variants_in_the_store(self):
         table = build_table(synth_store(variants=("10-10", "8-8")))
         assert table.rate_variants == ("8-8",)
