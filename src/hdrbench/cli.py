@@ -17,7 +17,7 @@ import json
 import shlex
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__, bitdepth, report, yuv
@@ -28,7 +28,7 @@ from .measure import measure_process
 # psnr_plane is unused here; perfbench's tracer test reads cli.psnr_plane.
 from .metrics import external_metric, psnr_plane, score_files
 from .pipeline import Runner
-from .store import _QUALITY_JSON, STORE_SCHEMA, ResultStore
+from .store import STORE_SCHEMA, ResultStore, to_json_float
 from .yuv import PlaneFormat
 
 
@@ -109,7 +109,8 @@ def _cmd_quality(args) -> int:
         with tempfile.TemporaryDirectory(prefix="hdrbench-metric-") as tmp:
             score = external_metric(args.ref, args.test, args.metric_cmd, Path(tmp) / "metric")
         quality = replace(quality, external_score=score)
-    payload = _QUALITY_JSON(quality, {"frames": yuv.frame_count(args.ref, fmt)})
+    payload = {"frames": yuv.frame_count(args.ref, fmt),
+               **{f.name: to_json_float(getattr(quality, f.name)) for f in fields(quality)}}
     if not args.metric_cmd:
         del payload["external_score"]
     print(json.dumps(payload, indent=2))

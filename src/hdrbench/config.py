@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import shlex
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -95,13 +96,10 @@ class VariantConfig:
 
 
 def render_template(template: str, substitutions: dict[str, str]) -> list[str]:
-    """Tokenize a command template, then substitute placeholders per token."""
-    argv = []
-    for token in shlex.split(template):
-        for key, value in substitutions.items():
-            token = token.replace(key, value)
-        argv.append(token)
-    return argv
+    """Tokenize a command template, then substitute every placeholder of each
+    token in one pass, so no inserted value is scanned for placeholders."""
+    placeholder = re.compile("|".join(map(re.escape, substitutions)))
+    return [placeholder.sub(lambda match: substitutions[match[0]], token) for token in shlex.split(template)]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ import json
 import math
 import os
 import types
+import typing
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import yuv
@@ -76,7 +78,7 @@ class RunRecord:
 
     def to_dict(self) -> dict:
         """The store line's JSON object: the schema, then every field in order."""
-        return _RECORD_JSON(self, {"schema": STORE_SCHEMA})
+        return json.loads(_store_line(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -85,29 +87,79 @@ class RunRecord:
         return cls(**read_json(_RECORD_FIELDS, data))
 
 
-def _json_writer(spec: tuple):
-    """``lambda obj, out: {**out, key: value, ...}`` by ``json_fields`` ``spec``:
-    a nested dataclass's fields at its place, floats through to_json_float.
-    Generated, as dataclasses generates ``__init__``: one dict display takes
-    about two thirds of the time of a loop over the fields, on every checkpoint."""
+def _float_writer(infinity: str, minus_infinity: str):
+    """The JSON text of a float, an int or None as json.dumps writes it, but
+    with these texts for the infinities. A finite float is written by
+    ``float.__repr__``, as json does, so a float subclass such as
+    ``np.float64`` prints the same."""
 
-    def items(spec, path):
+    inf = math.inf
+
+    def write(value) -> str:
+        if value is None:
+            return "null"
+        if -inf < value < inf:
+            return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+        if value != value:
+            return "NaN"
+        return infinity if value > 0 else minus_infinity
+
+    return write
+
+
+# The names the generated writer uses. A float field's text is
+# json.dumps(to_json_float(value)); a float in a tuple field's is
+# json.dumps(value), as when the dict held the tuple.
+_WRITER_NAMES = {"_string": encode_basestring_ascii, "_repr": float.__repr__, "_inf": math.inf,
+                 "_float": _float_writer('"inf"', '"-inf"'), "_item": _float_writer("Infinity", "-Infinity")}
+
+
+def _json_text(hint, expr: str, floats: str = "_float") -> str:
+    """An expression of the JSON text json.dumps writes for ``expr``, a value
+    of type ``hint``, with no single quote in it, for ``_line_writer``'s
+    f-string to hold; ``floats`` names the float writer. A ``tuple[X, ...]``
+    joins its items' texts, and unpacks an item that is a fixed-length tuple."""
+    if hint is str:
+        return f"_string({expr})"
+    if hint in (float, float | None):  # a finite float inline, any other value through the writer
+        return f"(_repr({expr}) if type({expr}) is float and -_inf < {expr} < _inf else {floats}({expr}))"
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is not tuple or args[-1] is not Ellipsis:
+        raise TypeError(f"no store-line writer for {hint!r}")
+    item = typing.get_args(args[0])
+    if typing.get_origin(args[0]) is tuple and item[-1] is not Ellipsis:
+        names = [f"_{i}" for i in range(len(item))]
+        texts = [_json_text(arg, name, "_item") for arg, name in zip(item, names)]
+        text = '"[" + ' + ' + ", " + '.join(texts) + ' + "]"'
+        return f'"[%s]" % ", ".join([{text} for {", ".join(names)} in {expr}])'
+    return f'"[%s]" % ", ".join([{_json_text(args[0], "_", "_item")} for _ in {expr}])'
+
+
+def _line_writer(cls, spec: tuple):
+    """``lambda obj: f'{"schema": 1, "key": ..., ...}\\n'``, the store line of a
+    ``cls`` by its ``json_fields`` ``spec`` and its fields' type hints: the
+    schema, then every key in order, a nested dataclass's at its place, each
+    value written as json.dumps writes it (floats as ``to_json_float`` gives
+    them), so the line's bytes are those of json.dumps of that dict.
+    Generated, as dataclasses generates ``__init__``: a checkpoint formats
+    its line without building the dict or calling json.dumps."""
+
+    def items(cls, spec, path):
+        hints = typing.get_type_hints(cls)
         for name, key, types, nested, _ in spec:
             if types is None:
-                yield from items(nested, f"{path}.{name}")
+                yield from items(key, nested, f"{path}.{name}")
+            elif hints[name] is int:
+                yield f"{json.dumps(key)}: {{{path}.{name}}}"
             else:
-                yield f"{key!r}: " + (f"to_json_float({path}.{name})" if float in types else f"{path}.{name}")
+                yield f"{json.dumps(key)}: {{{_json_text(hints[name], f'{path}.{name}')}}}"
 
-    return eval(f"lambda obj, out: {{**out, {', '.join(items(spec, 'obj'))}}}", {"to_json_float": to_json_float})
+    body = ", ".join([f'"schema": {STORE_SCHEMA}', *items(cls, spec, "obj")])
+    return eval(f"lambda obj: f'{{{{{body}}}}}\\n'", _WRITER_NAMES)
 
 
 _RECORD_FIELDS = json_fields(RunRecord)
-_RECORD_JSON = _json_writer(_RECORD_FIELDS)
-_QUALITY_JSON = _json_writer(json_fields(QualityRecord))
-
-
-def _store_line(record: RunRecord) -> str:
-    return json.dumps(record.to_dict()) + "\n"
+_store_line = _line_writer(RunRecord, _RECORD_FIELDS)
 
 
 class ResultStore:

@@ -354,3 +354,11 @@ class TestRenderTemplate:
     def test_quoted_arguments_with_spaces(self):
         argv = render_template("enc --note 'two words' {INPUT}", {"{INPUT}": "in file.yuv"})
         assert argv == ["enc", "--note", "two words", "in file.yuv"]
+
+    def test_inserted_value_is_not_substituted_again(self):
+        argv = render_template("enc -i {INPUT} -q {QP}", {"{INPUT}": "/data/{QP}/in.yuv", "{QP}": "22"})
+        assert argv == ["enc", "-i", "/data/{QP}/in.yuv", "-q", "22"]
+
+    def test_placeholder_in_an_earlier_value_is_kept(self):
+        argv = render_template("metric {REF} {TEST}", {"{REF}": "/a/{TEST}.yuv", "{TEST}": "/b.yuv"})
+        assert argv == ["metric", "/a/{TEST}.yuv", "/b.yuv"]

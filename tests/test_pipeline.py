@@ -11,7 +11,7 @@ import stat
 import sys
 import tempfile
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from hdrbench.store import (
     RunRecord,
     StoreConflictError,
     StoreError,
+    _store_line,
     cell_cache_key,
     to_json_float,
 )
@@ -162,7 +163,7 @@ class TestPinnedBytes:
             warnings=("repetition CV 12.0% exceeds 10%",),
             created_at="2026-01-01T00:00:00+00:00",
         )
-        line = json.dumps(record.to_dict())
+        line = _store_line(record)
         assert line == (
             '{"schema": 1, "key": "k1", "sequence": "clip", "variant": "10-10", "qp": 22, '
             '"host": "hostA", "width": 64, "height": 64, "input_depth": 10, "internal_depth": 10, '
@@ -171,7 +172,7 @@ class TestPinnedBytes:
             '"cpu_time": 1.4, "energy_joules": 12.5, "samples": [[1.5, 1.4, 12.5], '
             '[1.625, 1.375, null]], "retained_count": 1, "psnr_y": "inf", "psnr_u": 42.0, '
             '"psnr_v": 43.0, "psnr_yuv": "inf", "external_score": 7.5, "warnings": '
-            '["repetition CV 12.0% exceeds 10%"], "created_at": "2026-01-01T00:00:00+00:00"}'
+            '["repetition CV 12.0% exceeds 10%"], "created_at": "2026-01-01T00:00:00+00:00"}\n'
         )
         assert RunRecord.from_dict(json.loads(line)) == record
         # Lines of older stores held the retired encoder-reported rate: they load to the same record.
@@ -184,6 +185,65 @@ class TestPinnedBytes:
         assert cell_cache_key("ab" * 32, variant, 27, "hostA") == (
             "ff6cee829d745e43795a1891cef5ab6b21c1542d77d3ba7e087ea435ee9ced0f"
         )
+
+
+def dumped_line(record: RunRecord) -> str:
+    """The store line as json.dumps writes the record's dict built field by
+    field: the schema, then each field under its key, a float field through
+    to_json_float, the quality's fields at its place."""
+    data = {"schema": 1}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name == "quality":
+            data.update((q.name, to_json_float(getattr(value, q.name))) for q in fields(value))
+        else:
+            float_field = f.name in ("frame_rate", "wall_time", "cpu_time", "energy_joules")
+            data["key" if f.name == "cache_key" else f.name] = to_json_float(value) if float_field else value
+    return json.dumps(data) + "\n"
+
+
+# Floats as json.dumps meets them: finite, infinite, NaN, np.float64, whole-valued and ints.
+ANY_FLOAT = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.integers(-10**6, 10**6).map(float), st.integers(-10**6, 10**6),
+)
+POSITIVE_FLOAT = st.floats(1e-6, 1e6) | st.floats(1e-6, 1e6).map(np.float64) | st.integers(1, 10**6)
+# Quotes, backslashes, control and non-ASCII characters, and the rest.
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u20ac\U0001f600 ') | st.characters(), max_size=12)
+
+
+class TestStoreLine:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        strings=st.tuples(*[TEXT] * 6),
+        floats=st.tuples(POSITIVE_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT | st.none(), *[ANY_FLOAT] * 4),
+        external=st.none() | st.floats(0.0, 10.0) | st.floats(0.0, 10.0).map(np.float64),
+        samples=st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT | st.none()), max_size=5),
+        warnings=st.lists(TEXT, max_size=3),
+    )
+    def test_line_is_what_json_dumps_writes(self, strings, floats, external, samples, warnings):
+        key, sequence, variant, host, digest, created = strings
+        frame_rate, wall, cpu, energy, *psnr = floats
+        record = make_record(
+            cache_key=key, sequence=sequence, variant=variant, host=host, bitstream_sha256=digest,
+            created_at=created, frame_rate=frame_rate, wall_time=wall, cpu_time=cpu, energy_joules=energy,
+            quality=QualityRecord(*psnr, external_score=external), samples=tuple(samples),
+            warnings=tuple(warnings),
+        )
+        assert _store_line(record) == dumped_line(record)
+
+    def test_rewrite_keeps_the_bytes_json_dumps_wrote(self, tmp_path):
+        original = tmp_path / "store.jsonl"
+        original.write_text("".join(line + "\n" for line in (
+            record_line(),
+            record_line(key="k2", frame_rate=50, wall_time=2, energy_joules=None, psnr_y="inf", psnr_u=math.nan,
+                        psnr_v=-0.0, external_score=10, created_at="caf\u00e9 \"\\\n\x01"),
+            record_line(key="k3", samples=[[1e300, math.inf, None], [-math.inf, math.nan, 0]],
+                        warnings=["\x00", "\U0001f600", ""], psnr_yuv="-inf"),
+        )))
+        store = ResultStore.load(original)
+        assert full_rewrite(store, tmp_path / "rewritten.jsonl") == original.read_bytes()
+        back = ResultStore.load(tmp_path / "rewritten.jsonl")
+        assert repr(list(back.records.items())) == repr(list(store.records.items()))
 
 
 class TestResultStore:
